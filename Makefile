@@ -127,12 +127,10 @@ obs:
 bench:
 	$(GO) run ./cmd/uavbench -preset reduced -speedup full -serve reduced -out BENCH_PR7.json
 
-# Micro-benchmarks behind the speedup panel: candidate generation fast vs
-# reference (internal/core) and 2-opt with vs without neighbor lists and
-# don't-look bits (internal/tsp).
+# Micro-benchmark behind the speedup panel: candidate generation fast vs
+# reference (internal/core).
 bench-micro:
 	$(GO) test -run XXX -bench 'BenchmarkAlg2' -benchtime 3x ./internal/core
-	$(GO) test -run XXX -bench 'BenchmarkTwoOpt(Full|DLB)' ./internal/tsp
 
 # Baseline-parity gate: BENCH_PR7.json against BENCH_PR6.json. Both run
 # the same planner, so every deterministic field of the prior panels —

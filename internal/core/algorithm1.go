@@ -27,9 +27,6 @@ const costMemoMax = 2048
 // d–d′ path; an orienteering cycle rooted at the depot is the same object,
 // which is what the solver computes directly.
 type Algorithm1 struct {
-	// Method selects the orienteering solver; the zero value (auto) runs
-	// the portfolio.
-	Method orienteering.Method
 	// AllowOverlap skips the disjoint-coverage filtering. The problem
 	// variant this algorithm targets assumes no two selected hovering
 	// locations share covered sensors; by default the candidate set is
@@ -37,13 +34,6 @@ type Algorithm1 struct {
 	// AllowOverlap set the raw candidate set is used and the realised
 	// (deduplicated) volume may be below the orienteering objective.
 	AllowOverlap bool
-	// Reference hands the orienteering solver the raw auxiliary-weight
-	// closure instead of the default dense memoised cost table. Every
-	// table entry is the exact float64 the closure returns, so solutions
-	// are bit-identical either way; the table just stops the solver stack
-	// (exact DP, tour split, local search) from recomputing hover/travel
-	// energies per probe.
-	Reference bool
 }
 
 // Name implements Planner.
@@ -76,8 +66,12 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 	}
 	endCand(trace.Int("candidates", set.Len()), trace.Int("nodes", len(ids)))
 
+	// The fast path hands the solver stack (exact DP, tour split, local
+	// search) a dense memoised cost table instead of the raw closure, so
+	// it stops recomputing hover/travel energies per probe. Every entry
+	// is the exact float64 the closure returns.
 	cost := tsp.Metric(func(i, j int) float64 { return set.AuxiliaryWeight(ids[i], ids[j]).F() })
-	if !a.Reference && len(ids) <= costMemoMax {
+	if !in.Reference && len(ids) <= costMemoMax {
 		cost = tsp.MemoMetric(len(ids), cost)
 	}
 	prob := &orienteering.Problem{
@@ -88,7 +82,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 		Depot:  0,
 	}
 	endOr := tr.Begin(SpanPlanAlg1Orienteering, trace.Int("nodes", len(ids)))
-	sol, err := orienteering.Solve(prob, a.Method, in.obsRecorder())
+	sol, err := orienteering.Solve(prob, orienteering.MethodAuto, in.obsRecorder())
 	if err != nil {
 		endOr()
 		endPlan()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/hover"
@@ -36,14 +35,6 @@ type Algorithm2 struct {
 	// worker count: candidates are compared with a total order
 	// (ratio, then award, then lowest id).
 	Workers int
-	// Reference disables the fast scan path (residual-active candidate
-	// index, precomputed insertion edges, dense local-search submatrix)
-	// and runs the original full scan. Plans are bit-identical either
-	// way — the fast path only skips candidates that are provably
-	// discarded (award 0) and only substitutes arithmetic that yields
-	// the exact same float64s; the differential suite holds both paths
-	// to that contract.
-	Reference bool
 }
 
 // Name implements Planner.
@@ -65,7 +56,7 @@ func (a *Algorithm2) Plan(in *Instance) (*Plan, error) {
 	}
 	endCand(trace.Int("candidates", set.Len()))
 	st := newGreedyState(in, set)
-	st.reference = a.Reference || a.ExactRatioTSP
+	st.reference = st.reference || a.ExactRatioTSP
 	for {
 		endIter := tr.Begin(SpanPlanAlg2Iterate)
 		best, ok := a.pickNext(st)
@@ -129,9 +120,6 @@ func (a *Algorithm2) evalFull(st *greedyState, c int, curEnergy units.Joules, so
 // higher award, then lower id — the id tie-break makes the parallel scan
 // bit-identical to the serial one.
 func betterFull(c1 fullCandidate, r1 float64, c2 fullCandidate, r2 float64) bool {
-	if c2.loc < 0 {
-		return true
-	}
 	if r1 != r2 { //uavdc:allow floateq exact compare keeps the tie-break order total and bit-reproducible; an epsilon would break transitivity
 		return r1 > r2
 	}
@@ -141,158 +129,34 @@ func betterFull(c1 fullCandidate, r1 float64, c2 fullCandidate, r2 float64) bool
 	return c1.loc < c2.loc
 }
 
-// pickNext scans all unselected candidates and returns the best-ratio
-// feasible one, fanning the scan across Workers goroutines when asked.
-// The default fast scan walks only residual-active candidates; Reference
-// (and ExactRatioTSP, whose pricing needs the serial tour) restores the
-// full scan. Both return bit-identical picks.
+// pickNext returns the best-ratio feasible candidate outside the tour,
+// fanning the scan across Workers goroutines when asked. The fast scan
+// walks only residual-active candidates and records the ones it skips, so
+// evals + skipped always reconciles with the reference scan's evals;
+// ExactRatioTSP, whose pricing runs Christofides on the shared recorder,
+// scans serially on the reference list. Both return bit-identical picks.
 func (a *Algorithm2) pickNext(st *greedyState) (fullCandidate, bool) {
-	if st.reference {
-		return a.pickNextRef(st)
-	}
-	return a.pickNextFast(st)
-}
-
-// pickNextFast scans the residual-active candidate list, fanning across
-// Workers goroutines over contiguous shards of the list so the merged
-// record stream equals the serial fast stream. Candidates it skips are
-// exactly those the reference scan evaluates and discards for zero award;
-// the skip count is recorded so evals + skipped always reconciles with
-// the reference scan's evals.
-func (a *Algorithm2) pickNextFast(st *greedyState) (fullCandidate, bool) {
 	cur := st.energy()
-	active := st.scanIdx().compact()
+	ids := st.scanIdx().compact()
 	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
 	evals := int64(0)
-	for _, c := range active {
-		if !st.inTour[int(c)] {
+	for _, c := range ids {
+		if !st.inTour[c] {
 			evals++
 		}
 	}
 	// The reference scan evaluates every candidate outside the tour.
 	st.cSkipped.Add(int64(st.set.Len()-st.tour.Len()) - evals)
 	workers := a.Workers
-	if workers <= 1 || len(active) < 256 {
-		best := fullCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for _, c32 := range active {
-			c := int(c32)
-			if st.inTour[c] {
-				continue
-			}
-			if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
+	if a.ExactRatioTSP {
+		workers = 1
+	}
+	return scanBest(st.rec, workers, ids, func(c int, so scanObs) (fullCandidate, float64, bool) {
+		if st.inTour[c] {
+			return fullCandidate{}, 0, false
 		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  fullCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (len(active) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(active))
-		results[w] = localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-			for _, c32 := range active[lo:hi] {
-				c := int(c32)
-				if st.inTour[c] {
-					continue
-				}
-				if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterFull(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
-}
-
-// pickNextRef is the retained reference scan: every candidate outside the
-// tour is priced each iteration.
-func (a *Algorithm2) pickNextRef(st *greedyState) (fullCandidate, bool) {
-	cur := st.energy()
-	n := st.set.Len()
-	workers := a.Workers
-	if workers <= 1 || a.ExactRatioTSP || n < 256 {
-		best := fullCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for c := 1; c < n; c++ {
-			if st.inTour[c] {
-				continue
-			}
-			if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
-		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  fullCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (n - 1 + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := 1 + w*chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			results[w] = localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-			for c := lo; c < hi; c++ {
-				if st.inTour[c] {
-					continue
-				}
-				if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterFull(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
+		return a.evalFull(st, c, cur, so)
+	}, betterFull)
 }
 
 // greedyState is the shared incremental machinery of Algorithms 2 and 3.
@@ -313,10 +177,10 @@ type greedyState struct {
 	cAccepted obs.Counter
 	cUpgraded obs.Counter
 	cSkipped  obs.Counter
-	// reference selects the retained full-scan path; the default fast
-	// path maintains idx (the residual-active candidate index, built
-	// lazily so callers may seed residuals first) and prices insertions
-	// through ins (per-iteration cached tour edges).
+	// reference selects the retained full-scan path (Instance.Reference);
+	// the default fast path prunes idx to the residual-active candidates
+	// (built lazily so callers may seed residuals first) and prices
+	// insertions through ins (per-iteration cached tour edges).
 	reference bool
 	idx       *scanIndex
 	ins       insertionScratch
@@ -336,6 +200,7 @@ func newGreedyState(in *Instance, set *hover.Set) *greedyState {
 		cAccepted: rec.Counter(CounterAcceptedStops),
 		cUpgraded: rec.Counter(CounterUpgradedStops),
 		cSkipped:  rec.Counter(CounterScanSkippedDrained),
+		reference: in.Reference,
 	}
 	st.dist = func(i, j int) float64 { return set.Dist(i, j) }
 	st.inTour[hover.DepotID] = true
@@ -355,7 +220,7 @@ func (st *greedyState) energy() units.Joules {
 // destroyed plan after constructing the state.
 func (st *greedyState) scanIdx() *scanIndex {
 	if st.idx == nil {
-		st.idx = newScanIndex(st.set, st.residual, nil)
+		st.idx = newScanIndex(st.set, st.residual, nil, st.reference)
 	}
 	return st.idx
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/hover"
@@ -33,11 +32,6 @@ type Algorithm3 struct {
 	// per iteration; 0 or 1 means serial. Results are identical at any
 	// worker count (total-order tie-breaking).
 	Workers int
-	// Reference disables the fast scan path (residual-active candidate
-	// index, cached insertion edges, dense local-search submatrix) and
-	// runs the original full scan. Plans are bit-identical either way;
-	// see Algorithm2.Reference.
-	Reference bool
 }
 
 // Name implements Planner.
@@ -74,7 +68,6 @@ func (a *Algorithm3) Plan(in *Instance) (*Plan, error) {
 	}
 	endCand(trace.Int("candidates", set.Len()))
 	st := newGreedyState(in, set)
-	st.reference = a.Reference
 	for {
 		endIter := tr.Begin(SpanPlanAlg3Iterate)
 		best, ok := a.pickNext(st, k)
@@ -110,134 +103,20 @@ func betterPartial(c1 partialCandidate, r1 float64, c2 partialCandidate, r2 floa
 }
 
 // pickNext scans every (location, level) pair, fanning across Workers
-// goroutines when asked. The default fast scan walks only residual-active
+// goroutines when asked. The fast scan walks only residual-active
 // locations — an inactive location can produce neither a positive full
 // award nor a positive partial gain, and a fully drained in-tour stop has
-// no level above its current sojourn, so skipping both is bit-equivalent.
+// no level above its current sojourn, so skipping both is bit-equivalent;
+// the skip count reconciles its evals with the reference scan's, which
+// visits every location each iteration.
 func (a *Algorithm3) pickNext(st *greedyState, k int) (partialCandidate, bool) {
-	if st.reference {
-		return a.pickNextRef(st, k)
-	}
-	return a.pickNextFast(st, k)
-}
-
-// pickNextFast scans the residual-active location list, sharding it
-// contiguously across Workers goroutines; the skip count reconciles the
-// fast scan's evals with the reference scan's (which visits every
-// location each iteration).
-func (a *Algorithm3) pickNextFast(st *greedyState, k int) (partialCandidate, bool) {
 	cur := st.energy()
-	active := st.scanIdx().compact()
+	ids := st.scanIdx().compact()
 	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
-	st.cSkipped.Add(int64(st.set.Len()-1) - int64(len(active)))
-	workers := a.Workers
-	if workers <= 1 || len(active) < 256 {
-		best := partialCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for _, c := range active {
-			if cand, ratio, ok := a.evalLoc(st, k, int(c), cur, so); ok && betterPartial(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
-		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  partialCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (len(active) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(active))
-		results[w] = localBest{cand: partialCandidate{loc: -1}, ratio: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: partialCandidate{loc: -1}, ratio: -1}
-			for _, c := range active[lo:hi] {
-				if cand, ratio, ok := a.evalLoc(st, k, int(c), cur, so); ok && betterPartial(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: partialCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterPartial(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
-}
-
-// pickNextRef is the retained reference scan over every location.
-func (a *Algorithm3) pickNextRef(st *greedyState, k int) (partialCandidate, bool) {
-	n := st.set.Len()
-	workers := a.Workers
-	if workers <= 1 || n < 256 {
-		best := partialCandidate{loc: -1}
-		bestRatio := -1.0
-		cur := st.energy()
-		so := newScanObs(st.rec)
-		for c := 1; c < n; c++ {
-			if cand, ratio, ok := a.evalLoc(st, k, c, cur, so); ok && betterPartial(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
-		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  partialCandidate
-		ratio float64
-	}
-	cur := st.energy()
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (n - 1 + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := 1 + w*chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		results[w] = localBest{cand: partialCandidate{loc: -1}, ratio: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: partialCandidate{loc: -1}, ratio: -1}
-			for c := lo; c < hi; c++ {
-				if cand, ratio, ok := a.evalLoc(st, k, c, cur, so); ok && betterPartial(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: partialCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterPartial(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
+	st.cSkipped.Add(int64(st.set.Len()-1) - int64(len(ids)))
+	return scanBest(st.rec, a.Workers, ids, func(c int, so scanObs) (partialCandidate, float64, bool) {
+		return a.evalLoc(st, k, c, cur, so)
+	}, betterPartial)
 }
 
 // evalLoc prices every level of one location and returns its best

@@ -20,13 +20,6 @@ type BenchmarkPlanner struct {
 	// re-optimised with 2-opt; 0 means every removal, matching the
 	// paper's description of re-computing the tour as nodes are pruned.
 	ImproveEvery int
-	// Reference disables the fast path: the dense memoised distance
-	// matrix over depot+sensors and the in-place removal pricing (the
-	// neighbour-edge delta computed directly instead of through
-	// tsp.Remove's index scan and slice copy). Both are pure expression
-	// rewrites yielding the exact same float64s, so plans, counters and
-	// traces are bit-identical either way.
-	Reference bool
 }
 
 // Name implements Planner.
@@ -45,8 +38,12 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 	n := len(net.Sensors)
 	endPlan := tr.Begin(SpanPlanBench, trace.Int("nodes", n+1))
 	// Item ids: 0 is the depot, 1..n are sensors (sensor v is item v+1).
+	// The fast path memoises the distance matrix over depot+sensors and
+	// prices removals in place (the neighbour-edge delta computed directly
+	// instead of through tsp.Remove's index scan and slice copy). Both are
+	// pure expression rewrites yielding the exact same float64s.
 	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })
-	if !b.Reference && n+1 <= costMemoMax {
+	if !in.Reference && n+1 <= costMemoMax {
 		dist = tsp.MemoMetric(n+1, dist)
 	}
 	items := make([]int, n+1)
@@ -87,7 +84,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 			v := it - 1
 			var travelD float64
 			switch {
-			case b.Reference:
+			case in.Reference:
 				_, travelD = tsp.Remove(tour, it, dist)
 			case tn >= 3:
 				// tsp.Remove's delta for the known position, without the

@@ -89,3 +89,22 @@ func TestCanonicalRejectsUnknownRadio(t *testing.T) {
 		t.Fatal("CanonKey accepted unknown radio model")
 	}
 }
+
+// TestCanonKeyIgnoresReference: the reference-path switch is an execution
+// policy like Obs and Workers — it never changes the plan, so it must not
+// split the cache identity.
+func TestCanonKeyIgnoresReference(t *testing.T) {
+	in := canonInstance()
+	fast, err := in.CanonKey("partial", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Reference = true
+	ref, err := in.CanonKey("partial", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast != ref {
+		t.Fatalf("Reference changed the canonical key: %x vs %x", fast, ref)
+	}
+}

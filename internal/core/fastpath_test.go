@@ -16,6 +16,13 @@ import (
 // award is provably zero and substitutes arithmetic that produces the
 // exact same float64s.
 
+// referenceOf returns a copy of in that plans on the reference path.
+func referenceOf(in *Instance) *Instance {
+	ref := *in
+	ref.Reference = true
+	return &ref
+}
+
 // TestFastPathMatchesReferenceAlg2 runs Algorithm 2 both ways on several
 // instances and worker counts and demands bit-equal plans.
 func TestFastPathMatchesReferenceAlg2(t *testing.T) {
@@ -23,7 +30,7 @@ func TestFastPathMatchesReferenceAlg2(t *testing.T) {
 		for _, capacity := range []units.Joules{1.2e4, 3e4} {
 			in := mediumInstance(t, seed, capacity)
 			in.Delta = 15
-			ref, err := (&Algorithm2{Reference: true}).Plan(in)
+			ref, err := (&Algorithm2{}).Plan(referenceOf(in))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +54,7 @@ func TestFastPathMatchesReferenceAlg3(t *testing.T) {
 			in := mediumInstance(t, seed, 2e4)
 			in.Delta = 15
 			in.K = k
-			ref, err := (&Algorithm3{Reference: true}).Plan(in)
+			ref, err := (&Algorithm3{}).Plan(referenceOf(in))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +75,7 @@ func TestFastPathMatchesReferenceLNS(t *testing.T) {
 	for _, seed := range []uint64{3, 8} {
 		in := mediumInstance(t, seed, 2e4)
 		in.K = 3
-		ref, err := (&LNSPlanner{Rounds: 5, Reference: true}).Plan(in)
+		ref, err := (&LNSPlanner{Rounds: 5}).Plan(referenceOf(in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,9 +107,7 @@ func TestFastPathMatchesReferenceReplan(t *testing.T) {
 			K:        2,
 			Exclude:  func(p geom.Point) bool { return p.Dist(banned) < 1e-9 },
 		}
-		refState := state
-		refState.Reference = true
-		ref, err := ReplanResidual(in, refState)
+		ref, err := ReplanResidual(referenceOf(in), state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +163,8 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 		in := mediumInstance(t, 4, 3e4)
 		in.Delta = 15
 		in.Obs = reg
-		_, err := (&Algorithm2{Reference: reference}).Plan(in)
+		in.Reference = reference
+		_, err := (&Algorithm2{}).Plan(in)
 		return err
 	})
 	run("algorithm3", func(reference bool, reg *obs.Registry) error {
@@ -166,18 +172,28 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 		in.Delta = 15
 		in.K = 3
 		in.Obs = reg
-		_, err := (&Algorithm3{Reference: reference}).Plan(in)
+		in.Reference = reference
+		_, err := (&Algorithm3{}).Plan(in)
+		return err
+	})
+	run("lns-with-base", func(reference bool, reg *obs.Registry) error {
+		in := mediumInstance(t, 4, 3e4)
+		in.Delta = 15
+		in.K = 2
+		in.Obs = reg
+		in.Reference = reference
+		_, err := (&LNSPlanner{Base: &Algorithm2{}, Rounds: 3}).Plan(in)
 		return err
 	})
 	run("replan", func(reference bool, reg *obs.Registry) error {
 		in := mediumInstance(t, 4, 3e4)
 		in.Obs = reg
+		in.Reference = reference
 		_, err := ReplanResidual(in, ResidualState{
-			Pos:       in.Net.Depot,
-			Budget:    in.Budget(),
-			Residual:  residualAfter(in, &Plan{}, 0),
-			K:         2,
-			Reference: reference,
+			Pos:      in.Net.Depot,
+			Budget:   in.Budget(),
+			Residual: residualAfter(in, &Plan{}, 0),
+			K:        2,
 		})
 		return err
 	})
@@ -211,14 +227,14 @@ func TestFastCountersDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Candidate-generation micro-benchmark: one full Algorithm 2 plan under
-// the reference scan vs the pruned scan. Paired with the 2-opt benchmarks
-// in internal/tsp these are the micro panels behind BENCH_PR6.json.
+// the reference scan vs the pruned scan (make bench-micro).
 func benchAlg2(b *testing.B, reference bool) {
 	in := mediumInstance(b, 1, 3e4)
 	in.Delta = 12
+	in.Reference = reference
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&Algorithm2{Reference: reference}).Plan(in); err != nil {
+		if _, err := (&Algorithm2{}).Plan(in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,8 +41,11 @@ type scanIndex struct {
 // newScanIndex builds the index for the current residuals. skip, when
 // non-nil, drops locations the caller will never evaluate (the replanner's
 // excluded no-hover zones); skipped locations are neither indexed nor
-// reported active. Location 0 (the depot) is never a candidate.
-func newScanIndex(set *hover.Set, residual []units.Bits, skip func(c int) bool) *scanIndex {
+// reported active. Location 0 (the depot) is never a candidate. A
+// reference index (Instance.Reference) keeps every non-skipped location
+// active for good — the retained unpruned scan — so the skip ledger its
+// callers derive from the active list stays at zero.
+func newScanIndex(set *hover.Set, residual []units.Bits, skip func(c int) bool, reference bool) *scanIndex {
 	ix := &scanIndex{
 		locsOf: make([][]int32, len(residual)),
 		cover:  make([]int32, set.Len()),
@@ -51,15 +54,15 @@ func newScanIndex(set *hover.Set, residual []units.Bits, skip func(c int) bool) 
 		if skip != nil && skip(c) {
 			continue
 		}
-		for _, v := range set.Locs[c].Covered {
-			ix.locsOf[v] = append(ix.locsOf[v], int32(c))
-			if residual[v] > 0 {
-				ix.cover[c]++
+		if !reference {
+			for _, v := range set.Locs[c].Covered {
+				ix.locsOf[v] = append(ix.locsOf[v], int32(c))
+				if residual[v] > 0 {
+					ix.cover[c]++
+				}
 			}
 		}
-	}
-	for c := 1; c < set.Len(); c++ {
-		if ix.cover[c] > 0 {
+		if reference || ix.cover[c] > 0 {
 			ix.active = append(ix.active, int32(c))
 		}
 	}

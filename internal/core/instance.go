@@ -41,6 +41,17 @@ type Instance struct {
 	// Workers setting. Use an *obs.Registry to collect, or any custom
 	// Recorder (which must be concurrency-safe when Workers > 1).
 	Obs obs.Recorder
+	// Reference runs every planner, and the replanner, on its retained
+	// reference path instead of the fast one: the unpruned candidate
+	// scan with direct insertion pricing and tour polishing, and closure
+	// metrics instead of memoised cost tables. The fast path only skips
+	// candidates whose award is provably zero and substitutes arithmetic
+	// yielding the exact same float64s, so plans, traces and every
+	// counter but the fast path's skip ledger are bit-identical either
+	// way; the switch exists for differential testing and for timing the
+	// fast path. Like Obs it is an execution policy, not part of the
+	// problem, and stays out of Canonical.
+	Reference bool
 }
 
 // Validate checks the instance's parameters.

@@ -26,10 +26,6 @@ type LNSPlanner struct {
 	DestroyFraction float64
 	// Seed drives the eviction choices.
 	Seed int64
-	// Reference runs the base planner and every repair scan on the
-	// retained reference path instead of the fast one; plans are
-	// bit-identical either way (see Algorithm2.Reference).
-	Reference bool
 }
 
 // Name implements Planner.
@@ -42,7 +38,7 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	}
 	base := l.Base
 	if base == nil {
-		base = &Algorithm3{Reference: l.Reference}
+		base = &Algorithm3{}
 	}
 	rounds := l.Rounds
 	if rounds <= 0 {
@@ -76,10 +72,10 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	cRounds := rec.Counter(CounterLNSRounds)
 	cImproved := rec.Counter(CounterLNSImprovements)
 	rng := rand.New(rand.NewSource(l.Seed))
-	alg := &Algorithm3{Reference: l.Reference}
+	alg := &Algorithm3{}
 	for round := 0; round < rounds; round++ {
 		cRounds.Inc()
-		cur := rebuildState(in, set, best, frac, rng, l.Reference)
+		cur := rebuildState(in, set, best, frac, rng)
 		for {
 			cand, ok := alg.pickNext(cur, k)
 			if !ok {
@@ -114,9 +110,8 @@ func stopsAreCandidates(p *Plan, set *hover.Set) bool {
 // fraction of its stops evicted. The residual drains below happen before
 // the fast scan index exists (it is built lazily on the first pickNext),
 // so the index always observes the fully seeded residuals.
-func rebuildState(in *Instance, set *hover.Set, p *Plan, frac float64, rng *rand.Rand, reference bool) *greedyState {
+func rebuildState(in *Instance, set *hover.Set, p *Plan, frac float64, rng *rand.Rand) *greedyState {
 	st := newGreedyState(in, set)
-	st.reference = reference
 	n := len(p.Stops)
 	evict := int(frac * float64(n))
 	if evict < 1 && n > 0 {

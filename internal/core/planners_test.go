@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"uavdc/internal/energy"
-	"uavdc/internal/orienteering"
 	"uavdc/internal/rng"
 	"uavdc/internal/sensornet"
 	"uavdc/internal/units"
@@ -351,21 +350,5 @@ func TestPlannersDeterministic(t *testing.T) {
 		if a.Collected() != b.Collected() || len(a.Stops) != len(b.Stops) {
 			t.Errorf("%s not deterministic: %v/%d vs %v/%d", pl.Name(), a.Collected(), len(a.Stops), b.Collected(), len(b.Stops))
 		}
-	}
-}
-
-// TestAlgorithm1GRASPMethod exercises the GRASP orienteering backend
-// through Algorithm 1's Method knob.
-func TestAlgorithm1GRASPMethod(t *testing.T) {
-	in := mediumInstance(t, 15, 1.2e4)
-	plan, err := (&Algorithm1{Method: orienteering.MethodGRASP}).Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePlan(in.Net, in.Model, in.EffectiveCoverRadius(), plan); err != nil {
-		t.Fatal(err)
-	}
-	if plan.Collected() <= 0 {
-		t.Error("GRASP-backed algorithm1 collected nothing")
 	}
 }

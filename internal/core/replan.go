@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"uavdc/internal/energy"
 	"uavdc/internal/geom"
@@ -36,11 +35,6 @@ type ResidualState struct {
 	// results are identical at any worker count (total-order merging),
 	// matching the planners' determinism contract.
 	Workers int
-	// Reference disables the fast scan path (residual-active candidate
-	// index, cached path-edge insertion pricing) and runs the original
-	// full scan. Plans are bit-identical either way; see
-	// Algorithm2.Reference.
-	Reference bool
 	// Exclude, when non-nil, drops candidate hovering locations at
 	// positions the executor knows to be unusable (e.g. declared no-hover
 	// fault zones). The depot and the current position are never subject
@@ -128,9 +122,10 @@ type pathState struct {
 	cAccepted obs.Counter
 	cUpgraded obs.Counter
 	cSkipped  obs.Counter
-	// reference selects the retained full-scan path; the fast path keeps
-	// idx (residual-active locations, excluded zones pre-filtered) and
-	// prices insertions through ins (cached path edges). nExcluded is the
+	// reference selects the retained full-scan path (Instance.Reference);
+	// the fast path prunes idx to the residual-active locations (excluded
+	// zones are pre-filtered either way) and prices insertions through
+	// ins (cached path edges). nExcluded is the
 	// number of excluded candidates, which the reference scan also never
 	// evaluates — it closes the evals + skipped reconciliation.
 	reference bool
@@ -157,7 +152,7 @@ func newPathState(in *Instance, set *hover.Set, state ResidualState) *pathState 
 		cAccepted: rec.Counter(CounterAcceptedStops),
 		cUpgraded: rec.Counter(CounterUpgradedStops),
 		cSkipped:  rec.Counter(CounterScanSkippedDrained),
-		reference: state.Reference,
+		reference: in.Reference,
 	}
 	st.inPath[hover.DepotID] = true
 	if state.Exclude != nil {
@@ -177,7 +172,7 @@ func newPathState(in *Instance, set *hover.Set, state ResidualState) *pathState 
 // bookkeeping uniform).
 func (st *pathState) scanIdx() *scanIndex {
 	if st.idx == nil {
-		st.idx = newScanIndex(st.set, st.residual, func(c int) bool { return st.excluded[c] })
+		st.idx = newScanIndex(st.set, st.residual, func(c int) bool { return st.excluded[c] }, st.reference)
 	}
 	return st.idx
 }
@@ -258,12 +253,10 @@ func betterPath(c1 pathCandidate, r1 float64, c2 pathCandidate, r2 float64) bool
 }
 
 // evalLoc prices every level of one location against the path, returning
-// its best candidate under the total order.
+// its best candidate under the total order. Excluded locations never
+// reach it: the scan index drops them.
 func (st *pathState) evalLoc(k, c int, cur units.Joules, so scanObs) (pathCandidate, float64, bool) {
 	best := pathCandidate{loc: -1}
-	if st.excluded[c] {
-		return best, -1, false
-	}
 	so.evalHit(c)
 	in := st.in
 	bestRatio := -1.0
@@ -324,129 +317,19 @@ func (st *pathState) evalLoc(k, c int, cur units.Joules, so scanObs) (pathCandid
 }
 
 // pickNext scans every location, fanning across workers goroutines when
-// asked; results are identical at any worker count. The default fast scan
-// walks only residual-active, non-excluded locations — both exclusions
-// the reference scan provably discards too (see scanIndex).
+// asked; results are identical at any worker count. The fast scan walks
+// only residual-active, non-excluded locations — both exclusions the
+// reference scan provably discards too (see scanIndex) — and its skip
+// count reconciles its evals with the reference scan's (every location
+// except the excluded ones).
 func (st *pathState) pickNext(k, workers int) (pathCandidate, bool) {
-	if st.reference {
-		return st.pickNextRef(k, workers)
-	}
-	return st.pickNextFast(k, workers)
-}
-
-// pickNextFast scans the residual-active location list over contiguous
-// worker shards; the skip count reconciles fast evals with the reference
-// scan's (every location except the excluded ones).
-func (st *pathState) pickNextFast(k, workers int) (pathCandidate, bool) {
 	cur := st.energy()
-	active := st.scanIdx().compact()
+	ids := st.scanIdx().compact()
 	st.ins.resetPath(len(st.order), st.node)
-	st.cSkipped.Add(int64(st.set.Len()-1) - st.nExcluded - int64(len(active)))
-	if workers <= 1 || len(active) < 256 {
-		best := pathCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for _, c := range active {
-			if cand, ratio, ok := st.evalLoc(k, int(c), cur, so); ok && betterPath(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
-		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  pathCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (len(active) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(active))
-		results[w] = localBest{cand: pathCandidate{loc: -1}, ratio: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: pathCandidate{loc: -1}, ratio: -1}
-			for _, c := range active[lo:hi] {
-				if cand, ratio, ok := st.evalLoc(k, int(c), cur, so); ok && betterPath(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: pathCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterPath(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
-}
-
-// pickNextRef is the retained reference scan over every location.
-func (st *pathState) pickNextRef(k, workers int) (pathCandidate, bool) {
-	n := st.set.Len()
-	cur := st.energy()
-	if workers <= 1 || n < 256 {
-		best := pathCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for c := 1; c < n; c++ {
-			if cand, ratio, ok := st.evalLoc(k, c, cur, so); ok && betterPath(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
-		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  pathCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (n - 1 + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := 1 + w*chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		results[w] = localBest{cand: pathCandidate{loc: -1}, ratio: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: pathCandidate{loc: -1}, ratio: -1}
-			for c := lo; c < hi; c++ {
-				if cand, ratio, ok := st.evalLoc(k, c, cur, so); ok && betterPath(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: pathCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterPath(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
+	st.cSkipped.Add(int64(st.set.Len()-1) - st.nExcluded - int64(len(ids)))
+	return scanBest(st.rec, workers, ids, func(c int, so scanObs) (pathCandidate, float64, bool) {
+		return st.evalLoc(k, c, cur, so)
+	}, betterPath)
 }
 
 // accept applies a candidate: inserts or upgrades the stop, moves the

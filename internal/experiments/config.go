@@ -50,12 +50,13 @@ type Config struct {
 	// serial when reproducing Fig. 3(b)/4(b)/5(b).
 	Workers int
 	// Reference runs every planner on its retained reference scan path
-	// (core's Algorithm{1,2,3}.Reference and friends) instead of the
-	// spatial-index fast path. Plans, volumes, traces, and every counter
-	// except the fast path's own skip ledger are bit-identical either way
-	// — the fast-path parity tests hold the two modes to exactly that
-	// contract — so the switch exists for differential testing and for
-	// timing the speedup panel, not for changing results.
+	// instead of the spatial-index fast path: each experiment copies it
+	// into core.Instance.Reference of every instance it builds. Plans,
+	// volumes, traces, and every counter except the fast path's own skip
+	// ledger are bit-identical either way — the fast-path parity tests
+	// hold the two modes to exactly that contract — so the switch exists
+	// for differential testing and for timing the speedup panel, not for
+	// changing results.
 	Reference bool
 	// Metrics attaches an obs.Registry to every planner run and stores
 	// the per-point counter totals in each Point, enabling the figure

@@ -28,14 +28,14 @@ func ExtAltitude(cfg Config) (*Table, error) {
 	specs := []runSpec{
 		{
 			name:    "constant-B",
-			planner: &core.Algorithm2{Reference: cfg.Reference},
+			planner: &core.Algorithm2{},
 			instance: func(net *sensornet.Network, x float64) *core.Instance {
 				return &core.Instance{Net: net, Model: cfg.Model, Delta: units.Meters(cfg.Delta), K: 1, Altitude: units.Meters(x)}
 			},
 		},
 		{
 			name:    "shannon",
-			planner: &core.Algorithm2{Reference: cfg.Reference},
+			planner: &core.Algorithm2{},
 			instance: func(net *sensornet.Network, x float64) *core.Instance {
 				return &core.Instance{
 					Net: net, Model: cfg.Model, Delta: units.Meters(cfg.Delta), K: 1, Altitude: units.Meters(x),
@@ -66,9 +66,9 @@ func ExtAltitude(cfg Config) (*Table, error) {
 // contribution; coverage→placed is the placement optimisation's.
 func ExtDecomposition(cfg Config) (*Table, error) {
 	specs := []runSpec{
-		{name: "plain", planner: &core.BenchmarkPlanner{Reference: cfg.Reference}, instance: capacityInstance(cfg, cfg.Delta, 1)},
+		{name: "plain", planner: &core.BenchmarkPlanner{}, instance: capacityInstance(cfg, cfg.Delta, 1)},
 		{name: "coverage", planner: &core.BenchmarkCoverage{}, instance: capacityInstance(cfg, cfg.Delta, 1)},
-		{name: "placed", planner: &core.Algorithm2{Reference: cfg.Reference}, instance: capacityInstance(cfg, cfg.Delta, 1)},
+		{name: "placed", planner: &core.Algorithm2{}, instance: capacityInstance(cfg, cfg.Delta, 1)},
 	}
 	series, err := runSweep(cfg, cfg.Capacities, specs)
 	if err != nil {
@@ -108,13 +108,13 @@ func ExtFleet(cfg Config) (*Table, error) {
 			vols := make([]float64, 0, len(nets))
 			times := make([]float64, 0, len(nets))
 			for _, net := range nets {
-				in := &core.Instance{Net: net, Model: cfg.Model, Delta: units.Meters(cfg.Delta), K: 2}
+				in := &core.Instance{Net: net, Model: cfg.Model, Delta: units.Meters(cfg.Delta), K: 2, Reference: cfg.Reference}
 				start := time.Now() //uavdc:allow nodeterminism runtime panel (b) measures wall time; volumes stay deterministic
 				fp, err := multi.PlanFleet(in, multi.Options{
 					Fleet:    int(size),
 					Strategy: strat,
 					Seed:     cfg.Seed,
-					Base:     &core.Algorithm3{Reference: cfg.Reference},
+					Base:     &core.Algorithm3{},
 				})
 				elapsed := time.Since(start).Seconds() //uavdc:allow nodeterminism runtime panel (b) measures wall time; volumes stay deterministic
 				if err != nil {

@@ -75,6 +75,7 @@ func runSweep(cfg Config, xs []float64, specs []runSpec) ([]Series, error) {
 			}
 			for ni, net := range nets {
 				in := spec.instance(net, x)
+				in.Reference = cfg.Reference
 				if reg != nil {
 					in.Obs = reg
 				}
@@ -150,8 +151,8 @@ func deltaInstance(cfg Config, k int) func(*sensornet.Network, float64) *core.In
 // capacity E grows.
 func Fig3(cfg Config) (*Table, error) {
 	specs := []runSpec{
-		{name: "algorithm1", planner: &core.Algorithm1{Reference: cfg.Reference}, instance: capacityInstance(cfg, cfg.Delta, 1)},
-		{name: "benchmark", planner: &core.BenchmarkPlanner{Reference: cfg.Reference}, instance: capacityInstance(cfg, cfg.Delta, 1)},
+		{name: "algorithm1", planner: &core.Algorithm1{}, instance: capacityInstance(cfg, cfg.Delta, 1)},
+		{name: "benchmark", planner: &core.BenchmarkPlanner{}, instance: capacityInstance(cfg, cfg.Delta, 1)},
 	}
 	series, err := runSweep(cfg, cfg.Capacities, specs)
 	if err != nil {
@@ -171,18 +172,18 @@ func Fig3(cfg Config) (*Table, error) {
 // grows, at the default energy capacity.
 func Fig4(cfg Config) (*Table, error) {
 	specs := []runSpec{
-		{name: "algorithm2", planner: &core.Algorithm2{Workers: cfg.Workers, Reference: cfg.Reference}, instance: deltaInstance(cfg, 1)},
+		{name: "algorithm2", planner: &core.Algorithm2{Workers: cfg.Workers}, instance: deltaInstance(cfg, 1)},
 	}
 	for _, k := range cfg.Ks {
 		specs = append(specs, runSpec{
 			name:     fmt.Sprintf("algorithm3-k%d", k),
-			planner:  &core.Algorithm3{Workers: cfg.Workers, Reference: cfg.Reference},
+			planner:  &core.Algorithm3{Workers: cfg.Workers},
 			instance: deltaInstance(cfg, k),
 		})
 	}
 	specs = append(specs, runSpec{
 		name:     "benchmark",
-		planner:  &core.BenchmarkPlanner{Reference: cfg.Reference},
+		planner:  &core.BenchmarkPlanner{},
 		instance: deltaInstance(cfg, 1),
 	})
 	series, err := runSweep(cfg, cfg.Deltas, specs)
@@ -202,18 +203,18 @@ func Fig4(cfg Config) (*Table, error) {
 // energy capacity grows.
 func Fig5(cfg Config) (*Table, error) {
 	specs := []runSpec{
-		{name: "algorithm2", planner: &core.Algorithm2{Workers: cfg.Workers, Reference: cfg.Reference}, instance: capacityInstance(cfg, cfg.Delta, 1)},
+		{name: "algorithm2", planner: &core.Algorithm2{Workers: cfg.Workers}, instance: capacityInstance(cfg, cfg.Delta, 1)},
 	}
 	for _, k := range cfg.Ks {
 		specs = append(specs, runSpec{
 			name:     fmt.Sprintf("algorithm3-k%d", k),
-			planner:  &core.Algorithm3{Workers: cfg.Workers, Reference: cfg.Reference},
+			planner:  &core.Algorithm3{Workers: cfg.Workers},
 			instance: capacityInstance(cfg, cfg.Delta, k),
 		})
 	}
 	specs = append(specs, runSpec{
 		name:     "benchmark",
-		planner:  &core.BenchmarkPlanner{Reference: cfg.Reference},
+		planner:  &core.BenchmarkPlanner{},
 		instance: capacityInstance(cfg, cfg.Delta, 1),
 	})
 	series, err := runSweep(cfg, cfg.Capacities, specs)

@@ -42,13 +42,14 @@ func ExtRobustness(cfg Config) (*Table, error) {
 		var rates, ratios, times []float64
 		for ni, net := range nets {
 			in := &core.Instance{
-				Net:   net,
-				Model: cfg.Model.WithCapacity(units.Scale(cfg.Model.Capacity, 1-margin)),
-				Delta: units.Meters(cfg.Delta),
-				K:     2,
+				Net:       net,
+				Model:     cfg.Model.WithCapacity(units.Scale(cfg.Model.Capacity, 1-margin)),
+				Delta:     units.Meters(cfg.Delta),
+				K:         2,
+				Reference: cfg.Reference,
 			}
 			start := time.Now() //uavdc:allow nodeterminism runtime column measures wall time; volumes stay deterministic
-			plan, err := (&core.Algorithm3{Reference: cfg.Reference}).Plan(in)
+			plan, err := (&core.Algorithm3{}).Plan(in)
 			times = append(times, time.Since(start).Seconds()) //uavdc:allow nodeterminism runtime column measures wall time; volumes stay deterministic
 			if err != nil {
 				return nil, fmt.Errorf("experiments: robustness margin=%v: %w", margin, err)

@@ -6,21 +6,34 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fixture.golden")
 
+// fixture memoizes the loaded testdata/src module. Sharing one Module
+// across tests is safe: suppression use marks live in each Run's own
+// per-file state, and the module's interprocedural index and pureplan
+// findings are themselves computed once behind sync.Once.
+var fixture struct {
+	once sync.Once
+	mod  *Module
+	err  error
+}
+
 // loadFixture loads the miniature module under testdata/src once per
-// test that needs it.
+// test binary and returns the shared, read-only Module.
 func loadFixture(t *testing.T) *Module {
 	t.Helper()
-	mod, err := Load(filepath.Join("testdata", "src"))
-	if err != nil {
-		t.Fatalf("Load(testdata/src): %v", err)
+	fixture.once.Do(func() {
+		fixture.mod, fixture.err = Load(filepath.Join("testdata", "src"))
+	})
+	if fixture.err != nil {
+		t.Fatalf("Load(testdata/src): %v", fixture.err)
 	}
-	return mod
+	return fixture.mod
 }
 
 // TestFixtureGolden locks the full diagnostic stream — positives,

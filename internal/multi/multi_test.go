@@ -5,6 +5,7 @@ import (
 
 	"uavdc/internal/core"
 	"uavdc/internal/energy"
+	"uavdc/internal/obs"
 	"uavdc/internal/rng"
 	"uavdc/internal/sensornet"
 	"uavdc/internal/units"
@@ -136,5 +137,31 @@ func TestFleetMoreUAVsNeverWorse(t *testing.T) {
 		if got > prev {
 			prev = got
 		}
+	}
+}
+
+// TestPlanFleetCarriesReferencePolicy: Instance.Reference reaches the
+// per-cluster sub-instances, so every cluster scans on the unpruned
+// reference path (no skips) while the fast run's skip ledger closes the
+// gap to the reference evals exactly.
+func TestPlanFleetCarriesReferencePolicy(t *testing.T) {
+	counters := func(reference bool) map[string]int64 {
+		in := fleetInstance(t, 1, 1e4)
+		reg := obs.NewRegistry()
+		in.Obs = reg
+		in.Reference = reference
+		if _, err := PlanFleet(in, Options{Fleet: 3, Strategy: StrategyKMeans, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counters
+	}
+	ref, fast := counters(true), counters(false)
+	refEvals, refSkipped := ref[core.CounterCandidateEvals], ref[core.CounterScanSkippedDrained]
+	if refEvals == 0 || refSkipped != 0 {
+		t.Fatalf("reference fleet: evals %d, skipped %d; want evals > 0, skipped 0", refEvals, refSkipped)
+	}
+	fastEvals, fastSkipped := fast[core.CounterCandidateEvals], fast[core.CounterScanSkippedDrained]
+	if fastSkipped == 0 || fastEvals+fastSkipped != refEvals {
+		t.Fatalf("fast fleet: evals %d + skipped %d, reference evals %d", fastEvals, fastSkipped, refEvals)
 	}
 }

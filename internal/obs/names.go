@@ -76,14 +76,11 @@ var canonicalNames = map[string]NameKind{
 	"tsp.twoopt_moves":              KindCounter,
 	"tsp.oropt_passes":              KindCounter,
 	"tsp.oropt_moves":               KindCounter,
-	"tsp.dlb_passes":                KindCounter,
-	"tsp.dlb_moves":                 KindCounter,
 	"matching.blossom_runs":         KindCounter,
 	"matching.greedy_runs":          KindCounter,
 	"orienteering.exact_runs":       KindCounter,
 	"orienteering.greedy_runs":      KindCounter,
 	"orienteering.toursplit_runs":   KindCounter,
-	"orienteering.grasp_runs":       KindCounter,
 	"orienteering.localsearch_runs": KindCounter,
 
 	// Adaptive-executor counters and histograms (internal/simulate).
@@ -142,7 +139,6 @@ var canonicalNames = map[string]NameKind{
 	"orienteering/exact":        KindSpan,
 	"orienteering/greedy":       KindSpan,
 	"orienteering/toursplit":    KindSpan,
-	"orienteering/grasp":        KindSpan,
 	"orienteering/localsearch":  KindSpan,
 
 	// Experiment-driver spans (internal/experiments).

@@ -176,7 +176,7 @@ func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, method := range []Method{MethodGreedy, MethodTourSplit, MethodGRASP} {
+			for _, method := range []Method{MethodGreedy, MethodTourSplit} {
 				sol, err := Solve(p, method)
 				if err != nil {
 					t.Fatal(err)
@@ -235,7 +235,7 @@ func TestSolveUnknownMethod(t *testing.T) {
 	if Method(99).String() == "" {
 		t.Error("String for unknown method empty")
 	}
-	for _, m := range []Method{MethodAuto, MethodExact, MethodGreedy, MethodTourSplit, MethodGRASP} {
+	for _, m := range []Method{MethodAuto, MethodExact, MethodGreedy, MethodTourSplit} {
 		if m.String() == "" {
 			t.Errorf("empty String for %d", int(m))
 		}
@@ -397,4 +397,30 @@ func TestUpperBoundTightWhenBudgetHuge(t *testing.T) {
 	if UpperBound(&bad) != 0 {
 		t.Error("invalid instance should bound to 0")
 	}
+}
+
+// UpperBound returns a combinatorial upper bound on the optimal reward of
+// the instance: any closed tour visiting node v costs at least the round
+// trip 2·Cost(depot, v) (triangle inequality), so no node whose round trip
+// exceeds the budget can ever be collected, and the sum of the rewards of
+// all remaining nodes bounds every feasible tour from above.
+//
+// The bound is loose on tight budgets but certifiable; tests use it to
+// sandwich the heuristics.
+func UpperBound(p *Problem) float64 {
+	if p.Validate() != nil {
+		return 0
+	}
+	var sum float64
+	for v := 0; v < p.N; v++ {
+		if v == p.Depot {
+			continue
+		}
+		if 2*p.Cost(p.Depot, v) <= p.Budget+1e-9 {
+			if r := p.Reward(v); r > 0 {
+				sum += r
+			}
+		}
+	}
+	return sum
 }

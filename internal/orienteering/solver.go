@@ -13,7 +13,6 @@ const (
 	CounterExactRuns       = "orienteering.exact_runs"
 	CounterGreedyRuns      = "orienteering.greedy_runs"
 	CounterTourSplitRuns   = "orienteering.toursplit_runs"
-	CounterGRASPRuns       = "orienteering.grasp_runs"
 	CounterLocalSearchRuns = "orienteering.localsearch_runs"
 )
 
@@ -23,7 +22,6 @@ const (
 	SpanExact       = "orienteering/exact"
 	SpanGreedy      = "orienteering/greedy"
 	SpanTourSplit   = "orienteering/toursplit"
-	SpanGRASP       = "orienteering/grasp"
 	SpanLocalSearch = "orienteering/localsearch"
 )
 
@@ -41,10 +39,6 @@ const (
 	MethodGreedy
 	// MethodTourSplit uses the Christofides window scan plus local search.
 	MethodTourSplit
-	// MethodGRASP runs randomized multi-start greedy construction with
-	// local search (see GRASP); slower than MethodGreedy, often better on
-	// instances where pure greedy gets trapped early.
-	MethodGRASP
 )
 
 // String implements fmt.Stringer.
@@ -58,8 +52,6 @@ func (m Method) String() string {
 		return "greedy"
 	case MethodTourSplit:
 		return "toursplit"
-	case MethodGRASP:
-		return "grasp"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -118,12 +110,6 @@ func Solve(p *Problem, method Method, rec ...obs.Recorder) (Solution, error) {
 			return Solution{}, err
 		}
 		return localSearch(sol), nil
-	case MethodGRASP:
-		r.Counter(CounterGRASPRuns).Inc()
-		end := tr.Begin(SpanGRASP, trace.Int("nodes", p.N))
-		sol, err := GRASP(p, GRASPOptions{})
-		end()
-		return sol, err
 	case MethodAuto:
 		if p.N <= ExactMax {
 			return exact()

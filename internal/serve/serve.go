@@ -189,6 +189,8 @@ func New(cfg Config) *Server {
 		go s.worker(i + 1)
 	}
 	if cfg.SampleInterval > 0 {
+		// Close waits on wg, so no sample lands after it returns.
+		s.wg.Add(1)
 		go s.sampler(cfg.SampleInterval)
 	}
 	return s

@@ -129,6 +129,7 @@ func (s *Server) Sample() {
 
 // sampler drives Sample on the configured interval until Close.
 func (s *Server) sampler(interval time.Duration) {
+	defer s.wg.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {

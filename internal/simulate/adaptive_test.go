@@ -209,6 +209,43 @@ func TestAdaptiveCountersDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAdaptiveReplansCarryReferencePolicy: Instance.Reference reaches the
+// executor's mid-flight replans. The plan is made unrecorded, so every
+// candidate eval counted comes from a replan: on the reference path none
+// is skipped, and the fast run's skip ledger closes the gap exactly.
+func TestAdaptiveReplansCarryReferencePolicy(t *testing.T) {
+	base := adaptiveInstance(t, 4, 2e4)
+	base.Delta = 12
+	plan, err := (&core.Algorithm3{}).Plan(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.Parse("wind:legs=0-,factor=1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := func(reference bool) map[string]int64 {
+		in := *base
+		reg := obs.NewRegistry()
+		in.Obs = reg
+		in.Reference = reference
+		res := AdaptiveRun(&in, plan, AdaptiveOptions{Faults: sched, Margin: 0.01})
+		if res.Replans == 0 {
+			t.Fatal("scenario triggered no replan; test exercises nothing")
+		}
+		return reg.Snapshot().Counters
+	}
+	ref, fast := counters(true), counters(false)
+	refEvals, refSkipped := ref[core.CounterCandidateEvals], ref[core.CounterScanSkippedDrained]
+	if refEvals == 0 || refSkipped != 0 {
+		t.Fatalf("reference replans: evals %d, skipped %d; want evals > 0, skipped 0", refEvals, refSkipped)
+	}
+	fastEvals, fastSkipped := fast[core.CounterCandidateEvals], fast[core.CounterScanSkippedDrained]
+	if fastSkipped == 0 || fastEvals+fastSkipped != refEvals {
+		t.Fatalf("fast replans: evals %d + skipped %d, reference evals %d", fastEvals, fastSkipped, refEvals)
+	}
+}
+
 // TestFaultAndNoiseCompose: a segment's actual cost is nominal × noise
 // factor × fault factor, in that order, reproduced here draw by draw.
 func TestFaultAndNoiseCompose(t *testing.T) {

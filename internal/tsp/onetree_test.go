@@ -85,3 +85,142 @@ func TestOneTreeBoundCertifiesChristofides(t *testing.T) {
 		}
 	}
 }
+
+// OneTreeBound computes the Held–Karp 1-tree lower bound on the optimal
+// tour cost over items: the maximum over node potentials π of
+// (min 1-tree weight under w(i,j)+π_i+π_j) − 2·Σπ, approached by
+// subgradient ascent. It dominates the plain MST bound and typically
+// reaches 98–99% of the optimum on Euclidean instances, which makes it the
+// sharp yardstick tests use to certify heuristic tour quality without an
+// exponential oracle. iterations ≤ 0 selects a sensible default.
+func OneTreeBound(items []int, m Metric, iterations int) (float64, error) {
+	k := len(items)
+	if k < 3 {
+		if k == 2 {
+			return 2 * m(items[0], items[1]), nil
+		}
+		return 0, nil
+	}
+	if iterations <= 0 {
+		iterations = 60
+	}
+	pi := make([]float64, k)
+	adjusted := func(i, j int) float64 {
+		return m(items[i], items[j]) + pi[i] + pi[j]
+	}
+	// Classical Polyak step: t = α·(UB − L(π)) / ‖deg−2‖², with a cheap
+	// heuristic tour as the upper bound and α halved after stretches
+	// without progress.
+	ubTour := NearestNeighbor(items, m)
+	TwoOpt(&ubTour, m, 2)
+	ub := ubTour.Cost(m)
+
+	best := math.Inf(-1)
+	alpha := 2.0
+	sinceImproved := 0
+	for iter := 0; iter < iterations; iter++ {
+		weight, deg, ok := minOneTree(k, adjusted)
+		if !ok {
+			return 0, errDisconnected
+		}
+		var piSum float64
+		for _, p := range pi {
+			piSum += p
+		}
+		lb := weight - 2*piSum
+		if lb > best {
+			best = lb
+			sinceImproved = 0
+		} else {
+			sinceImproved++
+			if sinceImproved >= 5 {
+				alpha /= 2
+				sinceImproved = 0
+			}
+		}
+		var norm float64
+		for i := 0; i < k; i++ {
+			d := float64(deg[i] - 2)
+			norm += d * d
+		}
+		if norm == 0 {
+			break // the 1-tree is a tour: the bound is tight
+		}
+		gap := ub - lb
+		if gap <= 0 {
+			break // bound met the heuristic tour: cannot certify further
+		}
+		step := alpha * gap / norm
+		for i := 0; i < k; i++ {
+			pi[i] += step * float64(deg[i]-2)
+		}
+	}
+	return best, nil
+}
+
+var errDisconnected = errDisc{}
+
+type errDisc struct{}
+
+func (errDisc) Error() string { return "tsp: metric yields disconnected graph" }
+
+// minOneTree returns the weight and degree sequence of a minimum 1-tree:
+// an MST over nodes 1..k-1 plus node 0 connected by its two cheapest
+// edges. A local Prim is used because the potential-adjusted weights may
+// be negative, which the shared graph package (built for energy costs)
+// rejects by design.
+func minOneTree(k int, w func(i, j int) float64) (float64, []int, bool) {
+	deg := make([]int, k)
+	inTree := make([]bool, k)
+	bestW := make([]float64, k)
+	bestTo := make([]int, k)
+	for i := 1; i < k; i++ {
+		bestW[i] = math.Inf(1)
+		bestTo[i] = -1
+	}
+	bestW[1] = 0
+	var weight float64
+	for iter := 1; iter < k; iter++ {
+		sel := -1
+		for i := 1; i < k; i++ {
+			if !inTree[i] && (sel < 0 || bestW[i] < bestW[sel]) {
+				sel = i
+			}
+		}
+		if sel < 0 || math.IsInf(bestW[sel], 1) {
+			return 0, nil, false
+		}
+		inTree[sel] = true
+		if bestTo[sel] >= 0 {
+			weight += bestW[sel]
+			deg[sel]++
+			deg[bestTo[sel]]++
+		}
+		for i := 1; i < k; i++ {
+			if !inTree[i] {
+				if c := w(sel, i); c < bestW[i] {
+					bestW[i] = c
+					bestTo[i] = sel
+				}
+			}
+		}
+	}
+	// Two cheapest edges incident to node 0.
+	best1, best2 := math.Inf(1), math.Inf(1)
+	i1, i2 := -1, -1
+	for j := 1; j < k; j++ {
+		c := w(0, j)
+		switch {
+		case c < best1:
+			best2, i2 = best1, i1
+			best1, i1 = c, j
+		case c < best2:
+			best2, i2 = c, j
+		}
+	}
+	weight += best1 + best2
+	deg[0] = 2
+	deg[i1]++
+	deg[i2]++
+	return weight, deg, true
+}
