@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint lint-update pure test race fuzz bench bench-micro benchparity fastpath golden golden-traces adaptive trace serve obs
+.PHONY: ci build vet lint lint-update pure perfbench test race fuzz bench bench-micro benchparity fastpath golden golden-traces adaptive trace serve obs
 
-ci: vet lint pure build race adaptive trace fastpath benchparity serve obs
+ci: vet lint pure perfbench build race adaptive trace fastpath benchparity serve obs
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,13 @@ lint:
 # plan-cache purity contract specifically (see CONTRIBUTING.md).
 pure:
 	$(GO) run ./cmd/uavlint -analyzers pureplan ./...
+
+# Benchmark-module gate: _perfbench is a nested module (see
+# BENCHMARK.json) that `go build ./...` never compiles, so a change that
+# breaks a symbol only the benchmark uses would otherwise pass every
+# other step.
+perfbench:
+	cd _perfbench && $(GO) vet ./...
 
 # Rewrite the lint goldens after a deliberate analyzer or fixture
 # change: the fixture diagnostic stream (internal/lint) and the three

@@ -1,10 +1,10 @@
 // Command uavlint runs uavdc's static-analysis suite (internal/lint)
 // over the module: repo-specific analyzers enforcing the determinism,
 // float-safety, metric-naming, error-handling, unit-safety,
-// lock-discipline, goroutine-lifecycle, and wire-format contracts that
-// the dynamic test suite can only sample. See CONTRIBUTING.md ("Static
-// analysis") for the analyzer list and the //uavdc:allow suppression
-// grammar.
+// lock-discipline, goroutine-lifecycle, wire-format, plan-purity and
+// dead-export contracts that the dynamic test suite can only sample.
+// See CONTRIBUTING.md ("Static analysis") for the analyzer list and the
+// //uavdc:allow suppression grammar.
 //
 // Usage:
 //
@@ -43,11 +43,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, lint.Load))
 }
 
-// run is the testable entry point.
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the testable entry point; load loads and type-checks the module
+// rooted at -C (lint.Load outside tests).
+func run(args []string, stdout, stderr io.Writer, load func(dir string) (*lint.Module, error)) int {
 	fs := flag.NewFlagSet("uavlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -103,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now() //uavdc:allow nodeterminism wall time only feeds the lint report's elapsed field, never planner output
-	mod, err := lint.Load(*dir)
+	mod, err := load(*dir)
 	if err != nil {
 		errs.Printf("uavlint: %v\n", err)
 		return 2

@@ -8,12 +8,34 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"uavdc/internal/lint"
 )
 
 const fixture = "../../internal/lint/testdata/src"
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden")
+
+// fixtureMod memoizes the fixture module for the test binary, as
+// internal/lint's loadFixture does: it is type-checked once, not once per
+// test. Sharing a Module across runs is safe; each run keeps its own
+// suppression state.
+var fixtureMod struct {
+	once sync.Once
+	mod  *lint.Module
+	err  error
+}
+
+// loadOnce is run's loader in tests: lint.Load, memoized for the fixture.
+func loadOnce(dir string) (*lint.Module, error) {
+	if dir != fixture {
+		return lint.Load(dir)
+	}
+	fixtureMod.once.Do(func() { fixtureMod.mod, fixtureMod.err = lint.Load(dir) })
+	return fixtureMod.mod, fixtureMod.err
+}
 
 // checkGolden compares got against testdata/<name>.golden, rewriting it
 // under -update. Wall-time is the one nondeterministic field in uavlint
@@ -46,13 +68,13 @@ var (
 
 func TestRunFixtureText(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := run([]string{"-C", fixture}, &stdout, &stderr)
+	code := run([]string{"-C", fixture}, &stdout, &stderr, loadOnce)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (fixture has active diagnostics); stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
 	for _, want := range []string{"floateq", "nodeterminism", "obsnames", "errdrop", "unitsafety",
-		"locksafety", "golifecycle", "wirefmt", "pureplan", "directive"} {
+		"locksafety", "golifecycle", "wirefmt", "pureplan", "deadexport", "directive"} {
 		if !strings.Contains(out, want+": ") {
 			t.Errorf("text output missing %s diagnostics:\n%s", want, out)
 		}
@@ -67,7 +89,7 @@ func TestRunFixtureText(t *testing.T) {
 
 func TestRunFixtureAll(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "-all"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", fixture, "-all"}, &stdout, &stderr, loadOnce); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	if !strings.Contains(stdout.String(), "(suppressed:") {
@@ -77,7 +99,7 @@ func TestRunFixtureAll(t *testing.T) {
 
 func TestRunFixtureJSON(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "-json"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", fixture, "-json"}, &stdout, &stderr, loadOnce); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	var rep struct {
@@ -93,7 +115,7 @@ func TestRunFixtureJSON(t *testing.T) {
 		t.Errorf("report = %+v", rep)
 	}
 	for _, name := range []string{"nodeterminism", "floateq", "obsnames", "errdrop", "unitsafety",
-		"locksafety", "golifecycle", "wirefmt", "pureplan", "directive"} {
+		"locksafety", "golifecycle", "wirefmt", "pureplan", "deadexport", "directive"} {
 		if rep.Counts[name] == 0 {
 			t.Errorf("counts missing %s: %v", name, rep.Counts)
 		}
@@ -106,7 +128,7 @@ func TestRunFixtureJSON(t *testing.T) {
 
 func TestRunFixtureSummary(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "-summary"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", fixture, "-summary"}, &stdout, &stderr, loadOnce); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
@@ -122,7 +144,7 @@ func TestRunFixtureSummary(t *testing.T) {
 
 func TestRunFixturePathFilter(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "internal/core/..."}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", fixture, "internal/core/..."}, &stdout, &stderr, loadOnce); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 	if strings.Contains(stdout.String(), "internal/app/") {
@@ -135,7 +157,7 @@ func TestRunFixturePathFilter(t *testing.T) {
 
 func TestRunList(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-list"}, &stdout, &stderr, loadOnce); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
 	var names []string
@@ -146,7 +168,7 @@ func TestRunList(t *testing.T) {
 		t.Errorf("-list not sorted by name: %v", names)
 	}
 	for _, name := range []string{"nodeterminism", "floateq", "obsnames", "errdrop", "unitsafety",
-		"locksafety", "golifecycle", "wirefmt", "pureplan"} {
+		"locksafety", "golifecycle", "wirefmt", "pureplan", "deadexport"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list missing %s:\n%s", name, stdout.String())
 		}
@@ -160,12 +182,12 @@ func TestRunList(t *testing.T) {
 // cannot judge them.
 func TestRunAnalyzersSubset(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "-analyzers", "errdrop,floateq"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", fixture, "-analyzers", "errdrop,floateq"}, &stdout, &stderr, loadOnce); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
 	for _, name := range []string{"nodeterminism", "obsnames", "unitsafety", "locksafety",
-		"golifecycle", "wirefmt", "pureplan"} {
+		"golifecycle", "wirefmt", "pureplan", "deadexport"} {
 		if strings.Contains(out, " "+name+": ") {
 			t.Errorf("-analyzers errdrop,floateq leaked %s diagnostics:\n%s", name, out)
 		}
@@ -193,7 +215,7 @@ func TestRunAnalyzersSubset(t *testing.T) {
 // error, exit 2, before any loading happens.
 func TestRunAnalyzersUnknown(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "-analyzers", "errdrop,nosuchanalyzer"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-C", fixture, "-analyzers", "errdrop,nosuchanalyzer"}, &stdout, &stderr, loadOnce); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), `unknown analyzer "nosuchanalyzer"`) {
@@ -204,7 +226,7 @@ func TestRunAnalyzersUnknown(t *testing.T) {
 // TestRunAnalyzersEmpty: an all-whitespace subset is a usage error.
 func TestRunAnalyzersEmpty(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", fixture, "-analyzers", " , "}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-C", fixture, "-analyzers", " , "}, &stdout, &stderr, loadOnce); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "empty subset") {
@@ -214,14 +236,14 @@ func TestRunAnalyzersEmpty(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-nosuchflag"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-nosuchflag"}, &stdout, &stderr, loadOnce); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
 
 func TestRunBadDir(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", filepath.Join(fixture, "no-such-dir")}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-C", filepath.Join(fixture, "no-such-dir")}, &stdout, &stderr, loadOnce); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if stderr.Len() == 0 {

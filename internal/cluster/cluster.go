@@ -36,15 +36,6 @@ func (a *Assignment) Members(c int) []int {
 	return out
 }
 
-// Sizes returns the number of points per cluster.
-func (a *Assignment) Sizes() []int {
-	sizes := make([]int, a.K)
-	for _, c := range a.Of {
-		sizes[c]++
-	}
-	return sizes
-}
-
 // KMeans clusters pts into k groups by weighted k-means with k-means++
 // seeding, deterministic under src. Weights scale each point's pull on its
 // centroid (use the stored data volume so heavy sensors attract a UAV);
@@ -212,17 +203,4 @@ func Sweep(pts []geom.Point, weights []float64, k int, pivot geom.Point) (*Assig
 		}
 	}
 	return a, nil
-}
-
-// TotalWeight returns the summed weight per cluster.
-func (a *Assignment) TotalWeight(weights []float64) []float64 {
-	out := make([]float64, a.K)
-	for i, c := range a.Of {
-		if weights == nil {
-			out[c]++
-		} else {
-			out[c] += weights[i]
-		}
-	}
-	return out
 }

@@ -191,3 +191,25 @@ func TestSweepEdgeCases(t *testing.T) {
 		t.Error("weight mismatch accepted")
 	}
 }
+
+// Sizes returns the number of points per cluster.
+func (a *Assignment) Sizes() []int {
+	sizes := make([]int, a.K)
+	for _, c := range a.Of {
+		sizes[c]++
+	}
+	return sizes
+}
+
+// TotalWeight returns the summed weight per cluster.
+func (a *Assignment) TotalWeight(weights []float64) []float64 {
+	out := make([]float64, a.K)
+	for i, c := range a.Of {
+		if weights == nil {
+			out[c]++
+		} else {
+			out[c] += weights[i]
+		}
+	}
+	return out
+}

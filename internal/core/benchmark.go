@@ -15,12 +15,9 @@ import (
 // it does not use the paper's simultaneous multi-device collection
 // framework), then, while the tour exceeds the energy capacity, remove the
 // node whose removal loses the least data volume per unit of energy saved.
-type BenchmarkPlanner struct {
-	// ImproveEvery controls how often (in removals) the pruned tour is
-	// re-optimised with 2-opt; 0 means every removal, matching the
-	// paper's description of re-computing the tour as nodes are pruned.
-	ImproveEvery int
-}
+// The pruned tour is re-optimised after every removal, matching the
+// paper's description of re-computing the tour as nodes are pruned.
+type BenchmarkPlanner struct{}
 
 // Name implements Planner.
 func (b *BenchmarkPlanner) Name() string { return "benchmark" }
@@ -65,10 +62,6 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 		hoverTime += units.Seconds(net.UploadTime(v))
 	}
 
-	improveEvery := b.ImproveEvery
-	if improveEvery <= 0 {
-		improveEvery = 1
-	}
 	removed := 0
 	endPrune := tr.Begin(SpanPlanBenchPrune)
 	for in.Model.TourEnergy(units.Meters(tour.Cost(dist)), hoverTime) > in.Budget()+1e-9 {
@@ -114,9 +107,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 		removals.Inc()
 		tr.Event(EventBenchRemove, trace.Int("item", bestItem))
 		removed++
-		if removed%improveEvery == 0 {
-			tsp.Improve(&tour, dist, rec)
-		}
+		tsp.Improve(&tour, dist, rec)
 	}
 	endPrune(trace.Int("removed", removed))
 	tsp.Improve(&tour, dist, rec)

@@ -93,6 +93,8 @@ func (p *Plan) Energy(em energy.Model) float64 {
 }
 
 // Duration returns the mission time T = T_t + T_h in seconds.
+//
+//uavdc:allow deadexport test oracle: the mission and simulate tests check makespan and mission time against it
 func (p *Plan) Duration(em energy.Model) float64 {
 	return em.TravelTime(units.Meters(p.FlightDistance())).F() + p.HoverTime()
 }

@@ -316,7 +316,7 @@ func TestAlgorithm2ExactRatioTSPAgreesRoughly(t *testing.T) {
 
 func TestBenchmarkPrunesToBudget(t *testing.T) {
 	in := mediumInstance(t, 14, 4e4)
-	plan, err := (&BenchmarkPlanner{ImproveEvery: 4}).Plan(in)
+	plan, err := (&BenchmarkPlanner{}).Plan(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"uavdc/internal/energy"
 	"uavdc/internal/geom"
 	"uavdc/internal/hover"
 	"uavdc/internal/obs"
@@ -411,18 +410,4 @@ func (st *pathState) plan() *Plan {
 		p.Stops = append(p.Stops, stop)
 	}
 	return p
-}
-
-// PathEnergy returns the nominal energy of executing plan's stops as an
-// open path from `from` to the plan's depot: travel along
-// from → stops → depot plus every hover. It is the accounting AdaptiveRun
-// rebases its deviation margin against after a replan.
-func (p *Plan) PathEnergy(em energy.Model, from geom.Point) units.Joules {
-	var e units.Joules
-	pos := from
-	for i := range p.Stops {
-		e += em.TravelEnergy(units.Meters(pos.Dist(p.Stops[i].Pos))) + em.HoverEnergy(units.Seconds(p.Stops[i].Sojourn))
-		pos = p.Stops[i].Pos
-	}
-	return e + em.TravelEnergy(units.Meters(pos.Dist(p.Depot)))
 }

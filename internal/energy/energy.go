@@ -91,24 +91,10 @@ func (m Model) TravelEnergy(dist units.Meters) units.Joules {
 	return units.Joules(m.TravelPower.F() * dist.F() / m.Speed.F())
 }
 
-// TravelEnergyPerMeter returns η_t / v, the cost of one metre of flight,
-// as a plain float64 (J/m has no type in the units vocabulary).
-func (m Model) TravelEnergyPerMeter() float64 { return m.TravelPower.F() / m.Speed.F() }
-
 // HoverEnergy returns the energy (J) to hover for d seconds: η_h · d.
 func (m Model) HoverEnergy(d units.Seconds) units.Joules {
 	return units.Energy(m.HoverPower, d)
 }
-
-// MaxTravelDistance returns how far the UAV can fly on a full battery with
-// no hovering, in metres.
-func (m Model) MaxTravelDistance() units.Meters {
-	return units.Meters(m.Capacity.F() * m.Speed.F() / m.TravelPower.F())
-}
-
-// MaxHoverTime returns how long the UAV can hover on a full battery with no
-// flying, in seconds.
-func (m Model) MaxHoverTime() units.Seconds { return units.Duration(m.Capacity, m.HoverPower) }
 
 // TourEnergy returns the energy of a closed tour with total flight distance
 // dist and total hover time hover.

@@ -74,26 +74,11 @@ func TestEnergyAccounting(t *testing.T) {
 	if got := m.TravelTime(100); got != 10 {
 		t.Errorf("TravelTime(100) = %v", got)
 	}
-	if got := m.TravelEnergyPerMeter(); got != 10 {
-		t.Errorf("TravelEnergyPerMeter = %v", got)
-	}
 	if got := m.HoverEnergy(60); got != 9000 {
 		t.Errorf("HoverEnergy(60) = %v", got)
 	}
 	if got := m.TourEnergy(100, 60); got != 10000 {
 		t.Errorf("TourEnergy = %v", got)
-	}
-}
-
-func TestCapacityDerived(t *testing.T) {
-	m := Default()
-	// 3e5 J / (100 J/s) × 10 m/s = 30 km.
-	if got := m.MaxTravelDistance(); got != 3e4 {
-		t.Errorf("MaxTravelDistance = %v", got)
-	}
-	// 3e5 / 150 = 2000 s.
-	if got := m.MaxHoverTime(); got != 2000 {
-		t.Errorf("MaxHoverTime = %v", got)
 	}
 }
 

@@ -349,6 +349,8 @@ func (b *Bench) WriteJSON(w io.Writer) error {
 }
 
 // ReadBench parses a BENCH_*.json document and checks its schema tag.
+//
+//uavdc:allow deadexport test oracle: the experiments and uavbench tests read bench files back with it
 func ReadBench(r io.Reader) (*Bench, error) {
 	var b Bench
 	dec := json.NewDecoder(r)

@@ -217,3 +217,13 @@ func TestWorkersConfigMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// SeriesByName returns the named series, or nil.
+func (t *Table) SeriesByName(name string) *Series {
+	for i := range t.Series {
+		if t.Series[i].Name == name {
+			return &t.Series[i]
+		}
+	}
+	return nil
+}

@@ -254,16 +254,6 @@ func (t *Table) mdPanel(w io.Writer, title string, cell func(Point) string) erro
 	return ew.Err()
 }
 
-// SeriesByName returns the named series, or nil.
-func (t *Table) SeriesByName(name string) *Series {
-	for i := range t.Series {
-		if t.Series[i].Name == name {
-			return &t.Series[i]
-		}
-	}
-	return nil
-}
-
 // String renders the table for debugging.
 func (t *Table) String() string {
 	var sb strings.Builder

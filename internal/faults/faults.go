@@ -273,17 +273,3 @@ func (s *Schedule) MaxLegFactor() float64 {
 	}
 	return f
 }
-
-// MaxHoverFactor returns the analogous upper bound on HoverFactor.
-func (s *Schedule) MaxHoverFactor() float64 {
-	if s == nil {
-		return 1
-	}
-	f := 1.0
-	for _, e := range s.Events {
-		if e.Kind == KindHoverDrain && e.Factor > 1 {
-			f *= e.Factor
-		}
-	}
-	return f
-}

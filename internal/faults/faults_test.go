@@ -22,7 +22,7 @@ func TestEmptyScheduleIsIdentity(t *testing.T) {
 		if s.NoHoverAt(geom.Pt(1, 1)) {
 			t.Error("empty schedule forbids hovering")
 		}
-		if s.MaxLegFactor() != 1 || s.MaxHoverFactor() != 1 {
+		if s.MaxLegFactor() != 1 {
 			t.Error("empty schedule has non-unit worst case")
 		}
 		if !s.Empty() {

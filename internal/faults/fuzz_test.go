@@ -50,7 +50,7 @@ func FuzzFaultSchedule(f *testing.F) {
 				t.Fatalf("UploadFactor(%d) = %v", i, f)
 			}
 		}
-		if s.MaxLegFactor() < 1 || s.MaxHoverFactor() < 1 {
+		if s.MaxLegFactor() < 1 {
 			t.Fatal("worst-case factor below 1")
 		}
 	})

@@ -19,15 +19,6 @@ import (
 // to any scenario.
 const DefaultSpec = "wind:legs=0-,factor=1.25;hover:stops=0-,factor=1.1;bw:stops=2-,factor=0.6;upfail:stops=3-4"
 
-// Default returns the parsed DefaultSpec schedule.
-func Default() *Schedule {
-	s, err := Parse(DefaultSpec)
-	if err != nil {
-		panic("faults: DefaultSpec does not parse: " + err.Error())
-	}
-	return s
-}
-
 // Parse builds a Schedule from the -faults command-line grammar:
 //
 //	spec    := clause (';' clause)*

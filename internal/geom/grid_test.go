@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -51,82 +50,5 @@ func TestGridCenterAndSquare(t *testing.T) {
 	// Square index 12 = row 1, col 2.
 	if got := g.Center(12); got != Pt(25, 15) {
 		t.Errorf("Center(12) = %v", got)
-	}
-	sq := g.Square(12)
-	if sq.Min != Pt(20, 10) || sq.Max != Pt(30, 20) {
-		t.Errorf("Square(12) = %+v", sq)
-	}
-}
-
-func TestGridIndexOfRoundTrip(t *testing.T) {
-	g, _ := NewGrid(Square(1000), 7)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		p := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		idx, ok := g.IndexOf(p)
-		if !ok {
-			t.Fatalf("point %v inside region reported outside", p)
-		}
-		if !g.Square(idx).Contains(p) {
-			t.Fatalf("point %v not inside its square %d = %+v", p, idx, g.Square(idx))
-		}
-	}
-}
-
-func TestGridIndexOfOutside(t *testing.T) {
-	g, _ := NewGrid(Square(100), 10)
-	idx, ok := g.IndexOf(Pt(-50, -50))
-	if ok {
-		t.Error("point far outside reported inside")
-	}
-	if idx != 0 {
-		t.Errorf("outside point should clamp to corner square, got %d", idx)
-	}
-	idx, ok = g.IndexOf(Pt(100, 100))
-	if !ok || idx != g.NumSquares()-1 {
-		t.Errorf("max corner: idx=%d ok=%v", idx, ok)
-	}
-}
-
-func TestSquaresNearMatchesBruteForce(t *testing.T) {
-	g, _ := NewGrid(Square(300), 13)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		p := Pt(rng.Float64()*300, rng.Float64()*300)
-		r := rng.Float64() * 80
-		got := g.SquaresNear(p, r)
-		var want []int
-		for i := 0; i < g.NumSquares(); i++ {
-			if g.Center(i).Dist(p) <= r+1e-9 {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d squares, want %d (p=%v r=%v)", trial, len(got), len(want), p, r)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: mismatch at %d: %d vs %d", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSquaresNearNegativeRadius(t *testing.T) {
-	g, _ := NewGrid(Square(100), 10)
-	if got := g.SquaresNear(Pt(50, 50), -1); got != nil {
-		t.Errorf("negative radius should yield nil, got %v", got)
-	}
-}
-
-func TestSquaresNearCountBound(t *testing.T) {
-	// Paper §IV: the number of squares covering one device is at most
-	// ceil(pi*R0^2/delta^2) + O(perimeter). Sanity-check the asymptotic
-	// count for an interior point.
-	g, _ := NewGrid(Square(1000), 5)
-	got := len(g.SquaresNear(Pt(500, 500), 50))
-	// pi * 50^2 / 25 ≈ 314.16
-	if got < 290 || got > 340 {
-		t.Errorf("squares covering interior point = %d, want ≈ 314", got)
 	}
 }

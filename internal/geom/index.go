@@ -89,9 +89,6 @@ func (idx *Index) cellIndex(p Point) int {
 // Len returns the number of indexed points.
 func (idx *Index) Len() int { return len(idx.pts) }
 
-// Point returns the indexed point with id i.
-func (idx *Index) Point(i int) Point { return idx.pts[i] }
-
 // Within returns the ids of all points within radius r of q (boundary
 // inclusive), in ascending id order. The result slice is freshly allocated.
 func (idx *Index) Within(q Point, r float64) []int {

@@ -136,11 +136,3 @@ func BenchmarkIndexBuild(b *testing.B) {
 		NewIndex(pts, 50)
 	}
 }
-
-func TestIndexPointAccessor(t *testing.T) {
-	pts := []Point{Pt(1, 2), Pt(3, 4)}
-	idx := NewIndex(pts, 1)
-	if idx.Point(1) != Pt(3, 4) {
-		t.Errorf("Point(1) = %v", idx.Point(1))
-	}
-}

@@ -35,9 +35,6 @@ func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 // Dot returns the dot product p·q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Norm returns the Euclidean length of the vector p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -73,27 +70,10 @@ func (c Circle) Contains(q Point) bool {
 	return c.C.Dist2(q) <= r2+1e-9*(1+r2)
 }
 
-// Area returns the area of the circle.
-func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
-
-// Intersects reports whether two circles overlap (boundary contact counts).
-func (c Circle) Intersects(o Circle) bool {
-	sum := c.R + o.R
-	return c.C.Dist2(o.C) <= sum*sum+1e-12
-}
-
 // Rect is an axis-aligned rectangle, min-corner inclusive, max-corner
 // inclusive. It models the monitoring region.
 type Rect struct {
 	Min, Max Point
-}
-
-// NewRect returns the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
-	}
 }
 
 // Square returns the axis-aligned square [0, side] × [0, side], the shape of
@@ -107,9 +87,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the extent of r along y.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Contains reports whether p lies in r (boundaries inclusive).
 func (r Rect) Contains(p Point) bool {
@@ -127,11 +104,6 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
-}
-
-// IntersectsCircle reports whether the circle c overlaps r.
-func (r Rect) IntersectsCircle(c Circle) bool {
-	return r.Clamp(c.C).Dist2(c.C) <= c.R*c.R+1e-12
 }
 
 // ClosestPointOnSegment returns the point of segment ab closest to p.
@@ -161,22 +133,4 @@ func Centroid(pts []Point) Point {
 		s = s.Add(p)
 	}
 	return s.Scale(1 / float64(len(pts)))
-}
-
-// PathLength returns the total length of the open polyline through pts.
-func PathLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return total
-}
-
-// CycleLength returns the total length of the closed polyline through pts
-// (the last point connects back to the first).
-func CycleLength(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	return PathLength(pts) + pts[len(pts)-1].Dist(pts[0])
 }

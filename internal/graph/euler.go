@@ -33,12 +33,6 @@ func (m *Multigraph) AddEdge(u, v int) {
 	m.m++
 }
 
-// NumEdges returns the number of undirected edges.
-func (m *Multigraph) NumEdges() int { return m.m }
-
-// Degree returns the degree of v counting parallel edges.
-func (m *Multigraph) Degree(v int) int { return len(m.adj[v]) }
-
 // EulerCircuit returns an Eulerian circuit starting and ending at start as a
 // vertex sequence (first == last), using Hierholzer's algorithm. It fails if
 // any vertex touched by an edge has odd degree or if the edges are not

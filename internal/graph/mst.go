@@ -2,9 +2,6 @@ package graph
 
 import (
 	"math"
-	"sort"
-
-	"uavdc/internal/unionfind"
 )
 
 // MSTPrim returns the edges of a minimum spanning tree of g restricted to
@@ -62,20 +59,4 @@ func MSTPrim(g *Dense, sub []int) ([]Edge, bool) {
 		}
 	}
 	return edges, true
-}
-
-// MSTKruskal returns the edges of a minimum spanning forest of g using
-// Kruskal's algorithm, and whether the graph is connected (forest is a
-// single tree).
-func MSTKruskal(g *Dense) ([]Edge, bool) {
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool { return edges[i].W < edges[j].W })
-	uf := unionfind.New(g.N())
-	out := make([]Edge, 0, g.N()-1)
-	for _, e := range edges {
-		if uf.Union(e.U, e.V) {
-			out = append(out, e)
-		}
-	}
-	return out, uf.Sets() <= 1
 }

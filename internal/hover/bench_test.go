@@ -41,21 +41,3 @@ func BenchmarkBuildFine(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkVirtuals measures the K-ladder materialisation for Algorithm 3.
-func BenchmarkVirtuals(b *testing.B) {
-	net, err := sensornet.Generate(sensornet.DefaultGenParams(), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := Build(net, energy.Default(), 10, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Virtuals(4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

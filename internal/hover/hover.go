@@ -15,7 +15,6 @@ package hover
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"uavdc/internal/energy"
 	"uavdc/internal/geom"
@@ -211,15 +210,9 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 	return s, nil
 }
 
-// Drain returns the sojourn time and total award for fully draining the
-// given sensors at the network's constant bandwidth: t = max D_v/B,
-// P = Σ D_v.
-func Drain(net *sensornet.Network, covered []int) (sojourn units.Seconds, award units.Bits) {
-	return DrainRates(net, covered, nil)
-}
-
-// DrainRates is Drain with per-sensor uplink rates (parallel to covered);
-// nil rates means the constant network bandwidth.
+// DrainRates returns the sojourn time and total award for fully draining
+// the given sensors: t = max D_v/r_v, P = Σ D_v. rates is parallel to
+// covered; nil rates means the constant network bandwidth.
 func DrainRates(net *sensornet.Network, covered []int, rates []units.BitsPerSecond) (sojourn units.Seconds, award units.Bits) {
 	for i, v := range covered {
 		d := units.Bits(net.Sensors[v].Data)
@@ -275,21 +268,4 @@ func (s *Set) AuxiliaryWeight(i, j int) units.Joules {
 		return 0
 	}
 	return (s.Locs[i].HoverEnergy+s.Locs[j].HoverEnergy)/2 + s.TravelEnergy(i, j)
-}
-
-// CoverageUnion returns the sorted union of the coverage sets of the given
-// locations.
-func (s *Set) CoverageUnion(locs []int) []int {
-	set := map[int]bool{}
-	for _, l := range locs {
-		for _, v := range s.Locs[l].Covered {
-			set[v] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

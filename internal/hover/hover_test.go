@@ -1,11 +1,9 @@
 package hover
 
 import (
-	"maps"
 	"math"
-	"slices"
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"uavdc/internal/energy"
 	"uavdc/internal/geom"
@@ -205,90 +203,6 @@ func TestAuxiliaryWeightIsMetric(t *testing.T) {
 	}
 }
 
-func TestVirtuals(t *testing.T) {
-	net := smallNet()
-	s, err := Build(net, energy.Default(), 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Virtuals(0); err == nil {
-		t.Error("K=0 accepted")
-	}
-	const K = 4
-	vs, err := s.Virtuals(K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != (s.Len()-1)*K {
-		t.Fatalf("virtual count %d, want %d", len(vs), (s.Len()-1)*K)
-	}
-	// Eq. 4/5 monotonicity: awards and sojourns non-decreasing in k, and
-	// level K equals the full drain.
-	byBase := map[int][]Virtual{}
-	for _, v := range vs {
-		byBase[v.Base] = append(byBase[v.Base], v)
-	}
-	for _, base := range slices.Sorted(maps.Keys(byBase)) {
-		group := byBase[base]
-		loc := s.Locs[base]
-		for i, v := range group {
-			if v.Level != i+1 || v.K != K {
-				t.Fatalf("base %d: bad levels %+v", base, group)
-			}
-			wantSojourn := float64(v.Level) * loc.Sojourn.F() / K
-			if math.Abs(v.Sojourn.F()-wantSojourn) > 1e-9 {
-				t.Fatalf("base %d level %d: sojourn %v, want %v", base, v.Level, v.Sojourn, wantSojourn)
-			}
-			if i > 0 {
-				if v.Award < group[i-1].Award-1e-9 || v.Sojourn <= group[i-1].Sojourn {
-					t.Fatalf("base %d: monotonicity violated", base)
-				}
-			}
-		}
-		last := group[K-1]
-		if math.Abs((last.Award-loc.Award).F()) > 1e-9 || math.Abs((last.Sojourn-loc.Sojourn).F()) > 1e-9 {
-			t.Fatalf("base %d: level K (%v, %v) != full drain (%v, %v)", base, last.Award, last.Sojourn, loc.Award, loc.Sojourn)
-		}
-	}
-}
-
-func TestVirtualsK1EqualsFull(t *testing.T) {
-	net := smallNet()
-	s, _ := Build(net, energy.Default(), 10, Options{})
-	vs, err := s.Virtuals(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vs {
-		loc := s.Locs[v.Base]
-		if math.Abs((v.Award-loc.Award).F()) > 1e-9 || math.Abs((v.Sojourn-loc.Sojourn).F()) > 1e-9 {
-			t.Fatalf("K=1 virtual %d differs from full drain", v.Base)
-		}
-	}
-}
-
-func TestPartialAwardEquation4(t *testing.T) {
-	// Property: PartialAward = Σ min(D_v, B·t) exactly, for random sojourns.
-	net := smallNet()
-	s, _ := Build(net, energy.Default(), 10, Options{})
-	f := func(raw float64) bool {
-		sojourn := math.Mod(math.Abs(raw), 30)
-		for base := 1; base < s.Len(); base++ {
-			want := 0.0
-			for _, v := range s.Locs[base].Covered {
-				want += math.Min(net.Sensors[v].Data, net.Bandwidth*sojourn)
-			}
-			if math.Abs(s.PartialAward(base, units.Seconds(sojourn)).F()-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestResidualDrain(t *testing.T) {
 	residual := []units.Bits{100, 0, 40}
 	sojourn, award := ResidualDrain([]int{0, 1, 2}, residual, nil, 10)
@@ -298,20 +212,6 @@ func TestResidualDrain(t *testing.T) {
 	sojourn, award = ResidualDrain([]int{1}, residual, nil, 10)
 	if award != 0 || sojourn != 0 {
 		t.Errorf("drained sensor should contribute nothing: %v %v", sojourn, award)
-	}
-}
-
-func TestResidualPartialAward(t *testing.T) {
-	residual := []units.Bits{100, 0, 40}
-	// 3 s at 10 MB/s caps each sensor at 30 MB.
-	if got := ResidualPartialAward([]int{0, 1, 2}, residual, nil, 10, 3); got != 60 {
-		t.Errorf("ResidualPartialAward = %v, want 60", got)
-	}
-	if got := ResidualPartialAward([]int{0, 1, 2}, residual, nil, 10, 100); got != 140 {
-		t.Errorf("long sojourn should take everything: %v", got)
-	}
-	if got := ResidualPartialAward(nil, residual, nil, 10, 5); got != 0 {
-		t.Errorf("empty coverage: %v", got)
 	}
 }
 
@@ -354,14 +254,19 @@ func TestBuildPaperScaleSmoke(t *testing.T) {
 	}
 }
 
-func TestDrainWrapper(t *testing.T) {
-	net := smallNet()
-	s1, a1 := Drain(net, []int{0, 1})
-	s2, a2 := DrainRates(net, []int{0, 1}, nil)
-	if s1 != s2 || a1 != a2 {
-		t.Errorf("Drain (%v,%v) != DrainRates (%v,%v)", s1, a1, s2, a2)
+// CoverageUnion returns the sorted union of the coverage sets of the given
+// locations.
+func (s *Set) CoverageUnion(locs []int) []int {
+	set := map[int]bool{}
+	for _, l := range locs {
+		for _, v := range s.Locs[l].Covered {
+			set[v] = true
+		}
 	}
-	if a1 != 150 || s1 != 10 {
-		t.Errorf("Drain = %v, %v", s1, a1)
+	out := make([]int, 0, len(set))
+	for v := range set {
+		out = append(out, v)
 	}
+	sort.Ints(out)
+	return out
 }

@@ -78,7 +78,7 @@ func TestBuildWithRadioSlowsFarSensors(t *testing.T) {
 	}
 }
 
-func TestPartialAwardUsesRates(t *testing.T) {
+func TestRateAtUsesRates(t *testing.T) {
 	net := smallNet()
 	shannon := radio.Shannon{RefRate: units.BitsPerSecond(net.Bandwidth), RefDist: 1, RefSNR: 100, PathLossExp: 3}
 	s, err := Build(net, energy.Default(), 5, Options{Altitude: 10, CoverRadius: units.Meters(net.CommRange), Radio: shannon})
@@ -87,14 +87,6 @@ func TestPartialAwardUsesRates(t *testing.T) {
 	}
 	for base := 1; base < s.Len(); base++ {
 		loc := &s.Locs[base]
-		const sojourn = 3.0
-		want := 0.0
-		for i, v := range loc.Covered {
-			want += math.Min(net.Sensors[v].Data, loc.Rates[i].F()*sojourn)
-		}
-		if got := s.PartialAward(base, sojourn).F(); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("base %d: PartialAward %v, want %v", base, got, want)
-		}
 		for i := range loc.Covered {
 			if s.RateAt(base, i) != loc.Rates[i] {
 				t.Fatal("RateAt disagrees with Rates")
@@ -112,14 +104,5 @@ func TestResidualDrainWithRates(t *testing.T) {
 	}
 	if sojourn != 20 { // 100 MB at 5 MB/s dominates
 		t.Errorf("sojourn = %v, want 20", sojourn)
-	}
-}
-
-func TestResidualPartialAwardWithRates(t *testing.T) {
-	residual := []units.Bits{100, 0, 40}
-	rates := []units.BitsPerSecond{5, 10, 20}
-	// 2 s: sensor0 min(100, 10) + sensor2 min(40, 40) = 50.
-	if got := ResidualPartialAward([]int{0, 1, 2}, residual, rates, 999, 2); got != 50 {
-		t.Errorf("got %v, want 50", got)
 	}
 }

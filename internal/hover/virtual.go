@@ -1,62 +1,8 @@
 package hover
 
 import (
-	"fmt"
-
 	"uavdc/internal/units"
 )
-
-// Virtual is a virtual hovering location s_{j,k} (Section III-C): the real
-// location Base visited for the k-th fraction of its full sojourn.
-type Virtual struct {
-	// Base is the index of the underlying real location in Set.Locs.
-	Base int
-	// Level is k ∈ 1..K.
-	Level int
-	// K is the partition granularity.
-	K int
-	// Sojourn is t(s_{j,k}) = k·t(s_j)/K (Eq. 5).
-	Sojourn units.Seconds
-	// Award is P(s_{j,k}) per Eq. 4: every covered sensor contributes
-	// min(D_v, rate_v·Sojourn).
-	Award units.Bits
-}
-
-// Virtuals materialises the K virtual locations of every non-depot
-// candidate, ordered by (base, level). K must be ≥ 1.
-func (s *Set) Virtuals(k int) ([]Virtual, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("hover: K must be ≥ 1, got %d", k)
-	}
-	out := make([]Virtual, 0, (s.Len()-1)*k)
-	for base := 1; base < s.Len(); base++ {
-		loc := &s.Locs[base]
-		for level := 1; level <= k; level++ {
-			sojourn := units.Seconds(float64(level) * loc.Sojourn.F() / float64(k))
-			out = append(out, Virtual{
-				Base:    base,
-				Level:   level,
-				K:       k,
-				Sojourn: sojourn,
-				Award:   s.PartialAward(base, sojourn),
-			})
-		}
-	}
-	return out, nil
-}
-
-// PartialAward returns the data collectable at location base when hovering
-// for the given duration with every covered sensor at full volume:
-// Σ_v min(D_v, rate_v·sojourn) (Eq. 4 in closed form, generalised to
-// per-sensor rates).
-func (s *Set) PartialAward(base int, sojourn units.Seconds) units.Bits {
-	var award units.Bits
-	loc := &s.Locs[base]
-	for i, v := range loc.Covered {
-		award += units.Min(units.Bits(s.Net.Sensors[v].Data), units.Transfer(s.rate(loc, i), sojourn))
-	}
-	return award
-}
 
 // rate returns the uplink rate of the i-th covered sensor of loc.
 func (s *Set) rate(loc *Location, i int) units.BitsPerSecond {
@@ -69,6 +15,8 @@ func (s *Set) rate(loc *Location, i int) units.BitsPerSecond {
 // RateAt returns the uplink rate of the i-th covered sensor of location
 // base (the constant bandwidth when the set was built without a radio
 // model).
+//
+//uavdc:allow deadexport test oracle: the core exact-solver tests price sojourns with it
 func (s *Set) RateAt(base, i int) units.BitsPerSecond {
 	return s.rate(&s.Locs[base], i)
 }
@@ -94,21 +42,4 @@ func ResidualDrain(covered []int, residual []units.Bits, rates []units.BitsPerSe
 		}
 	}
 	return sojourn, award
-}
-
-// ResidualPartialAward returns Σ_v min(residual_v, rate_v·sojourn) over
-// covered: the award of a virtual location against current residual
-// volumes. rates is parallel to covered; nil means bandwidth for all.
-func ResidualPartialAward(covered []int, residual []units.Bits, rates []units.BitsPerSecond, bandwidth units.BitsPerSecond, sojourn units.Seconds) units.Bits {
-	var award units.Bits
-	for i, v := range covered {
-		if d := residual[v]; d > 0 {
-			r := bandwidth
-			if rates != nil {
-				r = rates[i]
-			}
-			award += units.Min(d, units.Transfer(r, sojourn))
-		}
-	}
-	return award
 }

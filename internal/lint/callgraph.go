@@ -75,9 +75,6 @@ type Graph struct {
 	order []FuncID
 }
 
-// Node returns the node for id, or nil.
-func (g *Graph) Node(id FuncID) *FuncNode { return g.Nodes[id] }
-
 // funcID derives the stable identity of a named function or method.
 func funcID(fn *types.Func) FuncID {
 	pkg := funcPkgPath(fn)

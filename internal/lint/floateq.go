@@ -15,19 +15,19 @@ var floatEqScope = []string{
 	"internal/energy",
 	"internal/geom",
 	"internal/tsp",
-	"internal/feq",
 }
 
 // FloatEq returns the floateq analyzer: no == or != between
 // floating-point operands in the numeric planner packages. Exact
 // comparison is occasionally correct (sentinel zeros, bitwise dedup of
-// verbatim copies, incumbent-changed checks); such sites call the
-// internal/feq helpers or carry an //uavdc:allow floateq annotation
-// saying why bit-equality is right there. Test files are exempt.
+// verbatim copies, incumbent-changed checks); such sites carry an
+// //uavdc:allow floateq annotation saying why bit-equality is right
+// there, and every other site compares with an explicit tolerance. Test
+// files are exempt.
 func FloatEq() *Analyzer {
 	a := &Analyzer{
 		Name: "floateq",
-		Doc:  "forbid ==/!= between floats in the numeric planner packages; require internal/feq",
+		Doc:  "forbid ==/!= between floats in the numeric planner packages; compare with a tolerance or annotate",
 	}
 	a.Run = func(pass *Pass) {
 		inScope := false
@@ -56,7 +56,7 @@ func FloatEq() *Analyzer {
 				}
 				if isFloat(tx.Type) || isFloat(ty.Type) {
 					pass.Reportf(b.OpPos,
-						"floating-point %s comparison; use feq.Eq/feq.Near/feq.Zero (internal/feq), or annotate why exact bit-equality is intended",
+						"floating-point %s comparison; annotate why exact bit-equality is intended, or compare with an explicit tolerance",
 						b.Op)
 				}
 				return true

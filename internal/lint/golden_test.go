@@ -161,3 +161,12 @@ func TestRealModuleIsClean(t *testing.T) {
 		t.Errorf("%s", d.String())
 	}
 }
+
+// Run executes the analyzers over every package of the module and
+// returns all diagnostics — suppressed ones included, marked — sorted by
+// file, line, column, analyzer. Malformed suppression directives are
+// reported under DirectiveAnalyzer.
+func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
+	diags, _ := RunTimed(mod, analyzers)
+	return diags
+}

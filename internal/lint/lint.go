@@ -8,8 +8,8 @@
 //     a small allowlist — the planners' byte-identical-output guarantee
 //     is enforced at the source level.
 //   - floateq: no ==/!= between floats in the numeric planner packages;
-//     exact comparisons must go through internal/feq or carry an
-//     annotation.
+//     annotate why exact bit-equality is intended, or compare with an
+//     explicit tolerance.
 //   - obsnames: every counter/timer/histogram/span/event name passed to
 //     the obs and trace APIs must be registered in internal/obs's
 //     canonical name registry (which a test cross-checks against
@@ -35,6 +35,15 @@
 //     package-level state, or touches I/O or the environment, up to the
 //     whitelisted recording sinks (obs, trace, errw). Diagnostics carry
 //     the full entry→effect call chain.
+//   - deadexport: every exported func, method, type, const and var
+//     declared in a non-test file under internal/ has a non-test
+//     reference in the module outside its own declaration; test oracles
+//     belong in _test.go files. The root uavdc package, main packages
+//     and testdata are exempt, and so is a method whose receiver
+//     implements an interface naming it (any interface the non-test
+//     code mentions, plus fmt.Stringer and error). A deliberate keep,
+//     such as a symbol only the unloaded _perfbench module or another
+//     package's tests use, is annotated on its declaration.
 //
 // Deliberate violations are annotated in place:
 //
@@ -74,7 +83,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoDeterminism(), FloatEq(), ObsNames(), ErrDrop(), UnitSafety(),
-		LockSafety(), GoLifecycle(), WireFmt(), PurePlan(),
+		LockSafety(), GoLifecycle(), WireFmt(), PurePlan(), DeadExport(),
 	}
 }
 
@@ -98,6 +107,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// unitDiag is one finding of a module-wide analysis, routed to the
+// analysis unit that owns its site so each per-package task emits only
+// its own.
+type unitDiag struct {
+	unit *Package
+	pos  token.Pos
+	msg  string
+}
+
+// reportOwn reports the diags that belong to this pass's package.
+func (p *Pass) reportOwn(diags []unitDiag) {
+	for _, d := range diags {
+		if d.unit == p.Pkg {
+			p.Reportf(d.pos, "%s", d.msg)
+		}
+	}
 }
 
 // relTo rebuilds the module-relative path of an absolute filename using
@@ -147,22 +174,16 @@ func (d Diagnostic) String() string {
 // //uavdc: directives are reported. It is not suppressible.
 const DirectiveAnalyzer = "directive"
 
-// Run executes the analyzers over every package of the module and
+// RunTimed executes the analyzers over every package of the module and
 // returns all diagnostics — suppressed ones included, marked — sorted by
-// file, line, column, analyzer. Malformed suppression directives are
-// reported under DirectiveAnalyzer.
-func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(mod, analyzers)
-	return diags
-}
-
-// RunTimed is Run plus per-analyzer wall time: each (package, analyzer)
-// pair runs as its own task, parallel across GOMAXPROCS, and the
-// returned map accumulates every analyzer's total task time by name.
-// Because tasks overlap, the per-analyzer totals can sum to more than
-// the elapsed wall clock — they rank where the suite spends its time,
-// they do not partition it. Diagnostics are merged and sorted exactly
-// as Run sorts them; scheduling never reaches the output.
+// file, line, column, analyzer, plus per-analyzer wall time. Malformed
+// suppression directives are reported under DirectiveAnalyzer. Each
+// (package, analyzer) pair runs as its own task, parallel across
+// GOMAXPROCS, and the returned map accumulates every analyzer's total
+// task time by name. Because tasks overlap, the per-analyzer totals can
+// sum to more than the elapsed wall clock — they rank where the suite
+// spends its time, they do not partition it. Scheduling never reaches
+// the output.
 func RunTimed(mod *Module, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration) {
 	// Directive validity is judged against the full registry, not the
 	// subset that happens to run: a -analyzers errdrop pass must not

@@ -89,7 +89,12 @@ type Module struct {
 	// pureOnce guards pureDiags, the pureplan analyzer's module-wide
 	// violation list (each per-package task emits only its own slice).
 	pureOnce  sync.Once
-	pureDiags []pureDiag
+	pureDiags []unitDiag
+
+	// deadOnce guards deadDiags, the deadexport analyzer's module-wide
+	// findings.
+	deadOnce  sync.Once
+	deadDiags []unitDiag
 }
 
 // rawPkg is one package directory before type checking.

@@ -7,36 +7,53 @@ import (
 	"testing"
 )
 
-// copyModuleTree copies the real module — go.mod, the root package's
-// non-test files, and the full internal tree — into a temp dir so tests
-// can inject violations without touching the repo.
+// copyModuleTree copies the real module's go.mod and non-test Go files
+// — the root package and the internal, cmd and examples trees — into a
+// temp dir so tests can inject violations without touching the repo.
+// The commands and examples ride along because deadexport counts their
+// references; test files stay behind, since no analyzer reports on the
+// real module's tests and type-checking them would only cost time.
 func copyModuleTree(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
 	src := filepath.Join("..", "..")
-	// The root uavdc package rides along (internal/serve imports it);
-	// test files stay behind so no testdata is needed.
-	rootGo, err := filepath.Glob(filepath.Join(src, "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := []string{"go.mod"}
-	for _, f := range rootGo {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, filepath.Base(f))
-		}
-	}
-	for _, f := range files {
-		raw, err := os.ReadFile(filepath.Join(src, f))
+	copyFile := func(rel string) {
+		raw, err := os.ReadFile(filepath.Join(src, rel))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(root, f), raw, 0o644); err != nil {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, rel), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.CopyFS(filepath.Join(root, "internal"), os.DirFS(filepath.Join(src, "internal"))); err != nil {
-		t.Fatalf("copy internal tree: %v", err)
+	copyFile("go.mod")
+	for _, dir := range []string{".", "internal", "cmd", "examples"} {
+		base := filepath.Join(src, dir)
+		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if (dir == "." && path != base) || d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				rel, err := filepath.Rel(src, path)
+				if err != nil {
+					return err
+				}
+				copyFile(rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("copy %s: %v", dir, err)
+		}
 	}
 	return root
 }
@@ -59,9 +76,9 @@ import (
 	"uavdc/internal/units"
 )
 
-// InjectedBudget deliberately crosses speed into energy without a
+// injectedBudget deliberately crosses speed into energy without a
 // helper; unitsafety must reject it.
-func InjectedBudget(m energy.Model) units.Joules {
+func injectedBudget(m energy.Model) units.Joules {
 	return units.Joules(m.Speed)
 }
 `

@@ -40,14 +40,6 @@ var purePlanSinks = []string{
 	"internal/errw",
 }
 
-// pureDiag is one pureplan violation, routed to the analysis unit that
-// owns the effect site so each per-package task emits only its own.
-type pureDiag struct {
-	unit *Package
-	pos  token.Pos
-	msg  string
-}
-
 // PurePlan returns the pureplan analyzer: interprocedural proof that
 // the plan-cache purity contract holds. Every function reachable from
 // the parity-locked entry points must be free of wall-clock reads,
@@ -67,18 +59,14 @@ func PurePlan() *Analyzer {
 		if pass.Mod == nil {
 			return
 		}
-		for _, d := range pass.Mod.purePlan() {
-			if d.unit == pass.Pkg {
-				pass.Reportf(d.pos, "%s", d.msg)
-			}
-		}
+		pass.reportOwn(pass.Mod.purePlan())
 	}
 	return a
 }
 
 // purePlan computes (once) the module's pureplan violations; safe for
 // concurrent use from parallel analyzer tasks.
-func (m *Module) purePlan() []pureDiag {
+func (m *Module) purePlan() []unitDiag {
 	m.pureOnce.Do(func() { m.pureDiags = computePurePlan(m) })
 	return m.pureDiags
 }
@@ -88,7 +76,7 @@ func (m *Module) purePlan() []pureDiag {
 // of a reachable function into a diagnostic carrying the shortest
 // entry→effect chain. Each effect site is reported once, from the
 // first entry that reaches it.
-func computePurePlan(m *Module) []pureDiag {
+func computePurePlan(m *Module) []unitDiag {
 	g := m.Interp().Graph
 	sink := map[string]bool{}
 	for _, s := range purePlanSinks {
@@ -105,7 +93,7 @@ func computePurePlan(m *Module) []pureDiag {
 		visited[id] = true
 		queue = append(queue, id)
 	}
-	var out []pureDiag
+	var out []unitDiag
 	type siteKey struct {
 		pos  token.Pos
 		kind EffectKind
@@ -125,7 +113,7 @@ func computePurePlan(m *Module) []pureDiag {
 			}
 			seen[key] = true
 			chain, entry := chainTo(g, parent, id)
-			out = append(out, pureDiag{
+			out = append(out, unitDiag{
 				unit: node.Pkg,
 				pos:  eff.Pos,
 				msg: fmt.Sprintf("%s reachable from entry point %s: %s → %s — cached plans must be a pure function of the canonical instance; remove the effect, route it through a recording sink (obs/trace/errw), or annotate the site",

@@ -13,6 +13,8 @@ const canonTag = wire.Mission
 // simulation physics each sortie is verified against. Unset sentinels are
 // resolved to Run's defaults (MaxSorties 100, MinVolume 1 MB) first, so
 // elided and spelled-out defaults address the same cache line.
+//
+//uavdc:allow deadexport the uavdc-mission/1 key extension is a registered wire format; deleting its only encoder would retire a registry entry
 func (o Options) CanonKey(base canon.Key) (canon.Key, error) {
 	maxSorties := o.MaxSorties
 	if maxSorties <= 0 {

@@ -13,6 +13,8 @@ const canonTag = wire.Multi
 // through its name (nil resolves to Algorithm 3, exactly as PlanFleet
 // does), so a spelled-out default and an elided one address the same
 // cache line.
+//
+//uavdc:allow deadexport the uavdc-multi/1 key extension is a registered wire format; deleting its only encoder would retire a registry entry
 func (o Options) CanonKey(base canon.Key) canon.Key {
 	name := "algorithm3"
 	if o.Base != nil {

@@ -63,15 +63,6 @@ func (p *Plan) Collected() float64 {
 	return sum
 }
 
-// Stops returns the total number of hovering stops across the fleet.
-func (p *Plan) Stops() int {
-	var n int
-	for _, up := range p.PerUAV {
-		n += len(up.Stops)
-	}
-	return n
-}
-
 // Options configures fleet planning.
 type Options struct {
 	// Fleet is the number of UAVs (≥ 1). Every UAV uses the instance's

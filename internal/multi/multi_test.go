@@ -165,3 +165,12 @@ func TestPlanFleetCarriesReferencePolicy(t *testing.T) {
 		t.Fatalf("fast fleet: evals %d + skipped %d, reference evals %d", fastEvals, fastSkipped, refEvals)
 	}
 }
+
+// Stops returns the total number of hovering stops across the fleet.
+func (p *Plan) Stops() int {
+	var n int
+	for _, up := range p.PerUAV {
+		n += len(up.Stops)
+	}
+	return n
+}

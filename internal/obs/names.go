@@ -91,8 +91,7 @@ var canonicalNames = map[string]NameKind{
 	"exec.energy_deviation_hist": KindHistogram,
 
 	// Experiment-driver wall-clock aggregates.
-	"experiments.plan":            KindTimer,
-	"trace.span_duration.seconds": KindHistogram,
+	"experiments.plan": KindTimer,
 
 	// Serving-layer counters, queue-depth gauge, latency histogram, and
 	// request span (internal/serve).
@@ -149,16 +148,6 @@ var canonicalNames = map[string]NameKind{
 	"scan/eval":    KindEvent,
 	"bench/remove": KindEvent,
 	"mission/*":    KindEvent,
-}
-
-// CanonicalNames returns every registered name (wildcards included) with
-// its kind. The returned map is a copy.
-func CanonicalNames() map[string]NameKind {
-	out := make(map[string]NameKind, len(canonicalNames))
-	for name, kind := range canonicalNames {
-		out[name] = kind
-	}
-	return out
 }
 
 // LookupCanonical resolves a concrete instrumentation name against the

@@ -18,7 +18,7 @@ func TestLookupCanonical(t *testing.T) {
 		ok   bool
 	}{
 		{"core.candidate_evals", KindCounter, true},
-		{"trace.span_duration.seconds", KindHistogram, true},
+		{"exec.energy_deviation_hist", KindHistogram, true},
 		{"plan/alg2/iterate", KindSpan, true},
 		{"mission/takeoff", KindEvent, true},
 		{"mission/battery-dead", KindEvent, true},
@@ -140,4 +140,14 @@ func TestNameKindString(t *testing.T) {
 	if s := fmt.Sprint(KindSpan); s != "span" {
 		t.Errorf("fmt.Sprint(KindSpan) = %q", s)
 	}
+}
+
+// CanonicalNames returns every registered name (wildcards included) with
+// its kind. The returned map is a copy.
+func CanonicalNames() map[string]NameKind {
+	out := make(map[string]NameKind, len(canonicalNames))
+	for name, kind := range canonicalNames {
+		out[name] = kind
+	}
+	return out
 }

@@ -220,15 +220,6 @@ func TestSnapshotOrderingLock(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	r.Reset()
-	if snap := r.Snapshot(); len(snap.Counters) != 0 {
-		t.Errorf("after Reset: %v", snap.Counters)
-	}
-}
-
 func TestSnapshotWriteTo(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b").Add(2)

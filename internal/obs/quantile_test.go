@@ -180,12 +180,6 @@ func TestRegistryGauge(t *testing.T) {
 		t.Errorf("Diff reported gauge movement: %q", diff)
 	}
 
-	// Reset drops gauge cells.
-	r.Reset()
-	if n := len(r.Snapshot().Gauges); n != 0 {
-		t.Errorf("Reset left %d gauges", n)
-	}
-
 	// Discard's gauge handle is a safe no-op.
 	Discard.Gauge("serve.queue_depth").Set(1)
 	Discard.Gauge("serve.queue_depth").Add(1)

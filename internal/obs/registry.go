@@ -193,17 +193,6 @@ func (r *Registry) Merge(s *Registry) {
 	}
 }
 
-// Reset zeroes the registry, dropping every cell. Outstanding handles keep
-// working but are detached from future snapshots.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = map[string]*counterCell{}
-	r.timers = map[string]*timerCell{}
-	r.hists = map[string]*histCell{}
-	r.gauges = map[string]*gaugeCell{}
-}
-
 // TimerStat is one timer's aggregate in a Snapshot.
 type TimerStat struct {
 	// Count is the number of observations.
@@ -331,6 +320,8 @@ func histEqual(a, b HistStat) bool {
 // Equal reports whether two snapshots have identical counter totals and
 // deterministic-histogram bucket counts (timers and WallSuffix histograms
 // are wall-clock and excluded from equality).
+//
+//uavdc:allow deadexport test oracle: the core, simulate and obs determinism tests compare counter snapshots with it
 func (s Snapshot) Equal(o Snapshot) bool {
 	if len(s.Counters) != len(o.Counters) {
 		return false
@@ -362,6 +353,8 @@ func (s Snapshot) Equal(o Snapshot) bool {
 
 // Diff returns a human-readable description of the counter differences
 // between s and o, one "name: a != b" line per mismatch, empty when Equal.
+//
+//uavdc:allow deadexport test oracle: the core, simulate and obs determinism tests report snapshot mismatches with it
 func (s Snapshot) Diff(o Snapshot) string {
 	seen := map[string]bool{}
 	var out string

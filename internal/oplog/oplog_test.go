@@ -284,3 +284,11 @@ func TestReadRejectsBadStreams(t *testing.T) {
 		t.Errorf("parsed %+v %+v", hdr, recs)
 	}
 }
+
+// Dropped returns the number of records rejected so far because the
+// buffer was full.
+func (w *Writer) Dropped() int64 { return w.dropped.Load() }
+
+// Accepted returns the number of records accepted into the buffer so
+// far (not necessarily flushed to the sink yet).
+func (w *Writer) Accepted() int64 { return w.accepted.Load() }

@@ -77,17 +77,6 @@ func (w *Writer) Record(rec Record) bool {
 	}
 }
 
-// Dropped returns the number of records rejected so far because the
-// buffer was full.
-func (w *Writer) Dropped() int64 { return w.dropped.Load() }
-
-// Accepted returns the number of records accepted into the buffer so
-// far (not necessarily flushed to the sink yet).
-func (w *Writer) Accepted() int64 { return w.accepted.Load() }
-
-// Strip reports whether the writer emits deterministic stripped records.
-func (w *Writer) Strip() bool { return w.strip }
-
 // Err returns the first sink write error, if any. Once a write fails the
 // writer keeps draining (producers stay unblocked) but stops encoding.
 func (w *Writer) Err() error {

@@ -10,7 +10,6 @@
 package radio
 
 import (
-	"fmt"
 	"math"
 
 	"uavdc/internal/units"
@@ -50,27 +49,6 @@ type Shannon struct {
 	// PathLossExp is the path-loss exponent α (2 = free space,
 	// 2.7–3.5 = urban).
 	PathLossExp float64
-}
-
-// DefaultShannon calibrates a Shannon model to the paper's B = 150 MB/s at
-// 10 m with 100× SNR and free-space loss.
-func DefaultShannon() Shannon {
-	return Shannon{RefRate: 150, RefDist: 10, RefSNR: 100, PathLossExp: 2}
-}
-
-// Validate checks the parameters.
-func (s Shannon) Validate() error {
-	switch {
-	case !(s.RefRate > 0):
-		return fmt.Errorf("radio: RefRate must be positive, got %v", s.RefRate)
-	case !(s.RefDist > 0):
-		return fmt.Errorf("radio: RefDist must be positive, got %v", s.RefDist)
-	case !(s.RefSNR > 0):
-		return fmt.Errorf("radio: RefSNR must be positive, got %v", s.RefSNR)
-	case !(s.PathLossExp > 0):
-		return fmt.Errorf("radio: PathLossExp must be positive, got %v", s.PathLossExp)
-	}
-	return nil
 }
 
 // Rate implements Model. The implicit channel width W is chosen so that

@@ -25,9 +25,6 @@ type Source struct {
 // New returns a Source with the given seed.
 func New(seed uint64) Source { return Source{seed: seed} }
 
-// Seed returns the underlying seed value.
-func (s Source) Seed() uint64 { return s.seed }
-
 // Split derives an independent child Source identified by label. Identical
 // (parent, label) pairs always yield the same child; distinct labels yield
 // (statistically) independent streams.
@@ -70,6 +67,3 @@ func (s Source) Rand() *rand.Rand {
 func Uniform(r *rand.Rand, lo, hi float64) float64 {
 	return lo + r.Float64()*(hi-lo)
 }
-
-// Perm returns a random permutation of [0, n) using r.
-func Perm(r *rand.Rand, n int) []int { return r.Perm(n) }

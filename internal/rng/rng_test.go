@@ -63,14 +63,5 @@ func TestUniformMean(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(3).Rand()
-	p := Perm(r, 20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
+// Seed returns the underlying seed value.
+func (s Source) Seed() uint64 { return s.seed }

@@ -105,6 +105,8 @@ type ClusterParams struct {
 // are the natural robustness check — hovering locations cover many sensors
 // at once inside a cluster and almost none between clusters, stressing
 // both the coverage model and the tour planner.
+//
+//uavdc:allow deadexport test oracle: the core clustered-field tests build their deployments with it
 func GenerateClustered(p ClusterParams, src rng.Source) (*Network, error) {
 	if err := p.GenParams.Validate(); err != nil {
 		return nil, err

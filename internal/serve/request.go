@@ -141,6 +141,8 @@ func (s ScenarioSpec) Scenario() uavdc.Scenario {
 }
 
 // SpecOf converts a library scenario to the wire form.
+//
+//uavdc:allow deadexport the benchmark module (_perfbench, which the linter does not load) builds its request bodies with it
 func SpecOf(sc uavdc.Scenario) ScenarioSpec {
 	out := ScenarioSpec{
 		RegionSideM:   sc.RegionSideM,

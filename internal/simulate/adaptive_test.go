@@ -108,9 +108,13 @@ func TestAdaptiveNeverDiesUnderFaults(t *testing.T) {
 		{Kind: faults.KindUploadFail, Stops: faults.Range{From: 1, To: 3}, Sensor: faults.AllSensors},
 		{Kind: faults.KindNoHover, Zone: geom.Circle{C: geom.Pt(150, 150), R: 80}},
 	}}
+	def, err := faults.Parse(faults.DefaultSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	schedules := map[string]*faults.Schedule{
 		"none":    nil,
-		"default": faults.Default(),
+		"default": def,
 		"harsh":   harsh,
 	}
 	for s := int64(0); s < 4; s++ {

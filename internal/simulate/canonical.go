@@ -31,6 +31,8 @@ const adaptiveCanonTag = wire.SimulateAdaptive
 // replan margin, and the replan cap. Workers is excluded — replans are
 // worker-invariant by construction. Unset sentinels (Margin ≤ 0,
 // MaxReplans ≤ 0) are resolved to the executor's defaults first.
+//
+//uavdc:allow deadexport the uavdc-simulate-adaptive/1 key extension is a registered wire format; deleting its only encoder would retire a registry entry
 func (o AdaptiveOptions) CanonKey(base canon.Key) (canon.Key, error) {
 	margin := o.Margin
 	if margin <= 0 {

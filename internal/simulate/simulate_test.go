@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"uavdc/internal/core"
@@ -230,23 +229,5 @@ func TestSimulatorAgreesWithAllPlanners(t *testing.T) {
 		if res.EnergyUsed > em.Capacity.F()+1e-6 {
 			t.Errorf("%s: energy %v over capacity", pl.Name(), res.EnergyUsed)
 		}
-	}
-}
-
-func TestWriteTelemetryCSV(t *testing.T) {
-	res := Run(simNet(), energy.Default(), simPlan(), Options{RecordEvents: true})
-	var sb strings.Builder
-	if err := WriteTelemetryCSV(&sb, res.Events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != len(res.Events)+1 {
-		t.Fatalf("csv lines %d, want %d", len(lines), len(res.Events)+1)
-	}
-	if !strings.HasPrefix(lines[0], "kind,time_s,") {
-		t.Errorf("header = %s", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "takeoff,") {
-		t.Errorf("first event = %s", lines[1])
 	}
 }

@@ -83,28 +83,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// GeoMean returns the geometric mean of strictly positive xs; it returns 0
-// if any value is non-positive or the slice is empty. Used for speedup
-// aggregation across instances.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// RelChange returns (b-a)/a, the relative change from a to b, NaN when a=0.
-func RelChange(a, b float64) float64 {
-	if a == 0 {
-		return math.NaN()
-	}
-	return (b - a) / a
-}

@@ -77,27 +77,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); !feq(g, 2, 1e-12) {
-		t.Errorf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negative should be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-}
-
-func TestRelChange(t *testing.T) {
-	if v := RelChange(100, 182); !feq(v, 0.82, 1e-12) {
-		t.Errorf("RelChange = %v", v)
-	}
-	if !math.IsNaN(RelChange(0, 5)) {
-		t.Error("RelChange(0, x) should be NaN")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if str := s.String(); str == "" || len(str) < 10 {

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"time"
-
-	"uavdc/internal/obs"
-)
+import "time"
 
 // Kind discriminates the three record types of a trace stream.
 type Kind byte
@@ -47,21 +43,6 @@ type Buffer struct {
 	depth  int
 	recs   []Record
 	meta   []Attr
-	// durHist, when set, receives every closed span's duration in
-	// seconds under a "trace.span_duration<WallSuffix>" histogram — the
-	// obs-side span-duration distribution.
-	durHist obs.Histogram
-}
-
-// DurationHistName is the obs histogram fed by ObserveDurations. It ends
-// in obs.WallSuffix because span durations are wall-clock observations.
-const DurationHistName = "trace.span_duration" + obs.WallSuffix
-
-// DurationBuckets are the boundaries (seconds) of the span-duration
-// histogram: 1µs … 10s in decades with a 3× midpoint.
-var DurationBuckets = []float64{
-	1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
-	1e-2, 3e-2, 1e-1, 3e-1, 1, 3, 10,
 }
 
 // NewBuffer returns an empty buffer whose epoch is now.
@@ -92,12 +73,6 @@ func (b *Buffer) SetMeta(attrs ...Attr) {
 	}
 }
 
-// ObserveDurations mirrors every subsequently closed span's wall duration
-// into r's DurationHistName histogram.
-func (b *Buffer) ObserveDurations(r obs.Recorder) {
-	b.durHist = obs.OrDiscard(r).Histogram(DurationHistName, DurationBuckets)
-}
-
 // Begin implements Tracer.
 func (b *Buffer) Begin(name string, attrs ...Attr) func(end ...Attr) {
 	d := b.depth
@@ -108,9 +83,6 @@ func (b *Buffer) Begin(name string, attrs ...Attr) func(end ...Attr) {
 		wall := time.Since(b.epoch).Seconds()
 		b.recs = append(b.recs, Record{Kind: KindEnd, Name: name, Depth: d, Wall: wall, Attrs: end})
 		b.depth = d
-		if b.durHist != nil {
-			b.durHist.Observe(wall - start)
-		}
 	}
 }
 
@@ -139,10 +111,10 @@ func (b *Buffer) Reset() {
 	b.depth = 0
 }
 
-// shard returns a worker-private buffer sharing b's epoch, detail flag,
-// and duration histogram, recording at b's current depth.
+// shard returns a worker-private buffer sharing b's epoch and detail
+// flag, recording at b's current depth.
 func (b *Buffer) shard() *Buffer {
-	return &Buffer{epoch: b.epoch, detail: b.detail, depth: b.depth, durHist: b.durHist}
+	return &Buffer{epoch: b.epoch, detail: b.detail, depth: b.depth}
 }
 
 // merge appends s's records to b. Shard records were emitted at b's

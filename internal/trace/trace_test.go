@@ -289,18 +289,3 @@ func TestDiffDetectsDivergence(t *testing.T) {
 		t.Fatalf("prefix diff = %+v", d)
 	}
 }
-
-func TestObserveDurations(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := NewBuffer()
-	b.ObserveDurations(reg)
-	b.Begin("x")()
-	snap := reg.Snapshot()
-	h, ok := snap.Hists[DurationHistName]
-	if !ok || h.Count != 1 {
-		t.Fatalf("duration histogram = %+v", snap.Hists)
-	}
-	if !strings.HasSuffix(DurationHistName, obs.WallSuffix) {
-		t.Fatal("span-duration histogram must be wall-suffixed")
-	}
-}

@@ -122,28 +122,3 @@ func Christofides(items []int, m Metric, rec ...obs.Recorder) (Tour, error) {
 	}
 	return Tour{Order: order}, nil
 }
-
-// ChristofidesCost is a convenience wrapper returning just the tour cost.
-func ChristofidesCost(items []int, m Metric) (float64, error) {
-	t, err := Christofides(items, m)
-	if err != nil {
-		return 0, err
-	}
-	return t.Cost(m), nil
-}
-
-// MSTLowerBound returns the weight of the minimum spanning tree over items,
-// a lower bound on the optimal tour cost (any tour minus one edge is a
-// spanning tree). Used by tests to sandwich heuristic tours.
-func MSTLowerBound(items []int, m Metric) (float64, error) {
-	k := len(items)
-	if k < 2 {
-		return 0, nil
-	}
-	g := graph.NewComplete(k, func(i, j int) float64 { return m(items[i], items[j]) })
-	edges, ok := graph.MSTPrim(g, nil)
-	if !ok {
-		return 0, fmt.Errorf("tsp: disconnected")
-	}
-	return graph.TotalWeight(edges), nil
-}

@@ -5,66 +5,6 @@ import (
 	"math"
 )
 
-// NearestNeighbor builds a tour by starting at items[0] and repeatedly
-// moving to the closest unvisited item. Simple, fast (O(k²)) and a useful
-// baseline/seed for local search.
-func NearestNeighbor(items []int, m Metric) Tour {
-	k := len(items)
-	if k == 0 {
-		return Tour{}
-	}
-	order := make([]int, 0, k)
-	used := make([]bool, k)
-	cur := 0
-	used[0] = true
-	order = append(order, items[0])
-	for len(order) < k {
-		best, bestD := -1, math.Inf(1)
-		for i := 0; i < k; i++ {
-			if !used[i] {
-				if d := m(items[cur], items[i]); d < bestD {
-					best, bestD = i, d
-				}
-			}
-		}
-		used[best] = true
-		order = append(order, items[best])
-		cur = best
-	}
-	return Tour{Order: order}
-}
-
-// CheapestInsertion builds a tour by starting from items[0] and repeatedly
-// inserting the unvisited item whose best insertion position increases the
-// tour cost least. O(k³) worst case but excellent quality on Euclidean
-// instances; used when a fresh tour over a small selected set is needed.
-func CheapestInsertion(items []int, m Metric) Tour {
-	k := len(items)
-	if k == 0 {
-		return Tour{}
-	}
-	order := []int{items[0]}
-	used := make([]bool, k)
-	used[0] = true
-	for len(order) < k {
-		bestItem, bestPos, bestDelta := -1, 0, math.Inf(1)
-		for i := 0; i < k; i++ {
-			if used[i] {
-				continue
-			}
-			pos, delta := BestInsertion(Tour{Order: order}, items[i], m)
-			if delta < bestDelta {
-				bestItem, bestPos, bestDelta = i, pos, delta
-			}
-		}
-		used[bestItem] = true
-		order = append(order, 0)
-		copy(order[bestPos+1:], order[bestPos:])
-		order[bestPos] = items[bestItem]
-	}
-	return Tour{Order: order}
-}
-
 // BestInsertion returns the position pos (0..t.Len()) at which inserting
 // item v into t increases the cycle cost least, and that minimum increase.
 // Inserting at pos places v before t.Order[pos] (pos == t.Len() appends,

@@ -1,29 +1,8 @@
 package tsp
 
 import (
-	"math"
 	"testing"
 )
-
-func TestChristofidesCost(t *testing.T) {
-	pts := randPts(12, 6)
-	m := euclid(pts)
-	items := allItems(12)
-	c, err := ChristofidesCost(items, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tour, err := Christofides(items, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-tour.Cost(m)) > 1e-9 {
-		t.Errorf("ChristofidesCost %v != tour cost %v", c, tour.Cost(m))
-	}
-	if _, err := ChristofidesCost([]int{0, 0, 1}, m); err == nil {
-		t.Error("duplicate items accepted")
-	}
-}
 
 func TestMSTLowerBoundDegenerate(t *testing.T) {
 	pts := randPts(3, 7)

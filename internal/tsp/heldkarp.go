@@ -11,8 +11,9 @@ const HeldKarpMax = 16
 
 // ExactHeldKarp computes an optimal tour over items by the Held–Karp
 // dynamic program over subsets. It is exponential and restricted to
-// len(items) ≤ HeldKarpMax; it exists as the ground-truth oracle for tests
-// and for exact small-instance planning.
+// len(items) ≤ HeldKarpMax; it is the ground-truth oracle for tests.
+//
+//uavdc:allow deadexport test oracle: the tsp and core exact-solver tests compare planners against it
 func ExactHeldKarp(items []int, m Metric) (Tour, float64, error) {
 	k := len(items)
 	if k > HeldKarpMax {

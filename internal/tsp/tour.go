@@ -13,7 +13,6 @@ package tsp
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Metric returns the travel cost between items i and j. Implementations
@@ -82,27 +81,4 @@ func (t *Tour) RotateTo(v int) {
 	}
 	rotated := append(append([]int(nil), t.Order[i:]...), t.Order[:i]...)
 	copy(t.Order, rotated)
-}
-
-// Validate checks that the tour visits each of the given items exactly once
-// and nothing else.
-func (t Tour) Validate(items []int) error {
-	if len(t.Order) != len(items) {
-		return fmt.Errorf("tsp: tour has %d items, want %d", len(t.Order), len(items))
-	}
-	want := append([]int(nil), items...)
-	got := append([]int(nil), t.Order...)
-	sort.Ints(want)
-	sort.Ints(got)
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("tsp: tour items differ from expected at sorted position %d: %d vs %d", i, got[i], want[i])
-		}
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] == got[i-1] {
-			return fmt.Errorf("tsp: duplicate item %d in tour", got[i])
-		}
-	}
-	return nil
 }

@@ -80,9 +80,6 @@ func Duration(e Joules, p Watts) Seconds { return Seconds(float64(e) / float64(p
 // TravelTime is the time to cover a distance at a speed: d/v, in s.
 func TravelTime(d Meters, v MetersPerSecond) Seconds { return Seconds(float64(d) / float64(v)) }
 
-// Distance is the ground covered at a speed over a duration: v·t, in m.
-func Distance(v MetersPerSecond, t Seconds) Meters { return Meters(float64(v) * float64(t)) }
-
 // Transfer is the data moved at a rate over a duration: r·t, in MB.
 func Transfer(r BitsPerSecond, t Seconds) Bits { return Bits(float64(r) * float64(t)) }
 
@@ -99,10 +96,6 @@ func Ratio[T ~float64](a, b T) float64 { return float64(a) / float64(b) }
 // Min returns the smaller of two like quantities, with math.Min's
 // NaN/signed-zero semantics.
 func Min[T ~float64](a, b T) T { return T(math.Min(float64(a), float64(b))) }
-
-// Max returns the larger of two like quantities, with math.Max's
-// NaN/signed-zero semantics.
-func Max[T ~float64](a, b T) T { return T(math.Max(float64(a), float64(b))) }
 
 // Abs returns the magnitude of a quantity.
 func Abs[T ~float64](q T) T { return T(math.Abs(float64(q))) }

@@ -88,16 +88,6 @@ func Current(name string) (version int, ok bool) {
 	return version, ok
 }
 
-// Canonical returns a copy of the registry, schema name → current
-// version, for cross-checking tests and the wirefmt analyzer.
-func Canonical() map[string]int {
-	out := make(map[string]int, len(current))
-	for name, version := range current {
-		out[name] = version
-	}
-	return out
-}
-
 // ParseTag splits a "uavdc-<name>/<version>" tag into its schema name
 // and version. The name grammar matches the wirefmt analyzer: lowercase
 // letters, digits, and interior dashes, starting with a letter.
@@ -118,11 +108,6 @@ func ParseTag(tag string) (name string, version int, err error) {
 		return "", 0, fmt.Errorf("wire: tag %q has invalid version %q", tag, ver)
 	}
 	return name, version, nil
-}
-
-// Tag assembles the "uavdc-<name>/<version>" form.
-func Tag(name string, version int) string {
-	return fmt.Sprintf("uavdc-%s/%d", name, version)
 }
 
 // validName reports whether name is a well-formed schema name:

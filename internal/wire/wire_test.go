@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -158,4 +159,19 @@ func sortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Canonical returns a copy of the registry, schema name → current
+// version, for cross-checking tests and the wirefmt analyzer.
+func Canonical() map[string]int {
+	out := make(map[string]int, len(current))
+	for name, version := range current {
+		out[name] = version
+	}
+	return out
+}
+
+// Tag assembles the "uavdc-<name>/<version>" form.
+func Tag(name string, version int) string {
+	return fmt.Sprintf("uavdc-%s/%d", name, version)
 }
