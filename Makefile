@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFaultSchedule -fuzztime 10s ./internal/faults
 	$(GO) test -fuzz FuzzAllowDirective -fuzztime 10s ./internal/lint
 	$(GO) test -fuzz FuzzCanonicalInstance -fuzztime 10s ./internal/canon
+	$(GO) test -fuzz FuzzRetourMatchesImprove -fuzztime 10s ./internal/tsp
 
 # Adaptive-executor gate: the reachable-depot property test over its fixed
 # seed matrix, the cross-worker determinism test, and the bit-for-bit
@@ -90,8 +91,9 @@ trace:
 		rm -rf $$tmp
 
 # Fast-path parity gate: race-enabled differential tests holding the
-# spatial-index scan, cached insertion pricing, and memoized matrices to
-# bit-identical plans and counters against the retained reference path —
+# spatial-index scan, cached insertion pricing, memoized matrices and the
+# baselines' re-tour certificate to bit-identical plans and counters
+# against the retained reference path —
 # at the planner level (various worker counts) and across all figure
 # drivers at GOMAXPROCS 1/4/8 — plus a paper-scale (δ = 5 m) smoke run of
 # the `full` uavbench preset.
@@ -134,10 +136,12 @@ obs:
 bench:
 	$(GO) run ./cmd/uavbench -preset reduced -speedup full -serve reduced -out BENCH_PR7.json
 
-# Micro-benchmark behind the speedup panel: candidate generation fast vs
-# reference (internal/core).
+# Micro-benchmarks: candidate generation fast vs reference (behind the
+# speedup panel) and one PaperTight-size baseline plan (internal/core),
+# and one 500-item Improve on a matrix (internal/tsp).
 bench-micro:
-	$(GO) test -run XXX -bench 'BenchmarkAlg2' -benchtime 3x ./internal/core
+	$(GO) test -run XXX -bench 'BenchmarkAlg2|BenchmarkBaselinePlan' -benchtime 3x ./internal/core
+	$(GO) test -run XXX -bench 'BenchmarkImprove' -benchtime 3x ./internal/tsp
 
 # Baseline-parity gate: BENCH_PR7.json against BENCH_PR6.json. Both run
 # the same planner, so every deterministic field of the prior panels —

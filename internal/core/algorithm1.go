@@ -11,7 +11,9 @@ import (
 )
 
 // costMemoMax bounds the node count for which planners materialise dense
-// cost matrices (8·n² bytes); larger instances keep closure metrics.
+// cost matrices (8·n² bytes); larger instances keep closure metrics, and
+// their tour polish builds a submatrix over the tour's items per call
+// (tsp.ImproveMetric).
 const costMemoMax = 2048
 
 // Algorithm1 solves the data-collection maximisation problem without
@@ -68,15 +70,19 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 
 	// The fast path hands the solver stack (exact DP, tour split, local
 	// search) a dense memoised cost table instead of the raw closure, so
-	// it stops recomputing hover/travel energies per probe. Every entry
-	// is the exact float64 the closure returns.
+	// it stops recomputing hover/travel energies per probe, and its tour
+	// polish sweeps that table directly. Every entry is the exact float64
+	// the closure returns.
 	cost := tsp.Metric(func(i, j int) float64 { return set.AuxiliaryWeight(ids[i], ids[j]).F() })
+	var dense *tsp.Matrix
 	if !in.Reference && len(ids) <= costMemoMax {
-		cost = tsp.MemoMetric(len(ids), cost)
+		dense = tsp.NewMatrix(len(ids), cost)
+		cost = dense.Metric()
 	}
 	prob := &orienteering.Problem{
 		N:      len(ids),
 		Cost:   cost,
+		Dense:  dense,
 		Reward: func(i int) float64 { return set.Locs[ids[i]].Award.F() },
 		Budget: in.Budget().F(),
 		Depot:  0,

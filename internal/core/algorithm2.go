@@ -232,15 +232,10 @@ func (st *greedyState) noteDrained(v int) {
 	}
 }
 
-// improveTour re-optimises the tour after an acceptance. The fast path
-// polishes through a dense submatrix over the tour's items — bit-identical
-// moves, counters and trace to the direct form (see tsp.ImproveDense).
+// improveTour re-optimises the tour after an acceptance, through a dense
+// submatrix over the tour's items (see tsp.ImproveMetric).
 func (st *greedyState) improveTour() {
-	if st.reference {
-		tsp.Improve(&st.tour, st.dist, st.rec)
-	} else {
-		tsp.ImproveDense(&st.tour, st.dist, st.rec)
-	}
+	tsp.ImproveMetric(&st.tour, st.dist, st.rec)
 }
 
 // acceptFull inserts the candidate, drains every still-loaded covered
@@ -274,7 +269,7 @@ func (st *greedyState) christofidesDelta(c int) (int, float64) {
 	if err != nil {
 		return tsp.BestInsertion(st.tour, c, st.dist)
 	}
-	tsp.Improve(&full, st.dist, st.rec)
+	tsp.ImproveMetric(&full, st.dist, st.rec)
 	delta := full.Cost(st.dist) - st.tour.Cost(st.dist)
 	if delta < 0 {
 		delta = 0

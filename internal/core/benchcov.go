@@ -31,20 +31,12 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 	rec := in.obsRecorder()
 	so := newScanObs(rec)
 	removals := rec.Counter(CounterBenchRemovals)
-	net := in.Net
-	n := len(net.Sensors)
 	r0 := in.EffectiveCoverRadius()
-	dist := func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) }
-	items := make([]int, n+1)
-	for i := range items {
-		items[i] = i
-	}
-	tour, err := tsp.Christofides(items, dist, rec)
+	pr, dist, err := baselineTour(in, rec)
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark-coverage tsp: %w", err)
 	}
-	tsp.Improve(&tour, dist, rec)
-	tour.RotateTo(0)
+	pr.RotateTo(0)
 
 	// Iteratively: realise the coverage-aware plan along the tour, and
 	// while it exceeds the budget prune the stop with the least collected
@@ -52,6 +44,7 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 	// drained at the first stop covering it), so recompute after each
 	// removal.
 	for {
+		tour := pr.Tour
 		plan := b.realize(in, tour, r0)
 		if plan.Energy(in.Model) <= in.Budget().F()+1e-9 {
 			return plan, nil
@@ -75,10 +68,9 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 		if bestIdx < 0 {
 			return plan, nil // only the depot remains; plan is empty
 		}
-		tour, _ = tsp.Remove(tour, tour.Order[bestIdx+1], dist)
 		removals.Inc()
-		tsp.Improve(&tour, dist, rec)
-		tour.RotateTo(0)
+		pr.RemoveAt(bestIdx+1, rec)
+		pr.RotateTo(0)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"uavdc/internal/geom"
+	"uavdc/internal/obs"
 	"uavdc/internal/trace"
 	"uavdc/internal/tsp"
 	"uavdc/internal/units"
@@ -34,28 +35,13 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 	net := in.Net
 	n := len(net.Sensors)
 	endPlan := tr.Begin(SpanPlanBench, trace.Int("nodes", n+1))
-	// Item ids: 0 is the depot, 1..n are sensors (sensor v is item v+1).
-	// The fast path memoises the distance matrix over depot+sensors and
-	// prices removals in place (the neighbour-edge delta computed directly
-	// instead of through tsp.Remove's index scan and slice copy). Both are
-	// pure expression rewrites yielding the exact same float64s.
-	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })
-	if !in.Reference && n+1 <= costMemoMax {
-		dist = tsp.MemoMetric(n+1, dist)
-	}
-	items := make([]int, n+1)
-	for i := range items {
-		items[i] = i
-	}
 	endCon := tr.Begin(SpanPlanBenchConstruct)
-	tour, err := tsp.Christofides(items, dist, rec)
+	pr, dist, err := baselineTour(in, rec)
+	endCon()
 	if err != nil {
-		endCon()
 		endPlan()
 		return nil, fmt.Errorf("core: benchmark tsp: %w", err)
 	}
-	tsp.Improve(&tour, dist, rec)
-	endCon()
 
 	var hoverTime units.Seconds
 	for v := 0; v < n; v++ {
@@ -64,11 +50,11 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 
 	removed := 0
 	endPrune := tr.Begin(SpanPlanBenchPrune)
-	for in.Model.TourEnergy(units.Meters(tour.Cost(dist)), hoverTime) > in.Budget()+1e-9 {
+	for in.Model.TourEnergy(units.Meters(pr.Tour.Cost(dist)), hoverTime) > in.Budget()+1e-9 {
 		// Find the cheapest-loss removal.
-		bestItem := -1
+		tour := pr.Tour
+		bestItem, bestPos := -1, -1
 		bestScore := 0.0
-		tn := tour.Len()
 		for ti, it := range tour.Order {
 			if it == 0 {
 				continue // never remove the depot
@@ -76,45 +62,37 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 			so.evals.Inc()
 			v := it - 1
 			var travelD float64
-			switch {
-			case in.Reference:
+			if in.Reference {
 				_, travelD = tsp.Remove(tour, it, dist)
-			case tn >= 3:
-				// tsp.Remove's delta for the known position, without the
-				// index scan or the pruned-tour copy it allocates.
-				a := tour.Order[(ti-1+tn)%tn]
-				bb := tour.Order[(ti+1)%tn]
-				travelD = dist(a, it) + dist(it, bb) - dist(a, bb)
-			case tn == 2:
-				travelD = 2 * dist(tour.Order[0], tour.Order[1])
+			} else {
+				travelD = removalDelta(tour, ti, dist)
 			}
 			saved := in.Model.TravelEnergy(units.Meters(travelD)) + in.Model.HoverEnergy(units.Seconds(net.UploadTime(v)))
 			if saved <= 1e-12 {
 				// Removing frees no energy (duplicate position); always take it.
-				bestItem = it
+				bestItem, bestPos = it, ti
 				break
 			}
 			score := net.Sensors[v].Data / saved.F()
 			if bestItem < 0 || score < bestScore {
-				bestItem, bestScore = it, score
+				bestItem, bestPos, bestScore = it, ti, score
 			}
 		}
 		if bestItem < 0 {
 			break // only the depot remains
 		}
-		tour, _ = tsp.Remove(tour, bestItem, dist)
 		hoverTime -= units.Seconds(net.UploadTime(bestItem - 1))
 		removals.Inc()
 		tr.Event(EventBenchRemove, trace.Int("item", bestItem))
 		removed++
-		tsp.Improve(&tour, dist, rec)
+		pr.RemoveAt(bestPos, rec)
 	}
 	endPrune(trace.Int("removed", removed))
-	tsp.Improve(&tour, dist, rec)
+	pr.Improve(rec)
 
-	tour.RotateTo(0)
+	pr.RotateTo(0)
 	plan := &Plan{Algorithm: b.Name(), Depot: net.Depot}
-	for _, it := range tour.Order {
+	for _, it := range pr.Tour.Order {
 		if it == 0 {
 			continue
 		}
@@ -137,4 +115,48 @@ func pos(in *Instance, i int) geom.Point {
 		return in.Net.Depot
 	}
 	return in.Net.Sensors[i-1].Pos
+}
+
+// baselineTour builds the Christofides tour over the depot and every
+// sensor (item 0 is the depot, item v+1 is sensor v), polishes it, and
+// returns it in the remove-and-re-tour helper both baselines prune
+// through, with the metric it is priced by. The fast path memoises the
+// distance matrix, so the helper can certify most re-tours in O(n); the
+// reference path, and instances over costMemoMax, re-run the full Improve
+// over the closure after every removal. All of it yields the same
+// float64s, tours and counters.
+func baselineTour(in *Instance, rec obs.Recorder) (*tsp.Pruner, tsp.Metric, error) {
+	n := len(in.Net.Sensors)
+	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })
+	var x *tsp.Matrix
+	if !in.Reference && n+1 <= costMemoMax {
+		x = tsp.NewMatrix(n+1, dist)
+		dist = x.Metric()
+	}
+	items := make([]int, n+1)
+	for i := range items {
+		items[i] = i
+	}
+	tour, err := tsp.Christofides(items, dist, rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr := tsp.NewPruner(tour, x, dist)
+	pr.Improve(rec)
+	return pr, dist, nil
+}
+
+// removalDelta is tsp.Remove's cost decrease for the item at position ti
+// of t, without its index scan or the pruned-tour copy it allocates.
+func removalDelta(t tsp.Tour, ti int, dist tsp.Metric) float64 {
+	n := t.Len()
+	switch {
+	case n >= 3:
+		a := t.Order[(ti-1+n)%n]
+		b := t.Order[(ti+1)%n]
+		return dist(a, t.Order[ti]) + dist(t.Order[ti], b) - dist(a, b)
+	case n == 2:
+		return 2 * dist(t.Order[0], t.Order[1])
+	}
+	return 0
 }

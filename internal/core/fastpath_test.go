@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"uavdc/internal/energy"
 	"uavdc/internal/geom"
 	"uavdc/internal/obs"
+	"uavdc/internal/rng"
+	"uavdc/internal/sensornet"
 	"uavdc/internal/units"
 )
 
@@ -123,6 +127,64 @@ func TestFastPathMatchesReferenceReplan(t *testing.T) {
 	}
 }
 
+// paperDensityInstance is a seeded field at the paper's density (500
+// sensors per km²) with the given battery capacity.
+func paperDensityInstance(t testing.TB, seed uint64, sensors int, capacity units.Joules) *Instance {
+	t.Helper()
+	p := sensornet.DefaultGenParams()
+	p.NumSensors = sensors
+	p.Side = 1000 * math.Sqrt(float64(sensors)/500)
+	net, err := sensornet.Generate(p, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Instance{Net: net, Model: energy.Default().WithCapacity(capacity), Delta: 10, K: 4}
+}
+
+// TestFastPathMatchesReferenceBenchmark holds both baselines' prune loops
+// (matrix, in-place pricing and the re-tour certificate) to the reference
+// path (closure metric, tsp.Remove pricing, a full Improve after every
+// removal): bit-equal plans and equal counters, on fields tight enough
+// that hundreds of sensors are pruned.
+func TestFastPathMatchesReferenceBenchmark(t *testing.T) {
+	cases := []struct {
+		seed    uint64
+		sensors int
+		budget  units.Joules
+	}{
+		{1, 120, 4e4},
+		{2, 300, 6e4},
+		{3, 320, 9e4},
+	}
+	for _, c := range cases {
+		for _, p := range []Planner{&BenchmarkPlanner{}, &BenchmarkCoverage{}} {
+			run := func(reference bool) (*Plan, obs.Snapshot) {
+				reg := obs.NewRegistry()
+				in := paperDensityInstance(t, c.seed, c.sensors, c.budget)
+				in.Obs = reg
+				in.Reference = reference
+				plan, err := p.Plan(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return plan, reg.Snapshot()
+			}
+			ref, refSnap := run(true)
+			fast, fastSnap := run(false)
+			assertPlansIdentical(t, p.Name(), 0, ref, fast)
+			if !refSnap.Equal(fastSnap) {
+				t.Errorf("%s seed %d: counters diverge:\n%s", p.Name(), c.seed, refSnap.Diff(fastSnap))
+			}
+			t.Logf("%s seed %d, %d sensors: %d removals", p.Name(), c.seed, c.sensors, fastSnap.Counters[CounterBenchRemovals])
+			if _, ok := p.(*BenchmarkPlanner); ok && c.sensors >= 300 {
+				if removed := fastSnap.Counters[CounterBenchRemovals]; removed < 100 {
+					t.Errorf("seed %d: only %d removals; the budget is not tight enough", c.seed, removed)
+				}
+			}
+		}
+	}
+}
+
 // TestSkippedEvalsReconcile is the accounting oracle for the pruned scan:
 // per planner, the fast path's candidate evaluations plus its skipped
 // (provably zero-award) candidates must equal the reference path's
@@ -235,6 +297,19 @@ func benchAlg2(b *testing.B, reference bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&Algorithm2{}).Plan(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBaselinePlan is one PaperTight-size baseline plan: 500
+// sensors on 1 km² at 1.5×10⁵ J, where the prune loop removes hundreds of
+// sensors (make bench-micro).
+func BenchmarkBaselinePlan(b *testing.B) {
+	in := paperDensityInstance(b, 1, 500, 1.5e5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (&BenchmarkPlanner{}).Plan(in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -123,7 +123,7 @@ func RefinePlan(in *Instance, plan *Plan) *Plan {
 				order[i] = i
 			}
 			tour := tsp.Tour{Order: order}
-			if tsp.Improve(&tour, metric) > 1e-9 {
+			if tsp.ImproveMetric(&tour, metric) > 1e-9 {
 				moved = true
 			}
 			tour.RotateTo(0)

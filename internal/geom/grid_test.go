@@ -42,7 +42,7 @@ func TestGridDimensions(t *testing.T) {
 	}
 }
 
-func TestGridCenterAndSquare(t *testing.T) {
+func TestGridCenter(t *testing.T) {
 	g, _ := NewGrid(Square(100), 10)
 	if got := g.Center(0); got != Pt(5, 5) {
 		t.Errorf("Center(0) = %v", got)

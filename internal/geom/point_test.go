@@ -95,7 +95,7 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectClampAndCircle(t *testing.T) {
+func TestRectClamp(t *testing.T) {
 	r := Square(100)
 	if got := r.Clamp(Pt(-5, 50)); got != Pt(0, 50) {
 		t.Errorf("Clamp = %v", got)

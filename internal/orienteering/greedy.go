@@ -56,10 +56,10 @@ func GreedyRatio(p *Problem) (Solution, error) {
 		// further insertions; always keeps the tour feasible because
 		// local search never increases cost.
 		if tour.Len()%8 == 0 {
-			tsp.Improve(&tour, p.Cost)
+			p.polish(&tour)
 			cost = tour.Cost(p.Cost)
 		}
 	}
-	tsp.Improve(&tour, p.Cost)
+	p.polish(&tour)
 	return p.solutionFor(tour), nil
 }

@@ -27,7 +27,7 @@ func LocalSearch(p *Problem, start Solution, maxIters int) Solution {
 		improved := false
 		// Polish ordering first so budget headroom is maximal.
 		t := cur.Tour.Clone()
-		if tsp.Improve(&t, p.Cost) > 1e-12 {
+		if p.polish(&t) > 1e-12 {
 			cur = p.solutionFor(t)
 		}
 
@@ -99,7 +99,7 @@ func LocalSearch(p *Problem, start Solution, maxIters int) Solution {
 					continue
 				}
 				trial, _ := tsp.Remove(cur.Tour, out, p.Cost)
-				tsp.Improve(&trial, p.Cost)
+				p.polish(&trial)
 				cand := p.solutionFor(trial)
 				cand = greedyFill(p, cand, out)
 				if cand.Reward > cur.Reward+1e-9 {

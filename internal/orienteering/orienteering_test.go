@@ -3,6 +3,7 @@ package orienteering
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uavdc/internal/geom"
@@ -224,6 +225,29 @@ func TestSolveAutoLarge(t *testing.T) {
 	}
 	if sol.Reward <= 0 {
 		t.Error("large instance with generous budget should collect something")
+	}
+}
+
+// TestDenseSolvesIdentically: a problem carrying its cost matrix solves to
+// the same tour and reward as one with the closure alone, with every
+// method that polishes tours.
+func TestDenseSolvesIdentically(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		for _, method := range []Method{MethodGreedy, MethodTourSplit, MethodAuto} {
+			p, _ := randomProblem(40, 150, 30+seed)
+			want, err := Solve(p, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Dense = tsp.NewMatrix(p.N, p.Cost)
+			got, err := Solve(p, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Tour.Order, want.Tour.Order) || got.Reward != want.Reward || got.Cost != want.Cost {
+				t.Fatalf("seed %d method %v: dense %+v, closure %+v", seed, method, got, want)
+			}
+		}
 	}
 }
 

@@ -31,6 +31,10 @@ type Problem struct {
 	// paper's reduction this is w2 of Eq. 9 and must satisfy the triangle
 	// inequality (Lemma 1 guarantees it does).
 	Cost tsp.Metric
+	// Dense, when non-nil, is Cost materialised over 0..N-1
+	// (tsp.NewMatrix(N, Cost)). The tour polish then runs on it instead of
+	// building a submatrix per call; the result is the same either way.
+	Dense *tsp.Matrix
 	// Reward is the award collected when a node is visited (p of Eq. 6).
 	// The depot conventionally has reward zero.
 	Reward func(i int) float64
@@ -55,6 +59,14 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("orienteering: invalid budget %v", p.Budget)
 	}
 	return nil
+}
+
+// polish re-orders t by tsp.Improve, on Dense when the problem has it.
+func (p *Problem) polish(t *tsp.Tour) float64 {
+	if p.Dense != nil {
+		return tsp.Improve(t, p.Dense)
+	}
+	return tsp.ImproveMetric(t, p.Cost)
 }
 
 // Solution is a feasible closed tour and its collected reward.

@@ -35,7 +35,7 @@ func TourSplit(p *Problem) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	tsp.Improve(&full, p.Cost)
+	p.polish(&full)
 	full.RotateTo(p.Depot)
 	if full.Cost(p.Cost) <= p.Budget+1e-9 {
 		return p.solutionFor(full), nil
@@ -84,7 +84,7 @@ func TourSplit(p *Problem) (Solution, error) {
 				order := append([]int{p.Depot}, seq[i:j+1]...)
 				cand := tsp.Tour{Order: order}
 				// Polish within budget; Improve never increases cost.
-				tsp.Improve(&cand, p.Cost)
+				p.polish(&cand)
 				best = p.solutionFor(cand)
 			}
 		}

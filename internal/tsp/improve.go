@@ -19,27 +19,26 @@ const (
 	CounterOrOptMoves   = "tsp.oropt_moves"
 )
 
-// TwoOpt improves t in place by repeatedly reversing segments while an
+// twoOpt improves t in place by repeatedly reversing segments while an
 // improving 2-exchange exists, up to maxRounds full sweeps (≤ 0 means sweep
-// until no improvement). Returns the total cost reduction. The classic
-// post-processing step after Christofides or insertion construction. An
-// optional obs.Recorder counts sweeps and accepted moves.
-func TwoOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
+// until no improvement). Returns the total cost reduction and the number
+// of accepted moves, which r also counts, with the sweeps.
+func twoOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 	n := t.Len()
 	if n < 4 {
-		return 0
+		return 0, 0
 	}
-	r := obs.First(rec...)
 	passes := r.Counter(CounterTwoOptPasses)
 	moves := r.Counter(CounterTwoOptMoves)
 	var saved float64
+	var moved int
 	for round := 0; maxRounds <= 0 || round < maxRounds; round++ {
 		passes.Inc()
 		improved := false
 		for i := 0; i < n-1; i++ {
 			a := t.Order[i]
 			b := t.Order[i+1]
-			dAB := m(a, b)
+			dAB := x.at(a, b)
 			for j := i + 2; j < n; j++ {
 				// Reversing t.Order[i+1..j] replaces edges (a,b),(c,d)
 				// with (a,c),(b,d).
@@ -48,14 +47,15 @@ func TwoOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
 				if i == 0 && j == n-1 {
 					continue // same edge pair on the cycle
 				}
-				delta := m(a, c) + m(b, d) - dAB - m(c, d)
+				delta := x.at(a, c) + x.at(b, d) - dAB - x.at(c, d)
 				if delta < -1e-12 {
 					reverse(t.Order[i+1 : j+1])
 					saved -= delta
 					improved = true
+					moved++
 					moves.Inc()
 					b = t.Order[i+1]
-					dAB = m(a, b)
+					dAB = x.at(a, b)
 				}
 			}
 		}
@@ -63,22 +63,23 @@ func TwoOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
 			break
 		}
 	}
-	return saved
+	return saved, moved
 }
 
-// OrOpt improves t in place by relocating chains of 1–3 consecutive items
+// orOpt improves t in place by relocating chains of 1–3 consecutive items
 // to better positions, complementing 2-opt (which cannot fix misplaced
-// single stops). Returns the total cost reduction. An optional
-// obs.Recorder counts sweeps and accepted relocations.
-func OrOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
+// single stops), up to maxRounds rounds. Returns the total cost reduction
+// and the number of accepted relocations, which r also counts, with the
+// rounds.
+func orOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 	n := t.Len()
 	if n < 4 {
-		return 0
+		return 0, 0
 	}
-	r := obs.First(rec...)
 	passes := r.Counter(CounterOrOptPasses)
 	moves := r.Counter(CounterOrOptMoves)
 	var saved float64
+	var moved int
 	for round := 0; maxRounds <= 0 || round < maxRounds; round++ {
 		passes.Inc()
 		improved := false
@@ -97,7 +98,7 @@ func OrOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
 				if prev == segEnd || next == segStart {
 					continue // segment is the whole cycle
 				}
-				removeGain := m(prev, segStart) + m(segEnd, next) - m(prev, next)
+				removeGain := x.at(prev, segStart) + x.at(segEnd, next) - x.at(prev, next)
 				if removeGain <= 1e-12 {
 					continue
 				}
@@ -112,11 +113,12 @@ func OrOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
 					if i == 0 && j == n-1 {
 						continue
 					}
-					insCost := m(a, segStart) + m(segEnd, b) - m(a, b)
+					insCost := x.at(a, segStart) + x.at(segEnd, b) - x.at(a, b)
 					if insCost < removeGain-1e-12 {
 						relocate(t.Order, i, segLen, j)
 						saved += removeGain - insCost
 						improved = true
+						moved++
 						moves.Inc()
 						// Restart scanning this segment length.
 						i = -1
@@ -132,30 +134,23 @@ func OrOpt(t *Tour, m Metric, maxRounds int, rec ...obs.Recorder) float64 {
 			break
 		}
 	}
-	return saved
+	return saved, moved
 }
 
-// relocate moves the segment order[i:i+segLen] so it follows the element
-// originally at position j (j outside the segment).
+// relocate moves the segment order[i:i+segLen] (segLen ≤ 3) so it follows
+// the element originally at position j (j outside the segment), shifting
+// the items in between in place.
 func relocate(order []int, i, segLen, j int) {
-	seg := append([]int(nil), order[i:i+segLen]...)
-	rest := make([]int, 0, len(order)-segLen)
-	rest = append(rest, order[:i]...)
-	rest = append(rest, order[i+segLen:]...)
-	// Find the element originally at position j within rest.
-	target := order[j]
-	pos := -1
-	for k, v := range rest {
-		if v == target {
-			pos = k
-			break
-		}
+	var buf [3]int
+	seg := buf[:segLen]
+	copy(seg, order[i:i+segLen])
+	if j < i {
+		copy(order[j+1+segLen:i+segLen], order[j+1:i])
+		copy(order[j+1:], seg)
+	} else {
+		copy(order[i:], order[i+segLen:j+1])
+		copy(order[j+1-segLen:], seg)
 	}
-	out := make([]int, 0, len(order))
-	out = append(out, rest[:pos+1]...)
-	out = append(out, seg...)
-	out = append(out, rest[pos+1:]...)
-	copy(order, out)
 }
 
 func reverse(s []int) {
@@ -164,21 +159,35 @@ func reverse(s []int) {
 	}
 }
 
-// Improve applies TwoOpt then OrOpt until neither helps (bounded sweeps),
-// returning the total reduction. This is the standard polish the planners
-// apply after construction. An optional obs.Recorder is forwarded to both
-// passes.
-func Improve(t *Tour, m Metric, rec ...obs.Recorder) float64 {
-	r := obs.First(rec...)
+// Improve applies 2-opt to a fixed point, then up to two Or-opt rounds,
+// until neither helps (bounded iterations), returning the total
+// reduction. This is the standard polish the planners apply after
+// construction. An optional obs.Recorder counts both passes' sweeps and
+// moves and receives the tsp/improve span.
+func Improve(t *Tour, x *Matrix, rec ...obs.Recorder) float64 {
+	saved, _ := improve(t, x, obs.First(rec...))
+	return saved
+}
+
+// improveIters caps Improve's 2-opt + Or-opt iterations.
+const improveIters = 8
+
+// improve is Improve, also reporting whether its last iteration accepted
+// no move. That is the only way it stops before the iteration cap, and it
+// means the final tour is a fixed point of one full 2-opt sweep and one
+// full Or-opt round: every pair both scan evaluated was non-improving.
+func improve(t *Tour, x *Matrix, r obs.Recorder) (total float64, fixed bool) {
 	end := trace.Of(r).Begin(SpanImprove, trace.Int("items", t.Len()))
-	var total float64
-	for iter := 0; iter < 8; iter++ {
-		d := TwoOpt(t, m, 0, r) + OrOpt(t, m, 2, r)
+	for iter := 0; iter < improveIters; iter++ {
+		s2, m2 := twoOpt(t, x, 0, r)
+		s3, m3 := orOpt(t, x, 2, r)
+		d := s2 + s3
 		total += d
+		fixed = m2+m3 == 0
 		if d <= 1e-12 {
 			break
 		}
 	}
 	end(trace.Num("saved_m", total))
-	return total
+	return total, fixed
 }

@@ -2,15 +2,21 @@ package tsp
 
 import "uavdc/internal/obs"
 
-// MemoMetric materialises m over the items 0..n-1 into a dense matrix and
-// returns a Metric backed by it. Every entry is the exact float64 value m
-// returns, so swapping a metric for its memoised form is output-invariant
-// bit for bit; the payoff is that hot loops (Christofides, insertion
-// pricing, 2-opt sweeps) stop recomputing hypotenuses and instead do one
-// array load. The full n×n table is filled — no symmetry assumption — so
-// the wrapper is exact even for metrics that are only symmetric up to
+// Matrix is a dense cost table over the items 0..n-1, the one form the
+// local search (Improve and its 2-opt and Or-opt passes) runs on. Every
+// entry is the exact float64 the source Metric returns, so replacing a
+// metric by its matrix is output-invariant bit for bit; the payoff is
+// that the sweeps read one array element per distance instead of calling
+// a closure. The full n×n table is filled — no symmetry assumption — so
+// the matrix is exact even for metrics that are only symmetric up to
 // rounding. Memory is 8·n² bytes; callers guard n.
-func MemoMetric(n int, m Metric) Metric {
+type Matrix struct {
+	n int
+	d []float64
+}
+
+// NewMatrix materialises m over the items 0..n-1.
+func NewMatrix(n int, m Metric) *Matrix {
 	d := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		row := d[i*n : (i+1)*n]
@@ -21,43 +27,32 @@ func MemoMetric(n int, m Metric) Metric {
 			row[j] = m(i, j)
 		}
 	}
+	return &Matrix{n: n, d: d}
+}
+
+func (x *Matrix) at(i, j int) float64 { return x.d[i*x.n+j] }
+
+// Metric returns the matrix as a Metric, for the algorithms that take one
+// (Christofides, insertion pricing, Tour.Cost).
+func (x *Matrix) Metric() Metric {
+	n, d := x.n, x.d
 	return func(i, j int) float64 { return d[i*n+j] }
 }
 
-// memoDenseMin is the tour size below which ImproveDense skips the
-// submatrix and calls Improve directly: for tiny tours the O(t²) fill
-// costs more than the sweeps save.
-const memoDenseMin = 16
-
-// ImproveDense is Improve evaluated through a dense memoised submatrix
-// over the tour's own items. The local search runs on a relabelled tour
-// 0..t-1 whose metric is the precomputed table of m over t.Order, so every
-// comparison sees the exact same float64 values Improve would compute —
-// the move sequence, the accepted tours, the recorded counters and the
-// emitted trace span are all bit-identical to Improve(t, m, ...). Use it
-// when m is expensive (hypot-backed or closure-chained) and the tour is
-// large enough for the O(t²) fill to pay for itself.
-func ImproveDense(t *Tour, m Metric, rec ...obs.Recorder) float64 {
-	n := t.Len()
-	if n < memoDenseMin {
-		return Improve(t, m, rec...)
-	}
+// ImproveMetric is Improve for callers that hold only a Metric. It runs
+// Improve on a relabelled tour 0..t-1 over the matrix of m restricted to
+// t's items, so every comparison sees the exact float64s m returns and the
+// moves, the final order, the counters and the trace span are those of
+// Improve on a matrix over all items. The submatrix costs 8·t² bytes per
+// call.
+func ImproveMetric(t *Tour, m Metric, rec ...obs.Recorder) float64 {
 	items := append([]int(nil), t.Order...)
-	d := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		row := d[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			row[j] = m(items[i], items[j])
-		}
-	}
-	local := Tour{Order: make([]int, n)}
+	x := NewMatrix(len(items), func(i, j int) float64 { return m(items[i], items[j]) })
+	local := Tour{Order: make([]int, len(items))}
 	for i := range local.Order {
 		local.Order[i] = i
 	}
-	saved := Improve(&local, func(i, j int) float64 { return d[i*n+j] }, rec...)
+	saved := Improve(&local, x, rec...)
 	for i, li := range local.Order {
 		t.Order[i] = items[li]
 	}

@@ -2,7 +2,10 @@ package tsp
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"uavdc/internal/obs"
 )
 
 func TestOneTreeBoundDegenerate(t *testing.T) {
@@ -66,7 +69,7 @@ func TestOneTreeBoundCertifiesChristofides(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Improve(&tour, m)
+		Improve(&tour, NewMatrix(60, m))
 		lb, err := OneTreeBound(items, m, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +115,7 @@ func OneTreeBound(items []int, m Metric, iterations int) (float64, error) {
 	// heuristic tour as the upper bound and α halved after stretches
 	// without progress.
 	ubTour := NearestNeighbor(items, m)
-	TwoOpt(&ubTour, m, 2)
+	twoOpt(&ubTour, NewMatrix(slices.Max(items)+1, m), 2, obs.Discard)
 	ub := ubTour.Cost(m)
 
 	best := math.Inf(-1)

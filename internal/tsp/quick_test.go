@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"uavdc/internal/geom"
+	"uavdc/internal/obs"
 )
 
 // TestQuickTwoOptNeverWorsens: for arbitrary seeds and sizes, 2-opt must
@@ -19,7 +20,7 @@ func TestQuickTwoOptNeverWorsens(t *testing.T) {
 		items := allItems(n)
 		tour := NearestNeighbor(items, m)
 		before := tour.Cost(m)
-		saved := TwoOpt(&tour, m, 0)
+		saved, _ := twoOpt(&tour, NewMatrix(n, m), 0, obs.Discard)
 		after := tour.Cost(m)
 		if tour.Validate(items) != nil {
 			return false

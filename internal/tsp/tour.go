@@ -1,14 +1,17 @@
 // Package tsp provides travelling-salesman tours over arbitrary metrics:
 // Christofides' 3/2-approximation (the algorithm the paper uses for tour
-// construction in Algorithm 2/3 and in the evaluation benchmark), nearest
-// neighbour, cheapest insertion (including the incremental form the greedy
-// planners use to price candidate hovering locations), 2-opt / Or-opt local
-// search, and an exact Held–Karp solver used as a test oracle.
+// construction in Algorithm 2/3 and in the evaluation benchmark),
+// cheapest-insertion pricing (the incremental form the greedy planners use
+// to price candidate hovering locations), 2-opt / Or-opt local search, an
+// exact re-tour after removing one item (Pruner, for the benchmark's
+// prune loop), and an exact Held–Karp solver used as a test oracle.
 //
-// All algorithms work on index sets 0..n-1 with costs given by a Metric
-// function, so callers can plug in Euclidean distance, energy-weighted
-// distance, or the paper's auxiliary-graph weights without copying
-// matrices.
+// All algorithms work on index sets 0..n-1. Construction and insertion
+// pricing take costs as a Metric function, so callers can plug in
+// Euclidean distance, energy-weighted distance, or the paper's
+// auxiliary-graph weights. The local search runs on a Matrix, a dense
+// table of a Metric's exact values; ImproveMetric builds one over a
+// tour's items for callers that hold only a Metric.
 package tsp
 
 import (

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"uavdc/internal/geom"
+	"uavdc/internal/obs"
 )
 
 func euclid(pts []geom.Point) Metric {
@@ -270,7 +271,7 @@ func TestTwoOptImproves(t *testing.T) {
 	items := allItems(40)
 	tour := NearestNeighbor(items, m)
 	before := tour.Cost(m)
-	saved := TwoOpt(&tour, m, 0)
+	saved, _ := twoOpt(&tour, NewMatrix(40, m), 0, obs.Discard)
 	after := tour.Cost(m)
 	if err := tour.Validate(items); err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestTwoOptImproves(t *testing.T) {
 		t.Error("2-opt made tour worse")
 	}
 	// After 2-opt, no improving 2-exchange may remain.
-	if extra := TwoOpt(&tour, m, 0); extra > 1e-9 {
+	if extra, _ := twoOpt(&tour, NewMatrix(40, m), 0, obs.Discard); extra > 1e-9 {
 		t.Errorf("second 2-opt still saved %v", extra)
 	}
 }
@@ -293,7 +294,7 @@ func TestOrOptImproves(t *testing.T) {
 	items := allItems(30)
 	tour := NearestNeighbor(items, m)
 	before := tour.Cost(m)
-	saved := OrOpt(&tour, m, 0)
+	saved, _ := orOpt(&tour, NewMatrix(30, m), 0, obs.Discard)
 	after := tour.Cost(m)
 	if err := tour.Validate(items); err != nil {
 		t.Fatal(err)
@@ -309,7 +310,7 @@ func TestImproveCombined(t *testing.T) {
 	items := allItems(50)
 	tour := NearestNeighbor(items, m)
 	before := tour.Cost(m)
-	Improve(&tour, m)
+	Improve(&tour, NewMatrix(50, m))
 	if err := tour.Validate(items); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestImproveCombined(t *testing.T) {
 		t.Error("Improve made tour worse")
 	}
 	tiny := Tour{Order: []int{0, 1, 2}}
-	if Improve(&tiny, m) != 0 {
+	if Improve(&tiny, NewMatrix(50, m)) != 0 {
 		t.Error("Improve on triangle should be a no-op")
 	}
 }
@@ -393,9 +394,10 @@ func BenchmarkTwoOpt100(b *testing.B) {
 	pts := randPts(100, 5)
 	m := euclid(pts)
 	items := allItems(100)
+	x := NewMatrix(100, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tour := NearestNeighbor(items, m)
-		TwoOpt(&tour, m, 0)
+		twoOpt(&tour, x, 0, obs.Discard)
 	}
 }
