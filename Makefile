@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint lint-update pure perfbench test race fuzz bench bench-micro benchparity fastpath golden golden-traces adaptive trace serve obs
+.PHONY: ci build vet lint lint-update pure perfbench test race fuzz bench bench-micro ledger benchparity fastpath golden golden-traces adaptive trace serve obs
 
 ci: vet lint pure perfbench build race adaptive trace fastpath benchparity serve obs
 
@@ -95,12 +95,11 @@ trace:
 # baselines' re-tour certificate to bit-identical plans and counters
 # against the retained reference path —
 # at the planner level (various worker counts) and across all figure
-# drivers at GOMAXPROCS 1/4/8 — plus a paper-scale (δ = 5 m) smoke run of
-# the `full` uavbench preset.
+# drivers at GOMAXPROCS 1/4/8. The paper-scale (δ = 5 m) run of both
+# paths is the ledger's speedup panel, which benchparity checks.
 fastpath:
 	$(GO) test -race -count=1 -run 'TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestFastCountersDeterministicAcrossWorkers' ./internal/core
 	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures|TestBenchSpeedupPanel' ./internal/experiments
-	$(GO) run ./cmd/uavbench -preset full -fig fig4 -faults none -out /dev/null
 
 # Serving gate: race-enabled daemon and canonical-encoding tests — the
 # GOMAXPROCS 1/4/8 cold/warm/coalesced parity check, the failure-mode
@@ -129,12 +128,13 @@ obs:
 		$(GO) run ./cmd/uavobs diff $$tmp/op.jsonl $$tmp/op.jsonl && \
 		rm -rf $$tmp
 
-# Regenerate the perf baseline (see EXPERIMENTS.md, "Bench baselines"):
-# reduced-preset figure panels, the paper-scale (δ = 5 m)
-# fast-vs-reference speedup panel, and the reduced-preset serving
-# throughput panel.
+# The repo's one timing benchmark: the _perfbench workloads declared in
+# BENCHMARK.json (see _perfbench/README.md), each built from this
+# checkout and run for BENCHMARK.json's 30 s window.
 bench:
-	$(GO) run ./cmd/uavbench -preset reduced -speedup full -serve reduced -out BENCH_PR7.json
+	bash _perfbench/run.sh --workload paper-plan --seed 1 --seconds 30 --trace 0
+	bash _perfbench/run.sh --workload hit-heavy --seed 1 --seconds 30 --trace 0
+	bash _perfbench/run.sh --workload miss-churn --seed 1 --seconds 30 --trace 0
 
 # Micro-benchmarks: candidate generation fast vs reference (behind the
 # speedup panel) and one PaperTight-size baseline plan (internal/core),
@@ -143,13 +143,19 @@ bench-micro:
 	$(GO) test -run XXX -bench 'BenchmarkAlg2|BenchmarkBaselinePlan' -benchtime 3x ./internal/core
 	$(GO) test -run XXX -bench 'BenchmarkImprove' -benchtime 3x ./internal/tsp
 
-# Baseline-parity gate: BENCH_PR7.json against BENCH_PR6.json. Both run
-# the same planner, so every deterministic field of the prior panels —
-# volumes, plan calls, all counters, fault scenarios, the speedup eval
-# ledger — must be bit-identical, and the new serve panel must be
-# internally consistent. Timing fields are excluded.
+# Rewrite the deterministic bench ledger (see EXPERIMENTS.md, "The
+# deterministic ledger") after a deliberate behaviour change. Review the
+# diff: every changed number is a changed plan or a changed amount of
+# work.
+ledger:
+	$(GO) run ./cmd/uavbench > BENCH_LEDGER.json.tmp && mv BENCH_LEDGER.json.tmp BENCH_LEDGER.json
+
+# Ledger-parity gate: regenerate the ledger from the code — figure
+# volumes, plan calls, every counter, the fault panel, the paper-scale
+# fast-vs-reference eval ledger, the serve panel's counters — and diff
+# it byte for byte against the committed BENCH_LEDGER.json.
 benchparity:
-	$(GO) test -count=1 -run TestBenchPanelsParity ./internal/experiments
+	$(GO) run ./cmd/uavbench | diff -u BENCH_LEDGER.json -
 
 # Rewrite the golden volume panels after a deliberate behaviour change.
 golden:

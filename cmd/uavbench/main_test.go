@@ -1,103 +1,50 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
 	"uavdc/internal/experiments"
 )
 
-func TestRunWritesBenchFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
+func TestRunStdout(t *testing.T) {
+	want := &experiments.Bench{Schema: experiments.BenchSchema, Preset: "tiny"}
 	var out, errb strings.Builder
-	code := run([]string{"-preset", "tiny", "-fig", "fig3", "-out", path}, &out, &errb)
+	code := run(nil, &out, &errb, func() (*experiments.Bench, error) { return want, nil })
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "wrote "+path) {
-		t.Errorf("summary missing output path:\n%s", out.String())
+	var got experiments.Bench
+	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
+		t.Fatalf("stdout is not a ledger document: %v\n%s", err, out.String())
 	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	b, err := experiments.ReadBench(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Preset != "tiny" || len(b.Figures) != 1 || b.Figures[0].Figure != "fig3" {
-		t.Errorf("bench content wrong: %+v", b)
-	}
-	if b.Figures[0].Counters["core.candidate_evals"] == 0 &&
-		b.Figures[0].Counters["tsp.christofides_runs"] == 0 {
-		t.Errorf("no instrumentation counters recorded: %v", b.Figures[0].Counters)
-	}
-	if len(b.FaultScenarios) == 0 {
-		t.Fatal("no fault-scenario panel in bench document")
-	}
-	for _, row := range b.FaultScenarios {
-		// The fraction can exceed 1: a mid-flight replan (greedy) may beat
-		// a weak baseline plan even under faults.
-		if row.RetainedFrac < 0 {
-			t.Errorf("%s: negative retained fraction %v", row.Planner, row.RetainedFrac)
-		}
-		if row.FaultSpec == "" {
-			t.Errorf("%s: empty fault spec recorded", row.Planner)
-		}
-	}
-}
-
-func TestRunFaultsPanelFlag(t *testing.T) {
-	var out, errb strings.Builder
-	code := run([]string{"-preset", "tiny", "-fig", "fig3", "-faults", "none", "-out", "-"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	b, err := experiments.ReadBench(strings.NewReader(out.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.FaultScenarios) != 0 {
-		t.Errorf("-faults none still produced %d scenario rows", len(b.FaultScenarios))
+	if got.Schema != experiments.BenchSchema || got.Preset != "tiny" {
+		t.Errorf("ledger content wrong: %+v", got)
 	}
 
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-preset", "tiny", "-fig", "fig3", "-faults", "wind:::", "-out", "-"}, &out, &errb); code != 1 {
-		t.Errorf("corrupt -faults spec: exit %d, want 1", code)
-	}
-}
-
-func TestRunStdout(t *testing.T) {
-	var out, errb strings.Builder
-	code := run([]string{"-preset", "tiny", "-fig", "fig3", "-out", "-"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	b, err := experiments.ReadBench(strings.NewReader(out.String()))
-	if err != nil {
-		t.Fatalf("stdout is not a bench document: %v\n%s", err, out.String())
-	}
-	if b.Schema != experiments.BenchSchema {
-		t.Errorf("schema %q", b.Schema)
+	failing := func() (*experiments.Bench, error) { return nil, errors.New("boom") }
+	if code := run(nil, &out, &errb, failing); code != 1 || out.Len() != 0 {
+		t.Errorf("failing ledger: exit %d, stdout %q; want 1 and nothing written", code, out.String())
 	}
 }
 
 func TestRunBadFlags(t *testing.T) {
 	cases := [][]string{
-		{"-preset", "nope"},
-		{"-fig", "fig9"},
-		{"-fig", ","},
+		{"-preset", "reduced"},
+		{"-out", "-"},
 		{"-what"},
+		{"extra"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder
-		if code := run(args, &out, &errb); code != 2 {
-			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, errb.String())
+		called := false
+		ledger := func() (*experiments.Bench, error) { called = true; return nil, nil }
+		if code := run(args, &out, &errb, ledger); code != 2 || called {
+			t.Errorf("run(%v) = %d (ledger built: %v), want 2 without building", args, code, called)
 		}
 	}
 }

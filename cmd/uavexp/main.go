@@ -10,7 +10,7 @@
 //	uavexp [flags]
 //
 //	-fig       fig3 | fig4 | fig5 | all | ext-altitude | ext-fleet | ext (default all)
-//	-preset    tiny | reduced | paper | papertight (default reduced)
+//	-preset    tiny | reduced | paper | papertight | full (default reduced)
 //	-instances override the number of network instances per point
 //	-seed      override the experiment seed
 //	-csv       write long-form CSV to this file (appends all figures)
@@ -25,7 +25,10 @@
 //
 // The paper preset matches Section VII-A exactly (500 sensors, 1 km²,
 // 15 instances, E = 3–9×10⁵ J, δ = 5–30 m) and takes CPU-hours; reduced
-// preserves every qualitative shape in seconds.
+// preserves every qualitative shape in seconds. full is one paper-scale
+// instance at δ = 5 m; with -cpuprofile it is the profiling entry point:
+//
+//	uavexp -preset full -fig fig4 -instances 1 -cpuprofile cpu.out
 package main
 
 import (
@@ -51,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.SetOutput(stderr)
 	var (
 		fig       = fs.String("fig", "all", "fig3 | fig4 | fig5 | all | ext | ext-*")
-		preset    = fs.String("preset", "reduced", "tiny | reduced | paper | papertight")
+		preset    = fs.String("preset", "reduced", "tiny | reduced | paper | papertight | full")
 		instances = fs.Int("instances", 0, "override instances per point (0 = preset default)")
 		seed      = fs.Uint64("seed", 0, "override experiment seed (0 = preset default)")
 		csvPath   = fs.String("csv", "", "write long-form CSV to this file")
@@ -68,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	outw, errs := errw.New(stdout), errw.New(stderr)
 
-	cfg, err := presetConfig(*preset)
+	cfg, err := experiments.Preset(*preset)
 	if err != nil {
 		errs.Println("uavexp:", err)
 		return 2
@@ -179,21 +182,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 	return 0
-}
-
-func presetConfig(name string) (experiments.Config, error) {
-	switch name {
-	case "tiny":
-		return experiments.Tiny(), nil
-	case "reduced":
-		return experiments.Reduced(), nil
-	case "paper":
-		return experiments.Paper(), nil
-	case "papertight":
-		return experiments.PaperTight(), nil
-	default:
-		return experiments.Config{}, fmt.Errorf("unknown preset %q", name)
-	}
 }
 
 func figureList(fig string) ([]string, error) {

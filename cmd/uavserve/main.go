@@ -66,23 +66,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// presetConfig resolves a preset name to its configuration.
-func presetConfig(name string) (experiments.Config, bool) {
-	switch name {
-	case "tiny":
-		return experiments.Tiny(), true
-	case "reduced":
-		return experiments.Reduced(), true
-	case "paper":
-		return experiments.Paper(), true
-	case "papertight":
-		return experiments.PaperTight(), true
-	case "full":
-		return experiments.Full(), true
-	}
-	return experiments.Config{}, false
-}
-
 // run is the testable entry point: it parses args with its own FlagSet,
 // writes to the given streams, and returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -142,9 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *smoke > 0 {
-		pcfg, ok := presetConfig(*preset)
-		if !ok {
-			errs.Printf("uavserve: unknown preset %q\n", *preset)
+		pcfg, err := experiments.Preset(*preset)
+		if err != nil {
+			errs.Println("uavserve:", err)
 			return 2
 		}
 		if code := runSmoke(cfg, pcfg, *smoke, *distinct, *clients, outw, errs); code != 0 {

@@ -1,5 +1,5 @@
 // Command uavtrace analyzes uavdc-trace/1 JSONL mission traces (see
-// EXPERIMENTS.md; produced by uavsim/uavexp/uavbench -trace).
+// EXPERIMENTS.md; produced by uavsim/uavexp -trace).
 //
 // Usage:
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"uavdc/internal/core"
 	"uavdc/internal/faults"
@@ -14,26 +13,29 @@ import (
 	"uavdc/internal/wire"
 )
 
-// TimerPlan is the obs timer under which runSweep records every planner
-// invocation's wall time when Config.Metrics is on.
-const TimerPlan = "experiments.plan"
-
-// BenchSchema identifies the BENCH_*.json format version. Bump it when a
-// field changes meaning; perf-trajectory tooling compares files only
-// within one schema version.
+// BenchSchema identifies the ledger format version. Bump it when a
+// field changes meaning or goes away.
 const BenchSchema = wire.Bench
 
-// BenchFigure is one figure driver's measurement in a bench run.
+// The ledger's fixed content: the figure drivers of the main panel and
+// of the speedup panel, and the serve panel's load shape. Under Full(),
+// fig4 and fig5 plan identical instances (δ = 5 m, E = 1.5×10⁵ J), so
+// the speedup panel runs fig3 and fig4 only.
+var (
+	ledgerFigures  = []string{"fig3", "fig4", "fig5"}
+	speedupFigures = []string{"fig3", "fig4"}
+)
+
+const (
+	serveRequests = 256
+	serveDistinct = 8
+	serveClients  = 8
+)
+
+// BenchFigure is one figure driver's deterministic panel in the ledger.
 type BenchFigure struct {
 	// Figure is the driver id, e.g. "fig3".
 	Figure string `json:"figure"`
-	// WallSeconds is the driver's total wall-clock time: planning,
-	// validation, and simulation for every (series, x, instance) cell.
-	WallSeconds float64 `json:"wall_seconds"`
-	// PlanSeconds is the summed planner-only wall time (the obs
-	// "experiments.plan" timer), i.e. WallSeconds minus generation,
-	// validation, and simulation overhead.
-	PlanSeconds float64 `json:"plan_seconds"`
 	// PlanCalls is the number of planner invocations.
 	PlanCalls int64 `json:"plan_calls"`
 	// VolumeMB maps each series to its collected volume summed over the
@@ -70,24 +72,17 @@ type BenchFaultScenario struct {
 	StopsSkipped  int64 `json:"stops_skipped"`
 }
 
-// BenchSpeedupRow is one figure's fast-vs-reference measurement in the
+// BenchSpeedupRow is one figure's fast-vs-reference ledger in the
 // speedup panel: the same driver run twice, once on the retained
 // reference scan path and once on the spatial-index fast path, with the
-// deterministic panels cross-checked for bit-equality. Timing fields are
-// machine noise; the evals columns and BitIdentical are deterministic.
+// deterministic panels cross-checked for bit-equality.
 type BenchSpeedupRow struct {
 	// Figure is the driver id, e.g. "fig4".
 	Figure string `json:"figure"`
 	// Preset names the configuration the pair ran under — the speedup
-	// panel may use a larger preset (e.g. "full") than the document's
-	// main figure panels.
+	// panel uses a larger preset ("full") than the document's main
+	// figure panels.
 	Preset string `json:"preset"`
-	// ReferenceSeconds / FastSeconds are the planner-only wall times
-	// (summed experiments.plan timer) of the two runs.
-	ReferenceSeconds float64 `json:"reference_seconds"`
-	FastSeconds      float64 `json:"fast_seconds"`
-	// Speedup is ReferenceSeconds / FastSeconds.
-	Speedup float64 `json:"speedup"`
 	// ReferenceEvals / FastEvals are the core.candidate_evals totals of
 	// the two runs; SkippedEvals is the fast run's
 	// core.scan_skipped_drained total. The fast-path accounting oracle is
@@ -110,143 +105,135 @@ var speedupWorkCounters = map[string]bool{
 	core.CounterScanSkippedDrained: true,
 }
 
-// Bench is the on-disk BENCH_*.json document: the perf baseline one repo
-// state leaves behind for later states to diff against.
+// Bench is the deterministic ledger BENCH_LEDGER.json holds: every
+// field is a pure function of the code, so `make benchparity` diffs a
+// fresh run against the committed file byte for byte.
 type Bench struct {
-	Schema    string        `json:"schema"`
-	Preset    string        `json:"preset"`
-	Instances int           `json:"instances"`
-	Seed      uint64        `json:"seed"`
-	Workers   int           `json:"workers"`
-	GoVersion string        `json:"go_version"`
-	GOOS      string        `json:"goos"`
-	GOARCH    string        `json:"goarch"`
-	NumCPU    int           `json:"num_cpu"`
-	Figures   []BenchFigure `json:"figures"`
-	// FaultScenarios is the adaptive-execution panel (uavbench -faults);
-	// absent in documents written before it existed, so the schema tag is
-	// unchanged.
-	FaultScenarios []BenchFaultScenario `json:"fault_scenarios,omitempty"`
-	// Speedup is the fast-vs-reference panel (uavbench -speedup); absent
-	// in documents written before it existed — an additive field, so the
-	// schema tag is unchanged.
-	Speedup []BenchSpeedupRow `json:"speedup,omitempty"`
-	// Serve is the serving-throughput panel (uavbench -serve); additive
-	// like the panels above, so the schema tag is unchanged.
-	Serve *BenchServe `json:"serve,omitempty"`
+	Schema         string               `json:"schema"`
+	Preset         string               `json:"preset"`
+	Instances      int                  `json:"instances"`
+	Seed           uint64               `json:"seed"`
+	Workers        int                  `json:"workers"`
+	GOOS           string               `json:"goos"`
+	GOARCH         string               `json:"goarch"`
+	Figures        []BenchFigure        `json:"figures"`
+	FaultScenarios []BenchFaultScenario `json:"fault_scenarios"`
+	Speedup        []BenchSpeedupRow    `json:"speedup"`
+	Serve          *BenchServe          `json:"serve"`
 }
 
-// RunBench executes the named figure drivers with instrumentation on and
-// returns the perf baseline: per-figure wall clock, planner-only time,
-// counter totals, and collected volumes. preset is recorded verbatim for
-// provenance; cfg should be the matching configuration.
-func RunBench(preset string, cfg Config, figures []string) (*Bench, error) {
-	cfg.Metrics = true
+// Ledger computes the document BENCH_LEDGER.json holds: the reduced
+// preset's fig3–5 panels, the fast-vs-reference speedup panel at the
+// paper-scale full preset, the serve panel at the reduced preset, and
+// the adaptive-execution panel under the default fault schedule.
+func Ledger() (*Bench, error) {
+	return ledger("reduced", "full")
+}
+
+// ledger assembles a ledger document from the named main and speedup
+// presets; the serve and fault panels run at the main preset.
+func ledger(preset, speedupPreset string) (*Bench, error) {
+	cfg, err := Preset(preset)
+	if err != nil {
+		return nil, err
+	}
+	scfg, err := Preset(speedupPreset)
+	if err != nil {
+		return nil, err
+	}
+	b, err := runBench(preset, cfg, ledgerFigures)
+	if err != nil {
+		return nil, err
+	}
+	if b.FaultScenarios, err = benchFaultScenarios(cfg); err != nil {
+		return nil, err
+	}
+	if b.Speedup, err = benchSpeedup(speedupPreset, scfg, speedupFigures); err != nil {
+		return nil, err
+	}
+	if b.Serve, err = runBenchServe(preset, cfg); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// runBench executes the named figure drivers with instrumentation on and
+// returns the figure panels: plan calls, counter totals and collected
+// volumes per figure. preset is recorded verbatim for provenance; cfg
+// should be the matching configuration.
+func runBench(preset string, cfg Config, figures []string) (*Bench, error) {
 	b := &Bench{
 		Schema:    BenchSchema,
 		Preset:    preset,
 		Instances: cfg.Instances,
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
-		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
 	}
 	for _, name := range figures {
-		start := time.Now() //uavdc:allow nodeterminism bench wall-clock panel; documented non-deterministic in EXPERIMENTS.md
-		tab, err := Run(name, cfg)
-		wall := time.Since(start).Seconds() //uavdc:allow nodeterminism bench wall-clock panel; documented non-deterministic in EXPERIMENTS.md
+		fig, err := benchFigure(name, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: bench %s: %w", name, err)
 		}
-		fig := BenchFigure{
-			Figure:      name,
-			WallSeconds: wall,
-			VolumeMB:    map[string]float64{},
-			Counters:    map[string]int64{},
-		}
-		for _, s := range tab.Series {
-			for _, p := range s.Points {
-				fig.VolumeMB[s.Name] += p.Volume
-				for cname, n := range p.Counters {
-					fig.Counters[cname] += n
-				}
-			}
-		}
-		fig.PlanSeconds, fig.PlanCalls = planTimerTotals(tab)
 		b.Figures = append(b.Figures, fig)
 	}
 	return b, nil
 }
 
-// planTimerTotals sums the per-point plan timer that runSweep folds into
-// the counter map via snapshotting; the timer itself lives outside
-// Point.Counters, so it is re-derived here from the runtime panel: mean
-// runtime × N per point.
-func planTimerTotals(tab *Table) (seconds float64, calls int64) {
+// benchFigure runs one figure driver with metrics on and sums its
+// points into a panel.
+func benchFigure(name string, cfg Config) (BenchFigure, error) {
+	cfg.Metrics = true
+	tab, err := Run(name, cfg)
+	if err != nil {
+		return BenchFigure{}, err
+	}
+	fig := BenchFigure{
+		Figure:   name,
+		VolumeMB: map[string]float64{},
+		Counters: map[string]int64{},
+	}
 	for _, s := range tab.Series {
 		for _, p := range s.Points {
-			seconds += p.Runtime * float64(p.N)
-			calls += int64(p.N)
-		}
-	}
-	return seconds, calls
-}
-
-// BenchSpeedup runs each named figure driver twice under the given
-// configuration — once with Config.Reference set (the retained full-scan
-// path) and once on the default fast path — and returns one row per
-// figure: both planner-only wall times, the candidate-evaluation ledger,
-// and whether the deterministic panels matched bit-for-bit. A row with
-// BitIdentical == false means the fast path changed behaviour, not just
-// speed, and the accompanying differential tests should be failing too.
-func BenchSpeedup(preset string, cfg Config, figures []string) ([]BenchSpeedupRow, error) {
-	cfg.Metrics = true
-	measure := func(name string, reference bool) (seconds float64, volumes map[string]float64, calls int64, counters map[string]int64, err error) {
-		c := cfg
-		c.Reference = reference
-		tab, err := Run(name, c)
-		if err != nil {
-			return 0, nil, 0, nil, fmt.Errorf("experiments: speedup %s (reference=%v): %w", name, reference, err)
-		}
-		volumes = map[string]float64{}
-		counters = map[string]int64{}
-		for _, s := range tab.Series {
-			for _, p := range s.Points {
-				volumes[s.Name] += p.Volume
-				for cname, n := range p.Counters {
-					counters[cname] += n
-				}
+			fig.PlanCalls += int64(p.N)
+			fig.VolumeMB[s.Name] += p.Volume
+			for cname, n := range p.Counters {
+				fig.Counters[cname] += n
 			}
 		}
-		seconds, calls = planTimerTotals(tab)
-		return seconds, volumes, calls, counters, nil
 	}
+	return fig, nil
+}
+
+// benchSpeedup runs each named figure driver twice under the given
+// configuration — once with Config.Reference set (the retained full-scan
+// path) and once on the default fast path — and returns one row per
+// figure: the candidate-evaluation ledger and whether the deterministic
+// panels matched bit-for-bit. A row with BitIdentical == false means the
+// fast path changed behaviour, and the accompanying differential tests
+// should be failing too.
+func benchSpeedup(preset string, cfg Config, figures []string) ([]BenchSpeedupRow, error) {
 	rows := make([]BenchSpeedupRow, 0, len(figures))
 	for _, name := range figures {
-		refSec, refVols, refCalls, refCounters, err := measure(name, true)
+		ref := cfg
+		ref.Reference = true
+		refFig, err := benchFigure(name, ref)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: speedup %s (reference): %w", name, err)
 		}
-		fastSec, fastVols, fastCalls, fastCounters, err := measure(name, false)
+		fastFig, err := benchFigure(name, cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: speedup %s (fast): %w", name, err)
 		}
-		row := BenchSpeedupRow{
-			Figure:           name,
-			Preset:           preset,
-			ReferenceSeconds: refSec,
-			FastSeconds:      fastSec,
-			ReferenceEvals:   refCounters[core.CounterCandidateEvals],
-			FastEvals:        fastCounters[core.CounterCandidateEvals],
-			SkippedEvals:     fastCounters[core.CounterScanSkippedDrained],
-		}
-		if fastSec > 0 {
-			row.Speedup = refSec / fastSec
-		}
-		row.BitIdentical = speedupPanelsEqual(refVols, fastVols, refCalls, fastCalls, refCounters, fastCounters)
-		rows = append(rows, row)
+		rows = append(rows, BenchSpeedupRow{
+			Figure:         name,
+			Preset:         preset,
+			ReferenceEvals: refFig.Counters[core.CounterCandidateEvals],
+			FastEvals:      fastFig.Counters[core.CounterCandidateEvals],
+			SkippedEvals:   fastFig.Counters[core.CounterScanSkippedDrained],
+			BitIdentical:   speedupPanelsEqual(refFig, fastFig),
+		})
 	}
 	return rows, nil
 }
@@ -254,45 +241,43 @@ func BenchSpeedup(preset string, cfg Config, figures []string) ([]BenchSpeedupRo
 // speedupPanelsEqual compares the deterministic panels of a reference and
 // a fast run: volumes and plan calls exactly, counters exactly except the
 // scan work ledger.
-func speedupPanelsEqual(refVols, fastVols map[string]float64, refCalls, fastCalls int64, refCounters, fastCounters map[string]int64) bool {
-	if refCalls != fastCalls || len(refVols) != len(fastVols) {
+func speedupPanelsEqual(ref, fast BenchFigure) bool {
+	if ref.PlanCalls != fast.PlanCalls || len(ref.VolumeMB) != len(fast.VolumeMB) {
 		return false
 	}
-	for series, want := range refVols {
-		got, ok := fastVols[series]
+	for series, want := range ref.VolumeMB {
+		got, ok := fast.VolumeMB[series]
 		if !ok || got != want { // exact compare: bit-identity is the contract being verified
 			return false
 		}
 	}
 	names := map[string]bool{}
-	for cname := range refCounters {
+	for cname := range ref.Counters {
 		names[cname] = true
 	}
-	for cname := range fastCounters {
+	for cname := range fast.Counters {
 		names[cname] = true
 	}
 	for cname := range names {
 		if speedupWorkCounters[cname] {
 			continue
 		}
-		if refCounters[cname] != fastCounters[cname] {
+		if ref.Counters[cname] != fast.Counters[cname] {
 			return false
 		}
 	}
 	return true
 }
 
-// BenchFaultScenarios computes the adaptive-execution panel: each planner
+// benchFaultScenarios computes the adaptive-execution panel: each planner
 // plans every preset network fault-free at the preset's nominal capacity,
-// the adaptive executor flies each plan under the given schedule, and the
-// per-planner row aggregates promised vs retained volume. Everything here
-// is deterministic — no timing fields — so rows diff cleanly across repo
-// states.
-func BenchFaultScenarios(cfg Config, spec string) ([]BenchFaultScenario, error) {
+// the adaptive executor flies each plan under the default fault schedule,
+// and the per-planner row aggregates promised vs retained volume.
+func benchFaultScenarios(cfg Config) ([]BenchFaultScenario, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	sched, err := faults.Parse(spec)
+	sched, err := faults.Parse(faults.DefaultSpec)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: bench fault spec: %w", err)
 	}
@@ -339,26 +324,11 @@ func BenchFaultScenarios(cfg Config, spec string) ([]BenchFaultScenario, error) 
 	return rows, nil
 }
 
-// WriteJSON writes the bench document as indented JSON with a trailing
-// newline. Map keys are emitted sorted (encoding/json), so two runs of the
-// same configuration differ only in the timing fields.
+// WriteJSON writes the ledger as indented JSON with a trailing newline.
+// Map keys are emitted sorted (encoding/json), so the encoding is a pure
+// function of the document.
 func (b *Bench) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(b)
-}
-
-// ReadBench parses a BENCH_*.json document and checks its schema tag.
-//
-//uavdc:allow deadexport test oracle: the experiments and uavbench tests read bench files back with it
-func ReadBench(r io.Reader) (*Bench, error) {
-	var b Bench
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("experiments: parsing bench file: %w", err)
-	}
-	if b.Schema != BenchSchema {
-		return nil, fmt.Errorf("experiments: bench schema %q, want %q", b.Schema, BenchSchema)
-	}
-	return &b, nil
 }

@@ -55,13 +55,13 @@ type Config struct {
 	// volumes, traces, and every counter except the fast path's own skip
 	// ledger are bit-identical either way — the fast-path parity tests
 	// hold the two modes to exactly that contract — so the switch exists
-	// for differential testing and for timing the speedup panel, not for
-	// changing results.
+	// for differential testing and for the ledger's speedup panel, not
+	// for changing results.
 	Reference bool
 	// Metrics attaches an obs.Registry to every planner run and stores
 	// the per-point counter totals in each Point, enabling the figure
 	// tables' instrumentation panel (uavexp -metrics) and the bench
-	// harness. Counter totals are deterministic at any Workers setting;
+	// ledger. Counter totals are deterministic at any Workers setting;
 	// recording never changes plans.
 	Metrics bool
 	// Trace, when non-nil, receives a flight-recorder span stream for the
@@ -135,8 +135,8 @@ func Reduced() Config {
 // exists for), with a single network instance and one point per sweep so
 // a run finishes in seconds rather than the CPU-hours a full Paper()
 // sweep would take at this δ. The capacity sits in PaperTight's
-// budget-constrained regime. This is the preset behind
-// `uavbench -preset full` and the BENCH_PR6.json speedup panel.
+// budget-constrained regime. This is the preset behind the ledger's
+// speedup panel (Ledger) and `uavexp -preset full` profiling runs.
 func Full() Config {
 	cfg := PaperTight()
 	cfg.Instances = 1
@@ -163,6 +163,25 @@ func Tiny() Config {
 		Ks:         []int{2},
 		Validate:   true,
 	}
+}
+
+// Preset resolves a preset name — tiny, reduced, paper, papertight or
+// full — to its configuration. It is the one name table the commands
+// share.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "tiny":
+		return Tiny(), nil
+	case "reduced":
+		return Reduced(), nil
+	case "paper":
+		return Paper(), nil
+	case "papertight":
+		return PaperTight(), nil
+	case "full":
+		return Full(), nil
+	}
+	return Config{}, fmt.Errorf("experiments: unknown preset %q", name)
 }
 
 // Check reports whether the configuration is well formed. (Named Check

@@ -98,7 +98,7 @@ func TestFastPathParityAcrossFigures(t *testing.T) {
 // reconciliation, and a positive ledger on a figure whose planners use the
 // pruned scan.
 func TestBenchSpeedupPanel(t *testing.T) {
-	rows, err := BenchSpeedup("tiny", Tiny(), []string{"fig4", "fig5"})
+	rows, err := benchSpeedup("tiny", Tiny(), []string{"fig4", "fig5"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,6 @@ func runSweep(cfg Config, xs []float64, specs []runSpec) ([]Series, error) {
 				plan, err := spec.planner.Plan(in)
 				elapsed := time.Since(start).Seconds() //uavdc:allow nodeterminism runtime panel (b) measures wall time; volumes stay deterministic
 				endPlan()
-				if reg != nil {
-					reg.Timer(TimerPlan).Observe(elapsed)
-				}
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s at x=%g: %w", spec.name, x, err)
 				}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"uavdc"
 	"uavdc/internal/obs"
@@ -17,37 +15,30 @@ import (
 	"uavdc/internal/serve"
 )
 
-// BenchServe is the serving-throughput panel (uavbench -serve): a
-// loopback load run against the internal/serve daemon core on the
-// preset's field distribution. The run is two-phase — every distinct
-// instance planned cold once, then the remaining requests fired from
-// concurrent clients against the warm cache — so the counter fields are
-// exactly predictable: misses = plans = distinct instances,
-// hits = requests − distinct, rejected = coalesced = 0. The throughput
-// and latency fields are wall clock and vary run to run;
-// bit_identical records that every served body, cold or warm, equalled
-// a direct uavdc.Plan call.
+// BenchServe is the ledger's serve panel: a loopback load run against
+// the internal/serve daemon core on the preset's field distribution. The
+// run is two-phase — every distinct instance planned cold once, then the
+// remaining requests fired from concurrent clients against the warm
+// cache — so the counter fields are exactly predictable: misses = plans
+// = distinct instances, hits = requests − distinct, rejected =
+// coalesced = 0. bit_identical records that every served body, cold or
+// warm, equalled a direct uavdc.Plan call.
 type BenchServe struct {
-	Preset         string  `json:"preset"`
-	Requests       int     `json:"requests"`
-	Distinct       int     `json:"distinct_instances"`
-	Clients        int     `json:"clients"`
-	Workers        int     `json:"workers"`
-	Hits           int64   `json:"hits"`
-	Misses         int64   `json:"misses"`
-	Coalesced      int64   `json:"coalesced"`
-	Rejected       int64   `json:"rejected"`
-	Plans          int64   `json:"plans"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	BitIdentical   bool    `json:"bit_identical"`
+	Preset       string `json:"preset"`
+	Requests     int    `json:"requests"`
+	Distinct     int    `json:"distinct_instances"`
+	Clients      int    `json:"clients"`
+	Workers      int    `json:"workers"`
+	Hits         int64  `json:"hits"`
+	Misses       int64  `json:"misses"`
+	Coalesced    int64  `json:"coalesced"`
+	Rejected     int64  `json:"rejected"`
+	Plans        int64  `json:"plans"`
+	BitIdentical bool   `json:"bit_identical"`
 	// OpLogConsistent records that the run's uavdc-oplog/1 stream (one
 	// record per request, captured losslessly) summarized to exactly the
 	// counter fields above: per-disposition counts equal, no drops.
-	// omitempty keeps panels from before the op-log byte-identical.
-	OpLogConsistent bool `json:"oplog_consistent,omitempty"`
+	OpLogConsistent bool `json:"oplog_consistent"`
 }
 
 // ServeRequests builds the uavdc-serve/1 requests of the preset's load
@@ -93,25 +84,17 @@ func ServeRequests(cfg Config, distinct int) ([]serve.Request, error) {
 	return reqs, nil
 }
 
-// RunBenchServe measures the serving panel: requests total over distinct
-// instances from the given number of concurrent clients.
-func RunBenchServe(preset string, cfg Config, requests, distinct, clients int) (*BenchServe, error) {
-	if distinct <= 0 {
-		distinct = 8
-	}
-	if requests < distinct {
-		requests = distinct
-	}
-	if clients <= 0 {
-		clients = 8
-	}
+// runBenchServe runs the serve panel: serveRequests requests over
+// serveDistinct instances from serveClients concurrent clients.
+func runBenchServe(preset string, cfg Config) (*BenchServe, error) {
+	const requests, distinct, clients = serveRequests, serveDistinct, serveClients
 	reqs, err := ServeRequests(cfg, distinct)
 	if err != nil {
 		return nil, err
 	}
 
 	// Reference bodies: one direct Plan call per distinct instance —
-	// the bit-identity baseline, computed outside the measured window.
+	// the bit-identity baseline.
 	expected := make([][]byte, distinct)
 	for i, r := range reqs {
 		key, err := r.Key()
@@ -142,8 +125,6 @@ func RunBenchServe(preset string, cfg Config, requests, distinct, clients int) (
 
 	var identical atomic.Bool
 	identical.Store(true)
-	latencies := make([]float64, requests)
-	start := time.Now() //uavdc:allow nodeterminism bench wall-clock panel; documented non-deterministic in EXPERIMENTS.md
 
 	// Phase 1: cold, serial — every distinct instance planned once.
 	for i, r := range reqs {
@@ -154,7 +135,6 @@ func RunBenchServe(preset string, cfg Config, requests, distinct, clients int) (
 		if !bytes.Equal(out.Body, expected[i]) {
 			identical.Store(false)
 		}
-		latencies[i] = out.Elapsed.Seconds()
 	}
 
 	// Phase 2: warm, concurrent — the remaining requests round-robin
@@ -184,19 +164,16 @@ func RunBenchServe(preset string, cfg Config, requests, distinct, clients int) (
 				if !bytes.Equal(out.Body, expected[r]) {
 					identical.Store(false)
 				}
-				latencies[i] = out.Elapsed.Seconds()
 			}
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start) //uavdc:allow nodeterminism bench wall-clock panel; documented non-deterministic in EXPERIMENTS.md
 	select {
 	case err := <-errc:
 		return nil, err
 	default:
 	}
 
-	sort.Float64s(latencies)
 	counters := reg.Snapshot().Counters
 	// Close drains the async op-log writer so the stream is complete
 	// before the cross-check (Close is idempotent; the defer is a no-op).
@@ -204,21 +181,17 @@ func RunBenchServe(preset string, cfg Config, requests, distinct, clients int) (
 		return nil, err
 	}
 	panel := &BenchServe{
-		Preset:         preset,
-		Requests:       requests,
-		Distinct:       distinct,
-		Clients:        clients,
-		Workers:        workers,
-		Hits:           counters[serve.CounterHits],
-		Misses:         counters[serve.CounterMisses],
-		Coalesced:      counters[serve.CounterCoalesced],
-		Rejected:       counters[serve.CounterRejected],
-		Plans:          counters[serve.CounterPlans],
-		WallSeconds:    wall.Seconds(),
-		RequestsPerSec: float64(requests) / wall.Seconds(),
-		P50Ms:          1e3 * latencies[len(latencies)*50/100],
-		P99Ms:          1e3 * latencies[min(len(latencies)-1, len(latencies)*99/100)],
-		BitIdentical:   identical.Load(),
+		Preset:       preset,
+		Requests:     requests,
+		Distinct:     distinct,
+		Clients:      clients,
+		Workers:      workers,
+		Hits:         counters[serve.CounterHits],
+		Misses:       counters[serve.CounterMisses],
+		Coalesced:    counters[serve.CounterCoalesced],
+		Rejected:     counters[serve.CounterRejected],
+		Plans:        counters[serve.CounterPlans],
+		BitIdentical: identical.Load(),
 	}
 	panel.OpLogConsistent = oplogMatchesCounters(&oplogBuf, panel)
 	return panel, nil

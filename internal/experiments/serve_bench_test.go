@@ -6,37 +6,32 @@ import "testing"
 // two-phase choreography makes every counter exactly predictable, and
 // every served body must be bit-identical to a direct plan.
 func TestBenchServePanel(t *testing.T) {
-	const (
-		requests = 32
-		distinct = 4
-		clients  = 4
-	)
-	sv, err := RunBenchServe("tiny", Tiny(), requests, distinct, clients)
+	sv, err := runBenchServe("tiny", Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sv.BitIdentical {
 		t.Error("served bodies diverged from direct plans")
 	}
-	if sv.Misses != distinct || sv.Plans != distinct {
-		t.Errorf("misses=%d plans=%d, want both %d (cold pass plans each distinct instance once)",
-			sv.Misses, sv.Plans, distinct)
+	if sv.Requests != serveRequests || sv.Distinct != serveDistinct || sv.Clients != serveClients {
+		t.Errorf("load shape %d/%d/%d, want %d/%d/%d", sv.Requests, sv.Distinct, sv.Clients,
+			serveRequests, serveDistinct, serveClients)
 	}
-	if sv.Hits != requests-distinct {
-		t.Errorf("hits=%d, want %d (every warm repeat is a cache hit)", sv.Hits, requests-distinct)
+	if sv.Misses != serveDistinct || sv.Plans != serveDistinct {
+		t.Errorf("misses=%d plans=%d, want both %d (cold pass plans each distinct instance once)",
+			sv.Misses, sv.Plans, serveDistinct)
+	}
+	if sv.Hits != serveRequests-serveDistinct {
+		t.Errorf("hits=%d, want %d (every warm repeat is a cache hit)", sv.Hits, serveRequests-serveDistinct)
 	}
 	if sv.Coalesced != 0 || sv.Rejected != 0 {
 		t.Errorf("coalesced=%d rejected=%d, want 0 (warm phase never misses)", sv.Coalesced, sv.Rejected)
 	}
-	if got := sv.Hits + sv.Misses + sv.Coalesced + sv.Rejected; got != int64(requests) {
-		t.Errorf("counter dispositions sum to %d, want %d", got, requests)
+	if got := sv.Hits + sv.Misses + sv.Coalesced + sv.Rejected; got != serveRequests {
+		t.Errorf("counter dispositions sum to %d, want %d", got, serveRequests)
 	}
 	if !sv.OpLogConsistent {
 		t.Error("op-log per-disposition counts diverged from the panel counters")
-	}
-	if sv.WallSeconds <= 0 || sv.RequestsPerSec <= 0 || sv.P99Ms < sv.P50Ms {
-		t.Errorf("implausible timing fields: wall=%g rps=%g p50=%g p99=%g",
-			sv.WallSeconds, sv.RequestsPerSec, sv.P50Ms, sv.P99Ms)
 	}
 }
 

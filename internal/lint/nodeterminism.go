@@ -154,7 +154,7 @@ func isRecordCall(pass *Pass, fn *types.Func) bool {
 	if p != pass.Pkg.ModPath+"/internal/obs" && p != pass.Pkg.ModPath+"/internal/trace" {
 		return false
 	}
-	return in(fn.Name(), "Counter", "Timer", "Histogram", "Inc", "Add", "Observe", "Start", "Begin", "Event")
+	return in(fn.Name(), "Counter", "Histogram", "Inc", "Add", "Observe", "Begin", "Event")
 }
 
 // appendSortedLater reports whether an append inside a map-range body is

@@ -14,7 +14,6 @@ import (
 var obsNameMethods = map[string]map[string]obs.NameKind{
 	"internal/obs": {
 		"Counter":   obs.KindCounter,
-		"Timer":     obs.KindTimer,
 		"Histogram": obs.KindHistogram,
 		"Gauge":     obs.KindGauge,
 	},
@@ -25,7 +24,7 @@ var obsNameMethods = map[string]map[string]obs.NameKind{
 }
 
 // ObsNames returns the obsnames analyzer: every name reaching
-// obs.Recorder.Counter/Timer/Histogram/Gauge or trace.Tracer.Begin/Event must
+// obs.Recorder.Counter/Histogram/Gauge or trace.Tracer.Begin/Event must
 // resolve, at compile time, to an entry of internal/obs's canonical
 // registry (names.go) under the matching kind. Run-time-composed names
 // are allowed only as <constant prefix ending in "/"> + <dynamic

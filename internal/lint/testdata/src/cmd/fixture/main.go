@@ -25,7 +25,7 @@ var cases = []any{
 	conc.SchemaOK, conc.SchemaBogus, conc.SchemaStale, conc.SchemaMalformed, conc.SchemaStaleAllowed,
 	core.FloatCompare, core.Ordering, core.Clock, core.Instrument, core.Algorithm2.Plan,
 	core.Launder, core.Magnitudes, core.Formulas,
-	obs.Rec.Timer, obs.Rec.Histogram, pure.Apply, units.Watts.F, units.Seconds.F, viz.Render,
+	obs.Rec.Histogram, pure.Apply, units.Watts.F, units.Seconds.F, viz.Render,
 }
 
 func main() {

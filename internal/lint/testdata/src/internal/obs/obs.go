@@ -11,9 +11,6 @@ type Cell struct{}
 // Counter returns the named counter.
 func (Rec) Counter(name string) Cell { return Cell{} }
 
-// Timer returns the named timer.
-func (Rec) Timer(name string) Cell { return Cell{} }
-
 // Histogram returns the named histogram.
 func (Rec) Histogram(name string, bounds []float64) Cell { return Cell{} }
 

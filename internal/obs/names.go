@@ -4,7 +4,7 @@ import "strings"
 
 // NameKind classifies a canonical instrumentation name by the API it is
 // passed to. The uavlint obsnames analyzer enforces that every name
-// reaching Recorder.Counter/Timer/Histogram/Gauge or
+// reaching Recorder.Counter/Histogram/Gauge or
 // trace.Tracer.Begin/Event is registered here under the matching kind,
 // so the instrumentation vocabulary cannot drift from the registry (and,
 // via the registry's EXPERIMENTS.md cross-check test, from the
@@ -14,8 +14,6 @@ type NameKind uint8
 const (
 	// KindCounter names a Recorder.Counter.
 	KindCounter NameKind = iota
-	// KindTimer names a Recorder.Timer.
-	KindTimer
 	// KindHistogram names a Recorder.Histogram.
 	KindHistogram
 	// KindSpan names a trace span (Tracer.Begin).
@@ -32,8 +30,6 @@ func (k NameKind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindTimer:
-		return "timer"
 	case KindHistogram:
 		return "histogram"
 	case KindSpan:
@@ -89,9 +85,6 @@ var canonicalNames = map[string]NameKind{
 	"exec.energy_deviation":      KindCounter,
 	"exec.stops_skipped":         KindCounter,
 	"exec.energy_deviation_hist": KindHistogram,
-
-	// Experiment-driver wall-clock aggregates.
-	"experiments.plan": KindTimer,
 
 	// Serving-layer counters, queue-depth gauge, latency histogram, and
 	// request span (internal/serve).

@@ -127,7 +127,7 @@ func TestNameKindString(t *testing.T) {
 		kind NameKind
 		str  string
 	}{
-		{KindCounter, "counter"}, {KindTimer, "timer"}, {KindHistogram, "histogram"},
+		{KindCounter, "counter"}, {KindHistogram, "histogram"},
 		{KindSpan, "span"}, {KindEvent, "event"}, {KindGauge, "gauge"},
 		{NameKind(99), "unknown"},
 	}

@@ -1,5 +1,5 @@
 // Package obs is a zero-dependency, deterministic instrumentation layer
-// for the planners: named counters and wall-clock timers handed out by a
+// for the planners: named counters, histograms and gauges handed out by a
 // Recorder. The planners thread a Recorder through their hot paths —
 // candidate evaluations, Christofides runs, blossom matchings, local-search
 // passes — so a run can report *why* it was slow, not just how long it
@@ -17,29 +17,26 @@
 //     counters into a correctness oracle for the parallel scan — any
 //     divergence across worker counts means a candidate was evaluated twice
 //     or skipped.
-//   - Timers measure wall time and are inherently not reproducible; only
-//     their invocation counts are.
+//   - Wall-clock observations (WallSuffix histograms) and gauges are not
+//     reproducible and stay out of determinism comparisons.
 package obs
 
-// Recorder hands out named Counter, Timer, and Histogram handles. Handles
+// Recorder hands out named Counter, Histogram, and Gauge handles. Handles
 // are stable: two calls with the same name affect the same underlying cell,
 // so hot loops should fetch handles once, outside the loop.
 type Recorder interface {
 	// Counter returns the named monotonically increasing counter.
 	Counter(name string) Counter
-	// Timer returns the named wall-clock timer.
-	Timer(name string) Timer
 	// Histogram returns the named fixed-bucket histogram. The boundaries
 	// of the first call for a name win; later calls for the same name may
 	// pass nil. Histograms over deterministic values (energies, volumes,
 	// counts) share the counters' reproducibility guarantee; histograms
 	// observing wall-clock durations must use a name ending in
-	// WallSuffix and are excluded from determinism comparisons, exactly
-	// like Timers.
+	// WallSuffix and are excluded from determinism comparisons.
 	Histogram(name string, buckets []float64) Histogram
 	// Gauge returns the named point-in-time level. Unlike counters,
 	// gauges are instantaneous readings (queue depths, cache sizes) and
-	// are excluded from determinism comparisons, exactly like Timers.
+	// are excluded from determinism comparisons.
 	Gauge(name string) Gauge
 }
 
@@ -73,15 +70,6 @@ type Counter interface {
 	Add(n int64)
 }
 
-// Timer accumulates wall-clock durations.
-type Timer interface {
-	// Start begins a measurement; calling the returned function records
-	// the elapsed time.
-	Start() func()
-	// Observe records one measurement of the given duration in seconds.
-	Observe(seconds float64)
-}
-
 // Discard is the no-op Recorder every planner defaults to. Its handles are
 // shared stateless singletons, safe for concurrent use from any number of
 // goroutines.
@@ -91,21 +79,16 @@ type nopRecorder struct{}
 
 type nopCounter struct{}
 
-type nopTimer struct{}
-
 type nopHistogram struct{}
 
 type nopGauge struct{}
 
 func (nopRecorder) Counter(string) Counter                { return nopCounter{} }
-func (nopRecorder) Timer(string) Timer                    { return nopTimer{} }
 func (nopRecorder) Histogram(string, []float64) Histogram { return nopHistogram{} }
 func (nopRecorder) Gauge(string) Gauge                    { return nopGauge{} }
 
 func (nopCounter) Inc()              {}
 func (nopCounter) Add(int64)         {}
-func (nopTimer) Start() func()       { return func() {} }
-func (nopTimer) Observe(float64)     {}
 func (nopHistogram) Observe(float64) {}
 func (nopGauge) Set(int64)           {}
 func (nopGauge) Add(int64)           {}

@@ -28,36 +28,15 @@ func TestRegistryCountersAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestRegistryTimers(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("t")
-	tm.Observe(0.5)
-	tm.Observe(0.25)
-	stop := tm.Start()
-	stop()
-	snap := r.Snapshot()
-	st := snap.Timers["t"]
-	if st.Count != 3 {
-		t.Errorf("count = %d, want 3", st.Count)
-	}
-	if st.Seconds < 0.75 {
-		t.Errorf("seconds = %v, want ≥ 0.75", st.Seconds)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Counter("x").Add(2)
 	b.Counter("x").Add(3)
 	b.Counter("y").Inc()
-	b.Timer("t").Observe(1)
 	a.Merge(b)
 	snap := a.Snapshot()
 	if snap.Counters["x"] != 5 || snap.Counters["y"] != 1 {
 		t.Errorf("merged counters = %v", snap.Counters)
-	}
-	if snap.Timers["t"].Count != 1 {
-		t.Errorf("merged timer = %+v", snap.Timers["t"])
 	}
 }
 
@@ -113,8 +92,6 @@ func TestDiscardAndHelpers(t *testing.T) {
 	// Discard must be callable from anywhere without effect.
 	Discard.Counter("x").Inc()
 	Discard.Counter("x").Add(5)
-	Discard.Timer("t").Observe(1)
-	Discard.Timer("t").Start()()
 
 	if OrDiscard(nil) != Discard {
 		t.Error("OrDiscard(nil) != Discard")
@@ -180,13 +157,12 @@ func TestHistogramMergeAndEqual(t *testing.T) {
 }
 
 // TestSnapshotOrderingLock pins the diff-stability contract: every exported
-// iteration order (CounterNames, TimerNames, HistNames, WriteTo) is sorted,
-// so uavexp -metrics panels and uavbench JSON are stable across runs.
+// iteration order (CounterNames, HistNames, WriteTo) is sorted, so uavexp
+// -metrics panels and the bench ledger are stable across runs.
 func TestSnapshotOrderingLock(t *testing.T) {
 	r := NewRegistry()
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		r.Counter(name).Inc()
-		r.Timer(name + ".t").Observe(0.1)
 		r.Histogram(name+".h", []float64{1}).Observe(0.5)
 	}
 	snap := r.Snapshot()
@@ -200,7 +176,6 @@ func TestSnapshotOrderingLock(t *testing.T) {
 		}
 	}
 	assertSorted("CounterNames", snap.CounterNames())
-	assertSorted("TimerNames", snap.TimerNames())
 	assertSorted("HistNames", snap.HistNames())
 
 	var sb strings.Builder
@@ -208,11 +183,11 @@ func TestSnapshotOrderingLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("WriteTo rendered %d lines, want 9:\n%s", len(lines), sb.String())
+	if len(lines) != 6 {
+		t.Fatalf("WriteTo rendered %d lines, want 6:\n%s", len(lines), sb.String())
 	}
-	// Counters, then timers, then histograms, each block sorted.
-	want := []string{"alpha", "mid", "zeta", "alpha.t", "mid.t", "zeta.t", "alpha.h", "mid.h", "zeta.h"}
+	// Counters, then histograms, each block sorted.
+	want := []string{"alpha", "mid", "zeta", "alpha.h", "mid.h", "zeta.h"}
 	for i, prefix := range want {
 		if !strings.HasPrefix(lines[i], prefix+" ") {
 			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
@@ -224,7 +199,6 @@ func TestSnapshotWriteTo(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b").Add(2)
 	r.Counter("a").Inc()
-	r.Timer("t").Observe(0.5)
 	var sb strings.Builder
 	if _, err := r.Snapshot().WriteTo(&sb); err != nil {
 		t.Fatal(err)

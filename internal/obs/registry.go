@@ -7,18 +7,17 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Registry is the standard Recorder: a named set of counters and timers.
-// Handle lookup takes a mutex; the handles themselves are lock-free
-// (counters) or internally locked (timers), so a Registry may be shared
+// Registry is the standard Recorder: a named set of counters, histograms
+// and gauges. Handle lookup takes a mutex; the handles themselves are
+// lock-free (counters, gauges) or internally locked (histograms), so a
+// Registry may be shared
 // across goroutines — though parallel planner sections prefer per-worker
 // shards (Shards) to keep recording deterministic by construction.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*counterCell
-	timers   map[string]*timerCell
 	hists    map[string]*histCell
 	gauges   map[string]*gaugeCell
 }
@@ -27,7 +26,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*counterCell{},
-		timers:   map[string]*timerCell{},
 		hists:    map[string]*histCell{},
 		gauges:   map[string]*gaugeCell{},
 	}
@@ -37,24 +35,6 @@ type counterCell struct{ n atomic.Int64 }
 
 func (c *counterCell) Inc()        { c.n.Add(1) }
 func (c *counterCell) Add(n int64) { c.n.Add(n) }
-
-type timerCell struct {
-	mu      sync.Mutex
-	count   int64
-	seconds float64
-}
-
-func (t *timerCell) Start() func() {
-	start := time.Now()                                      //uavdc:allow nodeterminism Timer exists to measure wall time; readers must treat it as non-deterministic
-	return func() { t.Observe(time.Since(start).Seconds()) } //uavdc:allow nodeterminism Timer exists to measure wall time; readers must treat it as non-deterministic
-}
-
-func (t *timerCell) Observe(seconds float64) {
-	t.mu.Lock()
-	t.count++
-	t.seconds += seconds
-	t.mu.Unlock()
-}
 
 // Counter implements Recorder.
 func (r *Registry) Counter(name string) Counter {
@@ -66,18 +46,6 @@ func (r *Registry) Counter(name string) Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Timer implements Recorder.
-func (r *Registry) Timer(name string) Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &timerCell{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 type gaugeCell struct{ v atomic.Int64 }
@@ -138,7 +106,7 @@ func (r *Registry) Histogram(name string, buckets []float64) Histogram {
 	return h
 }
 
-// Merge adds every count and timer total of s into r. Merging is pure
+// Merge adds every counter, histogram and gauge total of s into r. Merging is pure
 // addition, so the final totals are independent of merge order; callers
 // still merge in worker-index order to keep the operation reproducible
 // step by step.
@@ -150,20 +118,6 @@ func (r *Registry) Merge(s *Registry) {
 			//uavdc:allow nodeterminism merge is pure addition, commutative across iteration orders
 			//uavdc:allow obsnames generic plumbing; names were validated at their recording sites
 			r.Counter(name).Add(n)
-		}
-	}
-	for name, t := range s.timers {
-		t.mu.Lock()
-		count, secs := t.count, t.seconds
-		t.mu.Unlock()
-		if count != 0 {
-			//uavdc:allow nodeterminism merge is pure addition, commutative across iteration orders
-			//uavdc:allow obsnames generic plumbing; names were validated at their recording sites
-			dst := r.Timer(name).(*timerCell)
-			dst.mu.Lock()
-			dst.count += count
-			dst.seconds += secs
-			dst.mu.Unlock()
 		}
 	}
 	for name, h := range s.hists {
@@ -193,14 +147,6 @@ func (r *Registry) Merge(s *Registry) {
 	}
 }
 
-// TimerStat is one timer's aggregate in a Snapshot.
-type TimerStat struct {
-	// Count is the number of observations.
-	Count int64
-	// Seconds is the summed duration.
-	Seconds float64
-}
-
 // HistStat is one histogram's aggregate in a Snapshot.
 type HistStat struct {
 	// Buckets is the sorted upper boundary of each bucket; Counts has one
@@ -214,10 +160,9 @@ type HistStat struct {
 
 // Snapshot is a point-in-time copy of a registry's totals. Gauges are
 // instantaneous levels (queue depths, cache sizes), excluded from Equal
-// and Diff exactly like Timers and WallSuffix histograms.
+// and Diff exactly like WallSuffix histograms.
 type Snapshot struct {
 	Counters map[string]int64
-	Timers   map[string]TimerStat
 	Hists    map[string]HistStat
 	Gauges   map[string]int64
 }
@@ -228,17 +173,11 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	snap := Snapshot{
 		Counters: make(map[string]int64, len(r.counters)),
-		Timers:   make(map[string]TimerStat, len(r.timers)),
 		Hists:    make(map[string]HistStat, len(r.hists)),
 		Gauges:   make(map[string]int64, len(r.gauges)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.n.Load()
-	}
-	for name, t := range r.timers {
-		t.mu.Lock()
-		snap.Timers[name] = TimerStat{Count: t.count, Seconds: t.seconds}
-		t.mu.Unlock()
 	}
 	for name, h := range r.hists {
 		h.mu.Lock()
@@ -267,16 +206,6 @@ func (s Snapshot) CounterNames() []string {
 	return names
 }
 
-// TimerNames returns the timer names in sorted order.
-func (s Snapshot) TimerNames() []string {
-	names := make([]string, 0, len(s.Timers))
-	for name := range s.Timers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // HistNames returns the histogram names in sorted order.
 func (s Snapshot) HistNames() []string {
 	names := make([]string, 0, len(s.Hists))
@@ -299,7 +228,7 @@ func (s Snapshot) GaugeNames() []string {
 
 // deterministicHist reports whether the named histogram participates in
 // determinism comparisons: wall-clock histograms (WallSuffix names) are
-// excluded, exactly like Timers.
+// excluded.
 func deterministicHist(name string) bool {
 	return !strings.HasSuffix(name, WallSuffix)
 }
@@ -318,8 +247,8 @@ func histEqual(a, b HistStat) bool {
 }
 
 // Equal reports whether two snapshots have identical counter totals and
-// deterministic-histogram bucket counts (timers and WallSuffix histograms
-// are wall-clock and excluded from equality).
+// deterministic-histogram bucket counts (WallSuffix histograms are
+// wall-clock and excluded from equality).
 //
 //uavdc:allow deadexport test oracle: the core, simulate and obs determinism tests compare counter snapshots with it
 func (s Snapshot) Equal(o Snapshot) bool {
@@ -386,7 +315,7 @@ func (s Snapshot) Diff(o Snapshot) string {
 }
 
 // WriteTo renders the snapshot as sorted "name value" lines: counters
-// first, then timers as "name count seconds", then histograms as
+// first, then histograms as
 // "name count sum ≤b:n ... >b:n", then gauges as "name value". Every
 // section iterates its names in sorted order, so the rendering is
 // diff-stable. Implements io.WriterTo.
@@ -394,14 +323,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	for _, name := range s.CounterNames() {
 		n, err := fmt.Fprintf(w, "%s %d\n", name, s.Counters[name])
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	for _, name := range s.TimerNames() {
-		st := s.Timers[name]
-		n, err := fmt.Fprintf(w, "%s %d %.6fs\n", name, st.Count, st.Seconds)
 		total += int64(n)
 		if err != nil {
 			return total, err

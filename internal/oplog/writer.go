@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultBuffer is the record-channel capacity a Writer gets when the
@@ -16,7 +15,7 @@ const DefaultBuffer = 1024
 // Writer appends Records to a sink as a uavdc-oplog/1 JSONL stream from
 // a single background goroutine, decoupled from producers by a bounded
 // channel: Record never blocks, and when the channel is full (a slow or
-// stalled sink) the record is counted as dropped instead. This is the
+// stalled sink) the record is dropped instead and Record reports it. This is the
 // contract that lets the serving layer log on the request path — the
 // op-log can lose lines under pressure, but it can never add latency.
 //
@@ -29,9 +28,7 @@ type Writer struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	strip    bool
-	accepted atomic.Int64
-	dropped  atomic.Int64
+	strip bool
 
 	mu  sync.Mutex
 	err error
@@ -59,20 +56,18 @@ func NewWriter(w io.Writer, buffer int, strip bool) *Writer {
 // value reports whether the record was accepted (false means it was
 // dropped because the buffer is full or the writer is stopped and has
 // already drained). Safe to call concurrently, and safe after Close —
-// late records are counted as dropped, never a panic.
+// late records are dropped, never a panic. Callers count the drops (the
+// serving layer's serve.oplog.dropped counter).
 func (w *Writer) Record(rec Record) bool {
 	select {
 	case <-w.stop:
-		w.dropped.Add(1)
 		return false
 	default:
 	}
 	select {
 	case w.records <- rec:
-		w.accepted.Add(1)
 		return true
 	default:
-		w.dropped.Add(1)
 		return false
 	}
 }

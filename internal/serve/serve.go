@@ -311,11 +311,13 @@ func (s *Server) runFlight(f *flight, workerID int) {
 		f.evicted = s.cache.Put(f.key, body)
 		s.cEvictions.Add(int64(f.evicted))
 	}
+	// The plan's phase spans are streamed before the flight completes, so
+	// a caller that sees the response also sees its trace.
+	s.streamPlanTrace(tr)
 	s.mu.Lock()
 	delete(s.inflight, f.key)
 	s.mu.Unlock()
 	close(f.done)
-	s.streamPlanTrace(tr)
 }
 
 // disposition maps an outcome to its op-log disposition: failure

@@ -32,8 +32,8 @@ import (
 // schema. Bump a version here (and in the EXPERIMENTS.md registry
 // table) when the format changes meaning.
 const (
-	// Bench tags BENCH_*.json perf panels (internal/experiments).
-	Bench = "uavdc-bench/1"
+	// Bench tags the BENCH_LEDGER.json deterministic ledger (internal/experiments).
+	Bench = "uavdc-bench/2"
 	// Canon tags the canonical instance-key encoding (internal/canon).
 	Canon = "uavdc-canon/1"
 	// Health tags the /healthz JSON body (internal/serve).
