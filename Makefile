@@ -3,12 +3,19 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint lint-update pure perfbench test race fuzz bench bench-micro ledger benchparity fastpath golden golden-traces adaptive trace serve obs
+.PHONY: ci fmt build vet lint lint-update pure perfbench test race fuzz bench bench-micro ledger benchparity fastpath golden golden-traces adaptive trace serve obs
 
-ci: vet lint pure perfbench build race adaptive trace fastpath benchparity serve obs
+ci: fmt vet lint pure perfbench build race adaptive trace fastpath benchparity serve obs
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails when gofmt would rewrite any Go file, listing
+# the files (`gofmt -w` them).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "make fmt: gofmt would rewrite:" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -66,11 +73,13 @@ fuzz:
 	$(GO) test -fuzz FuzzRetourMatchesImprove -fuzztime 10s ./internal/tsp
 
 # Adaptive-executor gate: the reachable-depot property test over its fixed
-# seed matrix, the cross-worker determinism test, and the bit-for-bit
-# parity check against the reference simulator, all under the race
-# detector. (Also covered by `race`; kept separate so the invariant is a
-# named CI step.)
+# seed matrix, the cross-worker determinism test, the bit-for-bit
+# parity check against the reference simulator, and the replanner's
+# golden plans (K = 1, K = 4, a no-hover zone, zero budget), all under
+# the race detector. (Also covered by `race`; kept separate so the
+# invariant is a named CI step.)
 adaptive:
+	$(GO) test -race -count=1 -run 'TestReplanGolden' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAdaptiveNeverDiesUnderFaults|TestAdaptiveCountersDeterministicAcrossWorkers|TestAdaptiveMatchesRunFaultFree' ./internal/simulate
 	$(GO) test -race -count=1 -run 'TestAdaptiveRunMatchesRunOnFigureDrivers' ./internal/experiments
 

@@ -155,8 +155,10 @@ func TestKeySensitivity(t *testing.T) {
 		"sensor order": func(in *Instance) { in.Sensors[0], in.Sensors[1] = in.Sensors[1], in.Sensors[0] },
 		"algorithm":    func(in *Instance) { in.Algorithm = "greedy" },
 		"refine":       func(in *Instance) { in.Refine = true },
-		"radio":        func(in *Instance) { in.Radio = Radio{Kind: RadioShannon, RefRate: 150, RefDist: 10, RefSNR: 100, PathLossExp: 2} },
-		"k":            func(in *Instance) { in.K = 2 },
+		"radio": func(in *Instance) {
+			in.Radio = Radio{Kind: RadioShannon, RefRate: 150, RefDist: 10, RefSNR: 100, PathLossExp: 2}
+		},
+		"k": func(in *Instance) { in.K = 2 },
 	}
 	for _, name := range slices.Sorted(maps.Keys(mutate)) {
 		in := sample()

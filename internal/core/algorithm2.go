@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/hover"
@@ -96,15 +97,12 @@ func (a *Algorithm2) evalFull(st *greedyState, c int, curEnergy units.Joules, so
 	switch {
 	case a.ExactRatioTSP:
 		pos, travelD = st.christofidesDelta(c)
-	case st.reference:
-		pos, travelD = tsp.BestInsertion(st.tour, c, st.dist)
 	default:
-		// Bit-equal to BestInsertion: same hypotenuses, cached edges.
-		pos, travelD = st.ins.bestInsertion(loc.Pos)
+		pos, travelD = st.insertion(c)
 	}
 	hoverE := st.in.Model.HoverEnergy(sojourn)
 	travelE := st.in.Model.TravelEnergy(units.Meters(travelD))
-	if curEnergy+hoverE+travelE > st.in.Budget()+1e-9 {
+	if curEnergy+hoverE+travelE > st.budget+1e-9 {
 		so.pruned.Inc()
 		return fullCandidate{}, 0, false
 	}
@@ -138,7 +136,7 @@ func betterFull(c1 fullCandidate, r1 float64, c2 fullCandidate, r2 float64) bool
 func (a *Algorithm2) pickNext(st *greedyState) (fullCandidate, bool) {
 	cur := st.energy()
 	ids := st.scanIdx().compact()
-	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
+	st.resetPricing()
 	evals := int64(0)
 	for _, c := range ids {
 		if !st.inTour[c] {
@@ -159,13 +157,20 @@ func (a *Algorithm2) pickNext(st *greedyState) (fullCandidate, bool) {
 	}, betterFull)
 }
 
-// greedyState is the shared incremental machinery of Algorithms 2 and 3.
+// greedyState is the shared incremental machinery of Algorithms 2 and 3,
+// the LNS repair loop and the residual replanner. Its route is the
+// planners' closed depot tour or, when path is set, the replanner's open
+// path to the depot; only the leaf methods for pricing (resetPricing,
+// insertion), insert, energy, re-optimise (improveTour) and plan freeze
+// tell the two shapes apart.
 type greedyState struct {
 	in       *Instance
 	set      *hover.Set
-	tour     tsp.Tour // over hover-set ids, depot always present
+	tour     tsp.Tour  // over hover-set ids, depot always present
+	path     *openPath // nil means the route is tour
 	dist     tsp.Metric
-	inTour   []bool
+	budget   units.Joules
+	inTour   []bool       // in the route; the depot always counts
 	residual []units.Bits // remaining volume per sensor, MB
 	// stops accumulates accepted stops keyed by hover-set id.
 	sojourns  map[int]units.Seconds
@@ -177,10 +182,15 @@ type greedyState struct {
 	cAccepted obs.Counter
 	cUpgraded obs.Counter
 	cSkipped  obs.Counter
+	// excluded marks the replanner's no-hover candidates (nil: none);
+	// neither scan ever evaluates them, and nExcluded, their count,
+	// closes the evals + skipped reconciliation.
+	excluded  []bool
+	nExcluded int64
 	// reference selects the retained full-scan path (Instance.Reference);
 	// the default fast path prunes idx to the residual-active candidates
 	// (built lazily so callers may seed residuals first) and prices
-	// insertions through ins (per-iteration cached tour edges).
+	// insertions through ins (per-iteration cached route edges).
 	reference bool
 	idx       *scanIndex
 	ins       insertionScratch
@@ -192,6 +202,7 @@ func newGreedyState(in *Instance, set *hover.Set) *greedyState {
 		in:        in,
 		set:       set,
 		tour:      tsp.Tour{Order: []int{hover.DepotID}},
+		budget:    in.Budget(),
 		inTour:    make([]bool, set.Len()),
 		residual:  make([]units.Bits, len(in.Net.Sensors)),
 		sojourns:  map[int]units.Seconds{},
@@ -210,9 +221,15 @@ func newGreedyState(in *Instance, set *hover.Set) *greedyState {
 	return st
 }
 
-// energy returns the actual energy of the current tour plus hover time.
+// energy returns the nominal energy of the current route plus hover time.
 func (st *greedyState) energy() units.Joules {
-	return st.in.Model.TourEnergy(units.Meters(st.tour.Cost(st.dist)), st.hoverTime)
+	var length float64
+	if st.path != nil {
+		length = st.path.length
+	} else {
+		length = st.tour.Cost(st.dist)
+	}
+	return st.in.Model.TourEnergy(units.Meters(length), st.hoverTime)
 }
 
 // scanIdx lazily builds the residual-active candidate index. Laziness
@@ -220,7 +237,7 @@ func (st *greedyState) energy() units.Joules {
 // destroyed plan after constructing the state.
 func (st *greedyState) scanIdx() *scanIndex {
 	if st.idx == nil {
-		st.idx = newScanIndex(st.set, st.residual, nil, st.reference)
+		st.idx = newScanIndex(st.set, st.residual, st.excluded, st.reference)
 	}
 	return st.idx
 }
@@ -232,9 +249,50 @@ func (st *greedyState) noteDrained(v int) {
 	}
 }
 
-// improveTour re-optimises the tour after an acceptance, through a dense
-// submatrix over the tour's items (see tsp.ImproveMetric).
+// resetPricing loads the current route into the insertion scratch: the
+// closed tour, or the path from its start through its stops to its end.
+func (st *greedyState) resetPricing() {
+	if st.path != nil {
+		st.ins.reset(len(st.path.order)+2, func(i int) geom.Point { return st.path.node(st.set, i) }, false)
+		return
+	}
+	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos }, true)
+}
+
+// insertion prices adding location c to the route: the insertion position
+// and the route-length increase in metres. The fast path reads the scratch
+// resetPricing loaded; the reference path prices against the route itself.
+func (st *greedyState) insertion(c int) (int, float64) {
+	switch {
+	case !st.reference:
+		return st.ins.cheapest(st.set.Locs[c].Pos)
+	case st.path != nil:
+		return st.path.insertion(st.set, c)
+	default:
+		return tsp.BestInsertion(st.tour, c, st.dist)
+	}
+}
+
+// insert adds location c to the route at pos; a path's running length
+// grows by the priced delta travelD.
+func (st *greedyState) insert(c, pos int, travelD float64) {
+	if st.path != nil {
+		st.path.order = slices.Insert(st.path.order, pos, c)
+		st.path.length += travelD
+	} else {
+		st.tour = tsp.Insert(st.tour, c, pos)
+	}
+	st.inTour[c] = true
+}
+
+// improveTour re-optimises the route after an acceptance: the tour through
+// a dense submatrix over its items (see tsp.ImproveMetric), the path with
+// its fixed-endpoint 2-opt.
 func (st *greedyState) improveTour() {
+	if st.path != nil {
+		st.path.improve(st.set)
+		return
+	}
 	tsp.ImproveMetric(&st.tour, st.dist, st.rec)
 }
 
@@ -242,8 +300,7 @@ func (st *greedyState) improveTour() {
 // sensor completely, and re-optimises the tour order.
 func (st *greedyState) acceptFull(c fullCandidate) {
 	st.cAccepted.Inc()
-	st.tour = tsp.Insert(st.tour, c.loc, c.pos)
-	st.inTour[c.loc] = true
+	st.insert(c.loc, c.pos, c.travelD)
 	st.sojourns[c.loc] = c.sojourn
 	st.hoverTime += c.sojourn
 	m := map[int]units.Bits{}
@@ -278,14 +335,18 @@ func (st *greedyState) christofidesDelta(c int) (int, float64) {
 	return pos, delta
 }
 
-// plan freezes the state into a Plan in tour order.
+// plan freezes the state into a Plan in route order: the tour from the
+// depot, or the path's stops, to be flown from its start.
 func (st *greedyState) plan(name string) *Plan {
-	st.tour.RotateTo(hover.DepotID)
+	var ids []int
+	if st.path != nil {
+		ids = st.path.order
+	} else {
+		st.tour.RotateTo(hover.DepotID)
+		ids = st.tour.Order[1:]
+	}
 	p := &Plan{Algorithm: name, Depot: st.in.Net.Depot}
-	for _, id := range st.tour.Order {
-		if id == hover.DepotID {
-			continue
-		}
+	for _, id := range ids {
 		stop := Stop{
 			Pos:     st.set.Locs[id].Pos,
 			LocID:   id,

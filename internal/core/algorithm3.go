@@ -3,10 +3,8 @@ package core
 import (
 	"math"
 
-	"uavdc/internal/geom"
 	"uavdc/internal/hover"
 	"uavdc/internal/trace"
-	"uavdc/internal/tsp"
 	"uavdc/internal/units"
 )
 
@@ -40,11 +38,10 @@ func (a *Algorithm3) Name() string { return "algorithm3" }
 type partialCandidate struct {
 	loc     int           // hover-set id
 	pos     int           // insertion position (new bases only)
-	upgrade bool          // true when loc is already in the tour
+	upgrade bool          // true when loc is already in the route
 	sojourn units.Seconds // new total sojourn at the stop
 	gain    units.Bits    // extra MB collected
-	hoverE  units.Joules  // extra hover energy, J
-	travelE units.Joules  // extra travel energy, J
+	travelD float64       // route-length increase in metres (new bases only)
 	take    map[int]units.Bits
 }
 
@@ -70,7 +67,7 @@ func (a *Algorithm3) Plan(in *Instance) (*Plan, error) {
 	st := newGreedyState(in, set)
 	for {
 		endIter := tr.Begin(SpanPlanAlg3Iterate)
-		best, ok := a.pickNext(st, k)
+		best, ok := st.pickPartial(k, a.Workers)
 		if !ok {
 			endIter()
 			break
@@ -102,37 +99,38 @@ func betterPartial(c1 partialCandidate, r1 float64, c2 partialCandidate, r2 floa
 	return c1.sojourn < c2.sojourn
 }
 
-// pickNext scans every (location, level) pair, fanning across Workers
-// goroutines when asked. The fast scan walks only residual-active
-// locations — an inactive location can produce neither a positive full
-// award nor a positive partial gain, and a fully drained in-tour stop has
-// no level above its current sojourn, so skipping both is bit-equivalent;
-// the skip count reconciles its evals with the reference scan's, which
-// visits every location each iteration.
-func (a *Algorithm3) pickNext(st *greedyState, k int) (partialCandidate, bool) {
+// pickPartial is Algorithm 3's argmax step, shared by the planner, LNS
+// repair and the residual replanner: it scans every (location, level)
+// pair, fanning across workers goroutines when asked. The fast scan walks
+// only residual-active, non-excluded locations — an inactive location can
+// produce neither a positive full award nor a positive partial gain, and a
+// fully drained in-route stop has no level above its current sojourn, so
+// skipping both is bit-equivalent; the skip count reconciles its evals with
+// the reference scan's, which visits every non-excluded location each
+// iteration.
+func (st *greedyState) pickPartial(k, workers int) (partialCandidate, bool) {
 	cur := st.energy()
 	ids := st.scanIdx().compact()
-	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
-	st.cSkipped.Add(int64(st.set.Len()-1) - int64(len(ids)))
-	return scanBest(st.rec, a.Workers, ids, func(c int, so scanObs) (partialCandidate, float64, bool) {
-		return a.evalLoc(st, k, c, cur, so)
+	st.resetPricing()
+	st.cSkipped.Add(int64(st.set.Len()-1) - st.nExcluded - int64(len(ids)))
+	return scanBest(st.rec, workers, ids, func(c int, so scanObs) (partialCandidate, float64, bool) {
+		return st.evalLoc(k, c, cur, so)
 	}, betterPartial)
 }
 
-// evalLoc prices every level of one location and returns its best
-// candidate under the total order. so carries the evaluating worker's
-// counter handles.
-func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so scanObs) (partialCandidate, float64, bool) {
+// evalLoc prices every level of one location against the route and returns
+// its best candidate under the total order. so carries the evaluating
+// worker's counter handles.
+func (st *greedyState) evalLoc(k, c int, cur units.Joules, so scanObs) (partialCandidate, float64, bool) {
 	so.evalHit(c)
 	in := st.in
 	best := partialCandidate{loc: -1}
 	bestRatio := -1.0
-	budget := in.Budget()
 	loc := &st.set.Locs[c]
 	// Residual full-drain time defines this location's level ladder.
 	so.resid.Inc()
 	fullSojourn, fullAward := hover.ResidualDrain(loc.Covered, st.residual, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth))
-	prevSojourn := st.sojourns[c] // 0 when not in tour
+	prevSojourn := st.sojourns[c] // 0 when not in the route
 	already := st.collected[c]
 	if fullAward <= 0 && !st.inTour[c] {
 		return best, -1, false
@@ -140,11 +138,7 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 	var pos int
 	var travelD float64
 	if !st.inTour[c] {
-		if st.reference {
-			pos, travelD = tsp.BestInsertion(st.tour, c, st.dist)
-		} else {
-			pos, travelD = st.ins.bestInsertion(loc.Pos)
-		}
+		pos, travelD = st.insertion(c)
 	}
 	for level := 1; level <= k; level++ {
 		sojourn := units.Seconds(float64(level) * fullSojourn.F() / float64(k))
@@ -160,7 +154,7 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 		if !st.inTour[c] {
 			travelE = in.Model.TravelEnergy(units.Meters(travelD))
 		}
-		if cur+hoverE+travelE > budget+1e-9 {
+		if cur+hoverE+travelE > st.budget+1e-9 {
 			so.pruned.Inc()
 			continue
 		}
@@ -175,8 +169,7 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 			upgrade: st.inTour[c],
 			sojourn: sojourn,
 			gain:    gain,
-			hoverE:  hoverE,
-			travelE: travelE,
+			travelD: travelD,
 			take:    take,
 		}
 		if betterPartial(cand, ratio, best, bestRatio) {
@@ -217,14 +210,13 @@ func partialTake(covered []int, residual []units.Bits, already map[int]units.Bit
 
 // acceptPartial applies a partial candidate: inserts or upgrades the stop,
 // moves the taken volumes from residuals into the stop's ledger, and
-// re-optimises the tour.
+// re-optimises the route.
 func (st *greedyState) acceptPartial(c partialCandidate) {
 	if c.upgrade {
 		st.cUpgraded.Inc()
 	} else {
 		st.cAccepted.Inc()
-		st.tour = tsp.Insert(st.tour, c.loc, c.pos)
-		st.inTour[c.loc] = true
+		st.insert(c.loc, c.pos, c.travelD)
 		st.collected[c.loc] = map[int]units.Bits{}
 	}
 	st.hoverTime += c.sojourn - st.sojourns[c.loc]

@@ -8,8 +8,9 @@ import (
 	"uavdc/internal/units"
 )
 
-// This file is the fast-path candidate machinery shared by the greedy
-// planners (Algorithm 2/3, LNS repair, residual replanning). It rests on
+// This file is the fast-path candidate machinery of greedyState, the one
+// greedy state behind Algorithms 2 and 3, LNS repair and residual
+// replanning, whichever route shape it grows. It rests on
 // one exactness argument: a candidate location whose covered sensors are
 // all fully drained has hover.ResidualDrain award exactly 0, and the
 // reference scan discards such candidates unconditionally (they can never
@@ -38,20 +39,20 @@ type scanIndex struct {
 	stale  bool
 }
 
-// newScanIndex builds the index for the current residuals. skip, when
-// non-nil, drops locations the caller will never evaluate (the replanner's
-// excluded no-hover zones); skipped locations are neither indexed nor
-// reported active. Location 0 (the depot) is never a candidate. A
-// reference index (Instance.Reference) keeps every non-skipped location
-// active for good — the retained unpruned scan — so the skip ledger its
-// callers derive from the active list stays at zero.
-func newScanIndex(set *hover.Set, residual []units.Bits, skip func(c int) bool, reference bool) *scanIndex {
+// newScanIndex builds the index for the current residuals. excluded, when
+// non-nil, marks the greedy state's no-hover locations, which no scan ever
+// evaluates; they are neither indexed nor reported active. Location 0 (the
+// depot) is never a candidate. A reference index (Instance.Reference)
+// keeps every non-excluded location active for good — the retained
+// unpruned scan — so the skip ledger its callers derive from the active
+// list stays at zero.
+func newScanIndex(set *hover.Set, residual []units.Bits, excluded []bool, reference bool) *scanIndex {
 	ix := &scanIndex{
 		locsOf: make([][]int32, len(residual)),
 		cover:  make([]int32, set.Len()),
 	}
 	for c := 1; c < set.Len(); c++ {
-		if skip != nil && skip(c) {
+		if excluded != nil && excluded[c] {
 			continue
 		}
 		if !reference {
@@ -97,78 +98,57 @@ func (ix *scanIndex) compact() []int32 {
 	return ix.active
 }
 
-// insertionScratch precomputes the tour's stop positions and edge lengths
-// so pricing one candidate is a single pass of fresh hypotenuses instead
-// of three metric calls per edge. bestInsertion mirrors tsp.BestInsertion
-// term by term — pts[i].Dist(v) is the identical math.Hypot call
-// set.Dist(order[i], v) bottoms out in, and edge[i] caches the identical
-// m(a, b) value — so position and delta are bit-equal to the reference.
+// insertionScratch precomputes the route's node positions and edge
+// lengths so pricing one candidate is a single pass of fresh hypotenuses
+// instead of three metric calls per edge. cheapest prices each edge term
+// by term as the reference does — pts[i].Dist(p) is the identical
+// math.Hypot call set.Dist(order[i], v) bottoms out in, and edge[i] caches
+// the identical m(a, b) value — so position and delta are bit-equal to
+// tsp.BestInsertion on a closed tour and to openPath.insertion on a path.
 type insertionScratch struct {
-	pts  []geom.Point
-	edge []float64
+	pts    []geom.Point
+	edge   []float64 // edge[i] = pts[i] → pts[i+1]
+	closed bool
 }
 
-// reset rebuilds the scratch for the tour described by pos(i), i < n.
-// Buffers are reused across iterations.
-func (sc *insertionScratch) reset(n int, pos func(i int) geom.Point) {
+// reset rebuilds the scratch for the route through node(i), i < n. A
+// closed tour (n ≥ 1) repeats its first node at the end, so its
+// wrap-around edge is one more consecutive pair. Buffers are reused
+// across iterations.
+func (sc *insertionScratch) reset(n int, node func(i int) geom.Point, closed bool) {
 	sc.pts = sc.pts[:0]
 	sc.edge = sc.edge[:0]
+	sc.closed = closed
 	for i := 0; i < n; i++ {
-		sc.pts = append(sc.pts, pos(i))
+		sc.pts = append(sc.pts, node(i))
 	}
-	for i := 0; i < n; i++ {
-		sc.edge = append(sc.edge, sc.pts[i].Dist(sc.pts[(i+1)%n]))
+	if closed {
+		sc.pts = append(sc.pts, sc.pts[0])
 	}
-}
-
-// bestInsertion returns the cheapest cyclic insertion slot for a stop at
-// p, exactly as tsp.BestInsertion prices it against the same tour.
-func (sc *insertionScratch) bestInsertion(p geom.Point) (pos int, delta float64) {
-	n := len(sc.pts)
-	switch n {
-	case 0:
-		return 0, 0
-	case 1:
-		return 1, 2 * sc.pts[0].Dist(p)
-	}
-	pos, delta = 0, math.Inf(1)
-	for i := 0; i < n; i++ {
-		d := sc.pts[i].Dist(p) + p.Dist(sc.pts[(i+1)%n]) - sc.edge[i]
-		if d < delta {
-			delta = d
-			pos = i + 1
-		}
-	}
-	return pos, delta
-}
-
-// bestPathInsertion is the open-path variant used by the replanner: the
-// scratch holds start, interior stops, end, and insertion is priced
-// between consecutive path nodes (pos 0 = right after start), mirroring
-// pathState.bestInsertion including its clamp at 0.
-func (sc *insertionScratch) bestPathInsertion(p geom.Point) (pos int, delta float64) {
-	pos, delta = 0, math.Inf(1)
 	for i := 0; i+1 < len(sc.pts); i++ {
-		d := sc.pts[i].Dist(p) + p.Dist(sc.pts[i+1]) - sc.edge[i]
-		if d < delta {
+		sc.edge = append(sc.edge, sc.pts[i].Dist(sc.pts[i+1]))
+	}
+}
+
+// cheapest returns the cheapest slot for a stop at p between consecutive
+// route nodes and its length delta. On a closed tour the slot after node i
+// is insertion position i+1, as tsp.BestInsertion numbers it (its 1-stop
+// special case of 2·d comes out exactly here: Hypot is sign-symmetric,
+// a+a == 2·a and the edge is 0). On a path it is position i in the order
+// (0 = right after the start), and the delta is clamped at 0 like
+// openPath.insertion's.
+func (sc *insertionScratch) cheapest(p geom.Point) (pos int, delta float64) {
+	pos, delta = 0, math.Inf(1)
+	for i, e := range sc.edge {
+		if d := sc.pts[i].Dist(p) + p.Dist(sc.pts[i+1]) - e; d < delta {
 			pos, delta = i, d
 		}
+	}
+	if sc.closed {
+		return pos + 1, delta
 	}
 	if delta < 0 {
 		delta = 0
 	}
 	return pos, delta
-}
-
-// resetPath rebuilds the scratch for a path: node(i) for i ≤ n+1 with
-// node(0) the start and node(n+1) the end; edge[i] is the i→i+1 length.
-func (sc *insertionScratch) resetPath(n int, node func(i int) geom.Point) {
-	sc.pts = sc.pts[:0]
-	sc.edge = sc.edge[:0]
-	for i := 0; i <= n+1; i++ {
-		sc.pts = append(sc.pts, node(i))
-	}
-	for i := 0; i+1 < len(sc.pts); i++ {
-		sc.edge = append(sc.edge, sc.pts[i].Dist(sc.pts[i+1]))
-	}
 }

@@ -72,12 +72,11 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	cRounds := rec.Counter(CounterLNSRounds)
 	cImproved := rec.Counter(CounterLNSImprovements)
 	rng := rand.New(rand.NewSource(l.Seed))
-	alg := &Algorithm3{}
 	for round := 0; round < rounds; round++ {
 		cRounds.Inc()
 		cur := rebuildState(in, set, best, frac, rng)
 		for {
-			cand, ok := alg.pickNext(cur, k)
+			cand, ok := cur.pickPartial(k, 1)
 			if !ok {
 				break
 			}
@@ -108,7 +107,7 @@ func stopsAreCandidates(p *Plan, set *hover.Set) bool {
 
 // rebuildState reconstructs greedy state from a plan with a random
 // fraction of its stops evicted. The residual drains below happen before
-// the fast scan index exists (it is built lazily on the first pickNext),
+// the fast scan index exists (it is built lazily on the first pickPartial),
 // so the index always observes the fully seeded residuals.
 func rebuildState(in *Instance, set *hover.Set, p *Plan, frac float64, rng *rand.Rand) *greedyState {
 	st := newGreedyState(in, set)
