@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAllowDirective -fuzztime 10s ./internal/lint
 	$(GO) test -fuzz FuzzCanonicalInstance -fuzztime 10s ./internal/canon
 	$(GO) test -fuzz FuzzRetourMatchesImprove -fuzztime 10s ./internal/tsp
+	$(GO) test -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 
 # Adaptive-executor gate: the reachable-depot property test over its fixed
 # seed matrix, the cross-worker determinism test, the bit-for-bit

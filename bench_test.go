@@ -193,30 +193,6 @@ func BenchmarkAblationExactRatioTSP(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDisjointFilter compares Algorithm 1 with and without
-// the disjoint-coverage candidate filter.
-func BenchmarkAblationDisjointFilter(b *testing.B) {
-	in := benchInstance(b, 1)
-	in.Delta = 40
-	disjoint := &core.Algorithm1{}
-	overlap := &core.Algorithm1{AllowOverlap: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p1, err := disjoint.Plan(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			p2, err := overlap.Plan(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(p1.Collected(), "disjoint_MB")
-			b.ReportMetric(p2.Collected(), "overlap_MB")
-		}
-	}
-}
-
 // BenchmarkAblationDecomposition separates the framework's win into its
 // two ingredients: simultaneous coverage collection (benchmark-coverage vs
 // benchmark) and free hovering placement (algorithm2 vs benchmark-coverage).

@@ -58,20 +58,18 @@ type RadioKind uint8
 const (
 	// RadioNone is the paper's constant network bandwidth (no explicit
 	// radio model attached to the instance).
-	RadioNone RadioKind = iota
-	// RadioConstant is an explicit constant-rate model.
-	RadioConstant
+	RadioNone RadioKind = 0
 	// RadioShannon is the Shannon-capacity model over free-space path
-	// loss.
-	RadioShannon
+	// loss. Its value is fixed by the uavdc-canon/1 encoding; 1 is unused.
+	RadioShannon RadioKind = 2
 )
 
-// Radio is the canonical uplink model. For RadioConstant only RefRate (the
-// rate B) is meaningful; for RadioNone no field is.
+// Radio is the canonical uplink model. For RadioNone no field is
+// meaningful.
 type Radio struct {
 	Kind RadioKind
 	// RefRate, RefDist, RefSNR, PathLossExp are the Shannon calibration
-	// parameters; RefRate doubles as the constant model's B.
+	// parameters.
 	RefRate, RefDist, RefSNR, PathLossExp float64
 }
 
@@ -111,8 +109,15 @@ type Instance struct {
 //   - DeltaM ≤ 0    → CommRangeM/5
 //   - CoverRadiusM ≤ 0 → sqrt(R²−H²) at positive altitude, else R
 //     (bit-identical to hover.CoverageRadius)
+//   - ClimbPowerW, ClimbRateMS, AltitudeM = −0 → +0 (zero is their
+//     unset value, which the serve wire schema omits, so a request
+//     spelling −0 and its re-encoding must hash alike)
 func (in Instance) Normalized() Instance {
 	out := in
+	// x + 0 is x for every x but −0, which it maps to +0.
+	out.ClimbPowerW += 0
+	out.ClimbRateMS += 0
+	out.AltitudeM += 0
 	if out.Algorithm == "" {
 		out.Algorithm = DefaultAlgorithm
 	}
@@ -172,11 +177,9 @@ func (in Instance) Key() Key {
 	return sha256.Sum256(in.Normalized().Encode())
 }
 
-// Encoder is the shared canonical byte writer: fixed-width little-endian
-// IEEE bits for floats, fixed-width two's-complement for ints, length-
-// prefixed strings. The higher layers (multi, mission, simulate) append
-// their own knobs to an instance key with it, so every extended key speaks
-// one encoding.
+// Encoder is the canonical byte writer: fixed-width little-endian IEEE
+// bits for floats, fixed-width two's-complement for ints, length-prefixed
+// strings.
 type Encoder struct {
 	buf []byte
 }
@@ -195,13 +198,6 @@ func (e *Encoder) F64(vs ...float64) {
 func (e *Encoder) I64(vs ...int64) {
 	for _, v := range vs {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-	}
-}
-
-// U64 appends each unsigned integer as 8 little-endian bytes.
-func (e *Encoder) U64(vs ...uint64) {
-	for _, v := range vs {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	}
 }
 
@@ -225,20 +221,3 @@ func (e *Encoder) Str(s string) {
 
 // Bytes returns the accumulated encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Sum returns the SHA-256 of the accumulated encoding as a Key.
-func (e *Encoder) Sum() Key { return sha256.Sum256(e.buf) }
-
-// ExtendKey derives a sub-system key from a base key plus extra canonical
-// parts: sha256(base || tag || parts). multi, mission, and simulate use it
-// to widen an instance key with their own knobs without re-encoding the
-// field.
-func ExtendKey(base Key, tag string, parts func(e *Encoder)) Key {
-	e := NewEncoder()
-	e.buf = append(e.buf, base[:]...)
-	e.Str(tag)
-	if parts != nil {
-		parts(e)
-	}
-	return e.Sum()
-}

@@ -170,22 +170,6 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-func TestExtendKey(t *testing.T) {
-	base := sample().Key()
-	fleet2 := ExtendKey(base, "multi/1", func(e *Encoder) { e.I64(2) })
-	fleet3 := ExtendKey(base, "multi/1", func(e *Encoder) { e.I64(3) })
-	if fleet2 == fleet3 || fleet2 == base {
-		t.Fatal("extended keys collide")
-	}
-	again := ExtendKey(base, "multi/1", func(e *Encoder) { e.I64(2) })
-	if fleet2 != again {
-		t.Fatal("ExtendKey is not deterministic")
-	}
-	if ExtendKey(base, "mission/1", func(e *Encoder) { e.I64(2) }) == fleet2 {
-		t.Fatal("tag does not separate key namespaces")
-	}
-}
-
 // FuzzCanonicalInstance locks the encoding's two contracts: (1) the same
 // logical instance — defaults elided or spelled out, built in any
 // parameter order — produces the same cache key; (2) Decode(Encode(x))

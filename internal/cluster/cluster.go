@@ -36,12 +36,14 @@ func (a *Assignment) Members(c int) []int {
 	return out
 }
 
+// kmeansIters caps KMeans's Lloyd iterations.
+const kmeansIters = 50
+
 // KMeans clusters pts into k groups by weighted k-means with k-means++
 // seeding, deterministic under src. Weights scale each point's pull on its
 // centroid (use the stored data volume so heavy sensors attract a UAV);
-// nil weights mean uniform. It runs at most maxIter Lloyd iterations
-// (≤ 0 means 50).
-func KMeans(pts []geom.Point, weights []float64, k int, src rng.Source, maxIter int) (*Assignment, error) {
+// nil weights mean uniform. It runs at most kmeansIters Lloyd iterations.
+func KMeans(pts []geom.Point, weights []float64, k int, src rng.Source) (*Assignment, error) {
 	n := len(pts)
 	if k <= 0 {
 		return nil, fmt.Errorf("cluster: k must be positive, got %d", k)
@@ -59,9 +61,6 @@ func KMeans(pts []geom.Point, weights []float64, k int, src rng.Source, maxIter 
 	}
 	if k > n {
 		k = n // every point its own cluster; extra clusters stay empty
-	}
-	if maxIter <= 0 {
-		maxIter = 50
 	}
 	w := func(i int) float64 {
 		if weights == nil {
@@ -105,7 +104,7 @@ func KMeans(pts []geom.Point, weights []float64, k int, src rng.Source, maxIter 
 	}
 
 	assign := make([]int, n)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < kmeansIters; iter++ {
 		changed := false
 		for i, p := range pts {
 			best, bestD := 0, math.Inf(1)

@@ -25,7 +25,7 @@ func fourBlobs() ([]geom.Point, []float64) {
 
 func TestKMeansSeparatesBlobs(t *testing.T) {
 	pts, w := fourBlobs()
-	a, err := KMeans(pts, w, 4, rng.New(1), 0)
+	a, err := KMeans(pts, w, 4, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,26 +51,26 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 
 func TestKMeansErrors(t *testing.T) {
 	pts, w := fourBlobs()
-	if _, err := KMeans(pts, w, 0, rng.New(1), 0); err == nil {
+	if _, err := KMeans(pts, w, 0, rng.New(1)); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KMeans(pts, w[:3], 2, rng.New(1), 0); err == nil {
+	if _, err := KMeans(pts, w[:3], 2, rng.New(1)); err == nil {
 		t.Error("weight length mismatch accepted")
 	}
-	if _, err := KMeans(pts, append(append([]float64{}, w[:len(w)-1]...), -1), 2, rng.New(1), 0); err == nil {
+	if _, err := KMeans(pts, append(append([]float64{}, w[:len(w)-1]...), -1), 2, rng.New(1)); err == nil {
 		t.Error("negative weight accepted")
 	}
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
 	// Empty input.
-	a, err := KMeans(nil, nil, 3, rng.New(1), 0)
+	a, err := KMeans(nil, nil, 3, rng.New(1))
 	if err != nil || a.K != 3 || len(a.Of) != 0 {
 		t.Errorf("empty: %+v, %v", a, err)
 	}
 	// k > n clamps.
 	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2)}
-	a, err = KMeans(pts, nil, 5, rng.New(1), 0)
+	a, err = KMeans(pts, nil, 5, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 	}
 	// All points identical.
 	same := []geom.Point{geom.Pt(5, 5), geom.Pt(5, 5), geom.Pt(5, 5)}
-	a, err = KMeans(same, nil, 2, rng.New(1), 0)
+	a, err = KMeans(same, nil, 2, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestKMeansEdgeCases(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	pts, w := fourBlobs()
-	a, _ := KMeans(pts, w, 4, rng.New(9), 0)
-	b, _ := KMeans(pts, w, 4, rng.New(9), 0)
+	a, _ := KMeans(pts, w, 4, rng.New(9))
+	b, _ := KMeans(pts, w, 4, rng.New(9))
 	for i := range a.Of {
 		if a.Of[i] != b.Of[i] {
 			t.Fatal("same seed gave different clustering")
@@ -103,7 +103,7 @@ func TestKMeansDeterministic(t *testing.T) {
 
 func TestMembersAndSizes(t *testing.T) {
 	pts, w := fourBlobs()
-	a, _ := KMeans(pts, w, 4, rng.New(1), 0)
+	a, _ := KMeans(pts, w, 4, rng.New(1))
 	sizes := a.Sizes()
 	var sum int
 	for c := 0; c < a.K; c++ {

@@ -28,15 +28,11 @@ const costMemoMax = 2048
 // The paper's formulation duplicates the depot (d') and asks for a best
 // d–d′ path; an orienteering cycle rooted at the depot is the same object,
 // which is what the solver computes directly.
-type Algorithm1 struct {
-	// AllowOverlap skips the disjoint-coverage filtering. The problem
-	// variant this algorithm targets assumes no two selected hovering
-	// locations share covered sensors; by default the candidate set is
-	// pre-filtered to make that literally true (greedy by award). With
-	// AllowOverlap set the raw candidate set is used and the realised
-	// (deduplicated) volume may be below the orienteering objective.
-	AllowOverlap bool
-}
+//
+// The problem variant this algorithm targets assumes no two selected
+// hovering locations share covered sensors; the candidate set is
+// pre-filtered to make that literally true (greedy by award).
+type Algorithm1 struct{}
 
 // Name implements Planner.
 func (a *Algorithm1) Name() string { return "algorithm1" }
@@ -49,7 +45,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 	tr := in.tracer()
 	endPlan := tr.Begin(SpanPlanAlg1)
 	endCand := tr.Begin(SpanPlanAlg1Candidates)
-	set, err := in.buildCandidates(hover.Options{})
+	set, err := in.buildCandidates()
 	if err != nil {
 		endCand()
 		endPlan()
@@ -58,14 +54,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 
 	// ids[k] is the hover-set index of orienteering node k; ids[0] is the
 	// depot.
-	ids := []int{hover.DepotID}
-	if a.AllowOverlap {
-		for i := 1; i < set.Len(); i++ {
-			ids = append(ids, i)
-		}
-	} else {
-		ids = append(ids, disjointCandidates(set)...)
-	}
+	ids := append([]int{hover.DepotID}, disjointCandidates(set)...)
 	endCand(trace.Int("candidates", set.Len()), trace.Int("nodes", len(ids)))
 
 	// The fast path hands the solver stack (exact DP, tour split, local
@@ -88,7 +77,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 		Depot:  0,
 	}
 	endOr := tr.Begin(SpanPlanAlg1Orienteering, trace.Int("nodes", len(ids)))
-	sol, err := orienteering.Solve(prob, orienteering.MethodAuto, in.obsRecorder())
+	sol, err := orienteering.Solve(prob, in.obsRecorder())
 	if err != nil {
 		endOr()
 		endPlan()

@@ -30,7 +30,7 @@ import (
 type Algorithm2 struct {
 	// ExactRatioTSP prices every candidate with a full Christofides
 	// recomputation, as the paper's Eq. 13 literally specifies.
-	ExactRatioTSP bool
+	ExactRatioTSP bool //uavdc:allow deadexport the paper's literal Eq. 13 pricing, kept as the reference TestAlgorithm2ExactRatioTSPAgreesRoughly checks the incremental pricing against
 	// Workers sets the number of goroutines scanning candidates per
 	// iteration; 0 or 1 means serial. Results are identical at any
 	// worker count: candidates are compared with a total order
@@ -49,7 +49,7 @@ func (a *Algorithm2) Plan(in *Instance) (*Plan, error) {
 	tr := in.tracer()
 	endPlan := tr.Begin(SpanPlanAlg2)
 	endCand := tr.Begin(SpanPlanAlg2Candidates)
-	set, err := in.buildCandidates(hover.Options{})
+	set, err := in.buildCandidates()
 	if err != nil {
 		endCand()
 		endPlan()

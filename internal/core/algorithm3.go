@@ -57,7 +57,7 @@ func (a *Algorithm3) Plan(in *Instance) (*Plan, error) {
 	tr := in.tracer()
 	endPlan := tr.Begin(SpanPlanAlg3, trace.Int("k", k))
 	endCand := tr.Begin(SpanPlanAlg3Candidates)
-	set, err := in.buildCandidates(hover.Options{})
+	set, err := in.buildCandidates()
 	if err != nil {
 		endCand()
 		endPlan()

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"uavdc/internal/canon"
 	"uavdc/internal/energy"
 	"uavdc/internal/geom"
 	"uavdc/internal/radio"
@@ -56,13 +57,8 @@ func TestCanonicalRadioKinds(t *testing.T) {
 	}
 	baseKey := ci.Key()
 
-	in.Radio = radio.Constant{B: 120}
-	cc, err := in.Canonical("partial", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.Radio.RefRate != 120 || cc.Key() == baseKey {
-		t.Fatalf("constant radio not keyed: %+v", cc.Radio)
+	if ci.Radio.Kind != canon.RadioNone {
+		t.Fatalf("nil radio canonicalised as %+v", ci.Radio)
 	}
 
 	in.Radio = radio.Shannon{RefRate: 150, RefDist: units.Meters(10), RefSNR: 100, PathLossExp: 2}
@@ -70,7 +66,7 @@ func TestCanonicalRadioKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Radio.RefSNR != 100 || cs.Key() == cc.Key() {
+	if cs.Radio.Kind != canon.RadioShannon || cs.Radio.RefSNR != 100 || cs.Key() == baseKey {
 		t.Fatalf("shannon radio not keyed: %+v", cs.Radio)
 	}
 }

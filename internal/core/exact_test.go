@@ -143,7 +143,7 @@ func (e *ExactPlanner) Plan(in *Instance) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	set, err := in.buildCandidates(hover.Options{})
+	set, err := in.buildCandidates()
 	if err != nil {
 		return nil, err
 	}

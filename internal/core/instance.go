@@ -23,7 +23,7 @@ type Instance struct {
 	// CoverRadius is R0 in metres; 0 means "use Net.CommRange" (the
 	// paper's experiments set R0 directly to the node range, i.e. an
 	// altitude-0 abstraction).
-	CoverRadius units.Meters
+	CoverRadius units.Meters //uavdc:allow deadexport every canonical key (uavdc-canon/1) encodes it; removing it would change the key bytes
 	// K is the sojourn partition granularity for Algorithm 3 (≥ 1).
 	// Planners that do not support partial collection ignore it.
 	K int
@@ -119,13 +119,12 @@ func (in *Instance) Physics() Physics {
 }
 
 // buildCandidates constructs the hovering-location set for the instance.
-func (in *Instance) buildCandidates(opts hover.Options) (*hover.Set, error) {
-	if opts.CoverRadius == 0 { //uavdc:allow floateq zero is the exact "unset" sentinel, never a computed value
-		opts.CoverRadius = in.EffectiveCoverRadius()
-	}
-	opts.Altitude = in.Altitude
-	opts.Radio = in.Radio
-	return hover.Build(in.Net, in.Model, in.Delta, opts)
+func (in *Instance) buildCandidates() (*hover.Set, error) {
+	return hover.Build(in.Net, in.Model, in.Delta, hover.Options{
+		CoverRadius: in.EffectiveCoverRadius(),
+		Altitude:    in.Altitude,
+		Radio:       in.Radio,
+	})
 }
 
 // Planner is a data-collection tour planner.

@@ -20,13 +20,13 @@ type LNSPlanner struct {
 	// Base produces the starting plan; nil means Algorithm 3.
 	Base Planner
 	// Rounds is the number of destroy/repair iterations (default 20).
-	Rounds int
-	// DestroyFraction is the share of stops evicted per round, in (0, 1]
-	// (default 0.3).
-	DestroyFraction float64
+	Rounds int //uavdc:allow deadexport tests pin their plans at a few rounds; a constant would re-seed TestLNSImprovesSomewhere
 	// Seed drives the eviction choices.
-	Seed int64
+	Seed int64 //uavdc:allow deadexport tests pin their plans at fixed seeds; a constant would re-seed TestLNSImprovesSomewhere
 }
+
+// lnsDestroyFraction is the share of stops evicted per LNS round.
+const lnsDestroyFraction = 0.3
 
 // Name implements Planner.
 func (l *LNSPlanner) Name() string { return "lns" }
@@ -44,10 +44,6 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	if rounds <= 0 {
 		rounds = 20
 	}
-	frac := l.DestroyFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.3
-	}
 	k := in.K
 	if k < 1 {
 		k = 1
@@ -57,7 +53,7 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := in.buildCandidates(hover.Options{})
+	set, err := in.buildCandidates()
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +70,7 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	rng := rand.New(rand.NewSource(l.Seed))
 	for round := 0; round < rounds; round++ {
 		cRounds.Inc()
-		cur := rebuildState(in, set, best, frac, rng)
+		cur := rebuildState(in, set, best, rng)
 		for {
 			cand, ok := cur.pickPartial(k, 1)
 			if !ok {
@@ -106,13 +102,13 @@ func stopsAreCandidates(p *Plan, set *hover.Set) bool {
 }
 
 // rebuildState reconstructs greedy state from a plan with a random
-// fraction of its stops evicted. The residual drains below happen before
+// lnsDestroyFraction of its stops (at least one) evicted. The residual drains below happen before
 // the fast scan index exists (it is built lazily on the first pickPartial),
 // so the index always observes the fully seeded residuals.
-func rebuildState(in *Instance, set *hover.Set, p *Plan, frac float64, rng *rand.Rand) *greedyState {
+func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand) *greedyState {
 	st := newGreedyState(in, set)
 	n := len(p.Stops)
-	evict := int(frac * float64(n))
+	evict := int(lnsDestroyFraction * float64(n))
 	if evict < 1 && n > 0 {
 		evict = 1
 	}

@@ -277,18 +277,6 @@ func TestAlgorithm1DisjointCoverage(t *testing.T) {
 	}
 }
 
-func TestAlgorithm1AllowOverlap(t *testing.T) {
-	in := mediumInstance(t, 12, 1e5)
-	in.Delta = 40 // keep the unfiltered candidate set small
-	p, err := (&Algorithm1{AllowOverlap: true}).Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePlan(in.Net, in.Model, in.EffectiveCoverRadius(), p); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlgorithm2ExactRatioTSPAgreesRoughly(t *testing.T) {
 	// The ablation knob: literal Eq. 13 pricing should produce a valid
 	// plan within a few percent of the incremental pricing.

@@ -62,12 +62,18 @@ func TestRadioModelCostsVolume(t *testing.T) {
 	}
 }
 
+// constantRadio is an uplink model with one rate at every distance.
+type constantRadio units.BitsPerSecond
+
+func (c constantRadio) Rate(units.Meters) units.BitsPerSecond { return units.BitsPerSecond(c) }
+
 // TestConstantRadioMatchesNoRadio: a constant model equal to the bandwidth
-// must be byte-for-byte identical to the paper's abstraction.
+// must be byte-for-byte identical to the paper's abstraction (a nil
+// model), though it takes the per-sensor rates path.
 func TestConstantRadioMatchesNoRadio(t *testing.T) {
 	plain := mediumInstance(t, 8, 3e4)
 	constant := mediumInstance(t, 8, 3e4)
-	constant.Radio = radio.Constant{B: units.BitsPerSecond(constant.Net.Bandwidth)}
+	constant.Radio = constantRadio(constant.Net.Bandwidth)
 	p1, err := (&Algorithm3{}).Plan(plain)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func ReplanResidual(in *Instance, state ResidualState) (*Plan, error) {
 	}
 	tr := in.tracer()
 	endPlan := tr.Begin(SpanPlanReplan, trace.Num("budget_j", state.Budget.F()))
-	set, err := in.buildCandidates(hover.Options{})
+	set, err := in.buildCandidates()
 	if err != nil {
 		endPlan()
 		return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"uavdc/internal/energy"
@@ -132,6 +133,35 @@ func TestReplanResidualValidatesInput(t *testing.T) {
 // TestReplanResidualDeterministicAcrossWorkers: the replan scan reuses the
 // planners' sharded total-order machinery, so plans and counter totals
 // must be identical at any worker count.
+// TestOpenPathImproveKeepsLength: a 2-opt reorder of a crossing interior
+// order shortens the path, and the incrementally kept length still equals
+// the sum of the consecutive node distances.
+func TestOpenPathImproveKeepsLength(t *testing.T) {
+	// Stops along y = 40 visited right to left between a start and an end
+	// on the x axis: the legs cross, so reversing the interior pays.
+	set := pointSet([]geom.Point{geom.Pt(20, 40), geom.Pt(45, 45), geom.Pt(70, 35), geom.Pt(95, 40)})
+	p := &openPath{start: geom.Pt(0, 0), end: geom.Pt(120, 0), order: []int{3, 1, 2, 0}}
+	sum := func() float64 {
+		var l float64
+		for i := 0; i <= len(p.order); i++ {
+			l += p.node(set, i).Dist(p.node(set, i+1))
+		}
+		return l
+	}
+	p.length = sum()
+	before, order := p.length, slices.Clone(p.order)
+	p.improve(set)
+	if slices.Equal(p.order, order) {
+		t.Fatalf("improve kept the crossing order %v", order)
+	}
+	if !(p.length < before) {
+		t.Fatalf("length %v after improve, was %v", p.length, before)
+	}
+	if want := sum(); math.Abs(p.length-want) > 1e-9*want {
+		t.Fatalf("kept length %v, consecutive distances sum to %v (order %v)", p.length, want, p.order)
+	}
+}
+
 func TestReplanResidualDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []uint64{2, 6} {
 		base := mediumInstance(t, seed, 2.5e4)

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"uavdc/internal/core"
@@ -12,8 +13,34 @@ import (
 	"uavdc/internal/radio"
 	"uavdc/internal/sensornet"
 	"uavdc/internal/simulate"
+	"uavdc/internal/trace"
 	"uavdc/internal/units"
 )
+
+// missionAttrs are the mission trace attributes Run and AdaptiveRun both
+// emit.
+var missionAttrs = []string{"t_sim", "stop", "x", "y", "energy_j", "collected_mb", "battery_j"}
+
+// missionLog projects buf's mission events on missionAttrs, one line per
+// event, in order.
+func missionLog(buf *trace.Buffer) []string {
+	var out []string
+	for _, r := range buf.Snapshot().Records {
+		if r.Kind != trace.KindEvent || !strings.HasPrefix(r.Name, simulate.MissionEventPrefix) {
+			continue
+		}
+		line := r.Name
+		for _, key := range missionAttrs {
+			for _, a := range r.Attrs {
+				if a.Key == key {
+					line += fmt.Sprintf(" %s=%b", key, a.Num)
+				}
+			}
+		}
+		out = append(out, line)
+	}
+	return out
+}
 
 // shannonInstance mirrors ExtAltitude's Shannon series instance.
 func shannonInstance(cfg Config, net *sensornet.Network, altitude float64) *core.Instance {
@@ -140,8 +167,8 @@ func figureParityCells(t *testing.T, fig string, cfg Config, nets []*sensornet.N
 
 // TestAdaptiveRunMatchesRunOnFigureDrivers: with faults disabled and no
 // noise, the adaptive executor reproduces the reference simulator's
-// telemetry and volumes bit-for-bit on every execution cell of all seven
-// figure drivers.
+// mission trace and volumes bit-for-bit on every execution cell of all
+// seven figure drivers.
 func TestAdaptiveRunMatchesRunOnFigureDrivers(t *testing.T) {
 	cfg := Tiny()
 	nets, err := cfg.networks()
@@ -151,12 +178,10 @@ func TestAdaptiveRunMatchesRunOnFigureDrivers(t *testing.T) {
 	for _, fig := range slices.Sorted(maps.Keys(Figures)) {
 		t.Run(fig, func(t *testing.T) {
 			for _, cell := range figureParityCells(t, fig, cfg, nets) {
-				opts := simulate.Options{
-					RecordEvents: true,
-					Altitude:     cell.in.Altitude,
-					Radio:        cell.in.Radio,
-				}
+				wantBuf, gotBuf := trace.NewBuffer(), trace.NewBuffer()
+				opts := simulate.Options{Altitude: cell.in.Altitude, Radio: cell.in.Radio, Trace: wantBuf}
 				want := simulate.Run(cell.in.Net, cell.in.Model, cell.plan, opts)
+				opts.Trace = gotBuf
 				got := simulate.AdaptiveRun(cell.in, cell.plan, simulate.AdaptiveOptions{Options: opts})
 				if !want.Completed {
 					t.Fatalf("%s: reference mission aborted: %s", cell.label, want.AbortReason)
@@ -167,6 +192,14 @@ func TestAdaptiveRunMatchesRunOnFigureDrivers(t *testing.T) {
 				if !reflect.DeepEqual(got.Result, want) {
 					t.Errorf("%s: adaptive result diverges from Run:\n got %+v\nwant %+v",
 						cell.label, got.Result, want)
+				}
+				wantLog, gotLog := missionLog(wantBuf), missionLog(gotBuf)
+				if len(wantLog) == 0 {
+					t.Fatalf("%s: the reference run traced no mission events", cell.label)
+				}
+				if !slices.Equal(gotLog, wantLog) {
+					t.Errorf("%s: adaptive mission trace diverges from Run:\n got %q\nwant %q",
+						cell.label, gotLog, wantLog)
 				}
 			}
 		})

@@ -40,10 +40,6 @@ type Config struct {
 	// Ks lists the Algorithm 3 sojourn partitions plotted as separate
 	// series in Figs. 4 and 5 (the paper shows K = 2 and K = 4).
 	Ks []int
-	// Validate re-checks every produced plan with core.ValidatePlan and
-	// the flight simulator; any violation fails the sweep. Slows runs by
-	// a few percent and is on in every preset.
-	Validate bool
 	// Workers fans the greedy planners' candidate scans across this many
 	// goroutines (0/1 = serial). Plans are identical at any setting; only
 	// wall time — and therefore the runtime panels — changes, so leave it
@@ -87,7 +83,6 @@ func Paper() Config {
 		Deltas:     []float64{5, 10, 15, 20, 25, 30},
 		Delta:      10,
 		Ks:         []int{2, 4},
-		Validate:   true,
 	}
 }
 
@@ -125,7 +120,6 @@ func Reduced() Config {
 		Deltas:     []float64{10, 15, 20, 25, 30},
 		Delta:      15,
 		Ks:         []int{2, 4},
-		Validate:   true,
 	}
 }
 
@@ -161,7 +155,6 @@ func Tiny() Config {
 		Deltas:     []float64{20, 40},
 		Delta:      25,
 		Ks:         []int{2},
-		Validate:   true,
 	}
 }
 

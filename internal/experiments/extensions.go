@@ -120,15 +120,13 @@ func ExtFleet(cfg Config) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fleet %v size %d: %w", strat, int(size), err)
 				}
-				if cfg.Validate {
-					if err := fp.Validate(in); err != nil {
-						return nil, fmt.Errorf("experiments: fleet %v size %d invalid: %w", strat, int(size), err)
-					}
-					for u, plan := range fp.PerUAV {
-						res := simulate.Run(net, in.Model, plan, simulate.Options{})
-						if !res.Completed {
-							return nil, fmt.Errorf("experiments: fleet %v uav %d aborted: %s", strat, u, res.AbortReason)
-						}
+				if err := fp.Validate(in); err != nil {
+					return nil, fmt.Errorf("experiments: fleet %v size %d invalid: %w", strat, int(size), err)
+				}
+				for u, plan := range fp.PerUAV {
+					res := simulate.Run(net, in.Model, plan, simulate.Options{})
+					if !res.Completed {
+						return nil, fmt.Errorf("experiments: fleet %v uav %d aborted: %s", strat, u, res.AbortReason)
 					}
 				}
 				vols = append(vols, fp.Collected())

@@ -90,14 +90,14 @@ func runSweep(cfg Config, xs []float64, specs []runSpec) ([]Series, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s at x=%g: %w", spec.name, x, err)
 				}
-				if cfg.Validate {
-					if err := core.ValidatePlanPhysics(in.Net, in.Model, in.Physics(), plan); err != nil {
-						return nil, fmt.Errorf("experiments: %s at x=%g produced invalid plan: %w", spec.name, x, err)
-					}
-					res := simulate.Run(in.Net, in.Model, plan, simulate.Options{Altitude: in.Altitude, Radio: in.Radio})
-					if !res.Completed {
-						return nil, fmt.Errorf("experiments: %s at x=%g: simulated mission aborted: %s", spec.name, x, res.AbortReason)
-					}
+				// Re-check every plan with the validator and the flight
+				// simulator; any violation fails the sweep.
+				if err := core.ValidatePlanPhysics(in.Net, in.Model, in.Physics(), plan); err != nil {
+					return nil, fmt.Errorf("experiments: %s at x=%g produced invalid plan: %w", spec.name, x, err)
+				}
+				res := simulate.Run(in.Net, in.Model, plan, simulate.Options{Altitude: in.Altitude, Radio: in.Radio})
+				if !res.Completed {
+					return nil, fmt.Errorf("experiments: %s at x=%g: simulated mission aborted: %s", spec.name, x, res.AbortReason)
 				}
 				vols = append(vols, plan.Collected())
 				times = append(times, elapsed)

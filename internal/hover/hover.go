@@ -94,15 +94,6 @@ type Options struct {
 	// used (altitude 0 abstraction, matching the paper's experiments
 	// which set R0 = 50 m directly).
 	CoverRadius units.Meters
-	// KeepEmpty retains squares with empty coverage sets. The paper
-	// assigns them zero award/sojourn; they can never help a tour under
-	// a metric, so the default drops them.
-	KeepEmpty bool
-	// KeepDuplicates retains candidates whose coverage set is identical
-	// to an already-kept candidate. The default drops them, keeping the
-	// candidate whose centre is closest to the centroid of its covered
-	// sensors (minimising worst-case link length).
-	KeepDuplicates bool
 	// Altitude is the hovering altitude H in metres. It matters in two
 	// ways: when CoverRadius is zero it shrinks the effective ground
 	// coverage to sqrt(R²−H²), and when Radio is set it lengthens the
@@ -115,6 +106,11 @@ type Options struct {
 }
 
 // Build constructs the candidate set for net with grid resolution delta.
+// It drops squares with empty coverage sets: the paper assigns them zero
+// award and sojourn, so they can never help a tour under a metric. Of the
+// candidates with identical coverage sets it keeps the one whose centre
+// is closest to the centroid of its covered sensors (minimising
+// worst-case link length).
 func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Options) (*Set, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -171,11 +167,7 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 		center := net.Region.Clamp(grid.Center(sq))
 		buf = idx.WithinAppend(buf[:0], center, r0.F())
 		if len(buf) == 0 {
-			if !opts.KeepEmpty {
-				s.PrunedEmpty++
-				continue
-			}
-			s.Locs = append(s.Locs, Location{Pos: center, SquareIdx: sq})
+			s.PrunedEmpty++
 			continue
 		}
 		covered := append([]int(nil), buf...)
@@ -193,18 +185,16 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 		loc.Sojourn, loc.Award = DrainRates(net, covered, loc.Rates)
 		loc.HoverEnergy = em.HoverEnergy(loc.Sojourn)
 
-		if !opts.KeepDuplicates {
-			key := coverageKey(covered)
-			if prev, ok := seen[key]; ok {
-				// Keep whichever centre is closer to the coverage centroid.
-				if centroidDist(net, covered, center) < centroidDist(net, covered, s.Locs[prev].Pos) {
-					s.Locs[prev] = loc
-				}
-				s.PrunedDup++
-				continue
+		key := coverageKey(covered)
+		if prev, ok := seen[key]; ok {
+			// Keep whichever centre is closer to the coverage centroid.
+			if centroidDist(net, covered, center) < centroidDist(net, covered, s.Locs[prev].Pos) {
+				s.Locs[prev] = loc
 			}
-			seen[key] = len(s.Locs)
+			s.PrunedDup++
+			continue
 		}
+		seen[key] = len(s.Locs)
 		s.Locs = append(s.Locs, loc)
 	}
 	return s, nil

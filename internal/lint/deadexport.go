@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -17,12 +19,16 @@ import (
 // packages and testdata are out of scope, and a method is exempt when
 // its receiver implements an interface naming it — any interface the
 // module's non-test code mentions, plus fmt.Stringer and error — since
-// interface dispatch calls it without naming it. The findings are
+// interface dispatch calls it without naming it. An exported field of
+// an exported struct type there must also be set by non-test code: a
+// key in a composite literal, a position in an unkeyed one, the left
+// side of an assignment or ++/--, or the operand of &. A field with a
+// json tag is exempt, since encoding/json sets it. The findings are
 // computed once per module; each package task emits its own.
 func DeadExport() *Analyzer {
 	a := &Analyzer{
 		Name: "deadexport",
-		Doc:  "every exported symbol under internal/ needs a non-test reference; test oracles belong in _test.go files",
+		Doc:  "every exported symbol under internal/ needs a non-test reference, and every exported field a non-test setter; test oracles belong in _test.go files",
 	}
 	a.Run = func(pass *Pass) {
 		if pass.Mod == nil {
@@ -44,9 +50,9 @@ func (m *Module) deadExports() []unitDiag {
 type exportDecl struct {
 	unit *Package
 	name *ast.Ident
-	kind string // "func", "method", "type", "const" or "var"
-	recv string // the receiver's type name, for methods
-	used bool
+	kind string // "func", "method", "type", "const", "var" or "field"
+	recv string // the receiver's type name, for methods and fields
+	used bool   // referenced, or for a field, set
 }
 
 type span struct{ from, to token.Pos }
@@ -64,6 +70,10 @@ func computeDeadExports(m *Module) []unitDiag {
 	// itself; references inside them (recursion, a type's own method
 	// receivers) do not keep the symbol alive.
 	own := map[string][]span{}
+	// fields holds the exported struct fields by declaring position,
+	// which re-checked twins share.
+	fields := map[token.Pos]*exportDecl{}
+	var fieldOrder []token.Pos
 	add := func(key string, d *exportDecl, from, to token.Pos) {
 		decls[key] = d
 		order = append(order, key)
@@ -98,8 +108,24 @@ func computeDeadExports(m *Module) []unitDiag {
 					for _, spec := range decl.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							if spec.Name.IsExported() {
-								add(pkg.Path+"."+spec.Name.Name, &exportDecl{unit: pkg, name: spec.Name, kind: "type"}, spec.Pos(), spec.End())
+							if !spec.Name.IsExported() {
+								continue
+							}
+							add(pkg.Path+"."+spec.Name.Name, &exportDecl{unit: pkg, name: spec.Name, kind: "type"}, spec.Pos(), spec.End())
+							st, ok := spec.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							for _, field := range st.Fields.List {
+								if field.Tag != nil && hasJSONTag(field.Tag.Value) {
+									continue
+								}
+								for _, id := range field.Names {
+									if id.IsExported() {
+										fields[id.Pos()] = &exportDecl{unit: pkg, name: id, kind: "field", recv: spec.Name.Name}
+										fieldOrder = append(fieldOrder, id.Pos())
+									}
+								}
 							}
 						case *ast.ValueSpec:
 							for _, id := range spec.Names {
@@ -114,10 +140,22 @@ func computeDeadExports(m *Module) []unitDiag {
 		}
 	}
 
-	// One walk over the non-test files marks the referenced keys and
-	// collects the interfaces that exempt a method.
+	// One walk over the non-test files marks the referenced keys and the
+	// set fields, and collects the interfaces that exempt a method.
 	ifaces := newIfaceSet()
 	for _, pkg := range nonTestUnits(m) {
+		setField := func(v types.Object) {
+			if v, ok := v.(*types.Var); ok && v.IsField() {
+				if d := fields[v.Origin().Pos()]; d != nil {
+					d.used = true
+				}
+			}
+		}
+		setSelector := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				setField(pkg.Info.Uses[sel.Sel])
+			}
+		}
 		for _, f := range pkg.Files {
 			if pkg.IsTestFile(f) {
 				continue
@@ -138,6 +176,29 @@ func computeDeadExports(m *Module) []unitDiag {
 					}
 				case *ast.InterfaceType:
 					ifaces.add(pkg.Info.TypeOf(n))
+				case *ast.CompositeLit:
+					st := litStruct(pkg.Info.TypeOf(n))
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								setField(pkg.Info.Uses[key])
+							}
+						} else if st != nil && i < st.NumFields() {
+							setField(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							setSelector(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					setSelector(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setSelector(n.X)
+					}
 				case *ast.CallExpr:
 					// A call passing a value as an interface parameter
 					// (heap.Push, sort.Sort, rand.New) mentions that
@@ -170,7 +231,40 @@ func computeDeadExports(m *Module) []unitDiag {
 			"exported %s %s has no non-test reference in the module; delete it, move it into a _test.go file if tests use it as an oracle, or annotate why it stays",
 			d.kind, label)})
 	}
+	for _, pos := range fieldOrder {
+		d := fields[pos]
+		if d.used {
+			continue
+		}
+		out = append(out, unitDiag{unit: d.unit, pos: pos, msg: fmt.Sprintf(
+			"exported field %s.%s.%s is never set by non-test code in the module; delete it and keep its default, or annotate why it stays",
+			pkgBaseName(d.unit.Path), d.recv, d.name.Name)})
+	}
 	return out
+}
+
+// hasJSONTag reports whether a raw struct tag literal has a json key.
+func hasJSONTag(lit string) bool {
+	tag, err := strconv.Unquote(lit)
+	if err != nil {
+		return false
+	}
+	_, ok := reflect.StructTag(tag).Lookup("json")
+	return ok
+}
+
+// litStruct returns the struct type a composite literal builds, through
+// the pointer of an elided &T in a slice literal; nil for a literal of
+// any other type.
+func litStruct(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }
 
 // within reports whether pos falls inside one of the spans.

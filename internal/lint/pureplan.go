@@ -26,7 +26,6 @@ var purePlanEntries = []struct {
 	{"internal/core", "ReplanResidual"},
 	{"internal/canon", "Instance.Encode"},
 	{"internal/canon", "Instance.Key"},
-	{"internal/canon", "ExtendKey"},
 	{"internal/serve", "defaultPlan"},
 }
 

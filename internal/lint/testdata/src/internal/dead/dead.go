@@ -77,5 +77,31 @@ func Live() string {
 	heap.Init(q)
 	b := &Box{n: heap.Pop(q).(int)}
 	var s Sizer = blob{}
-	return fmt.Sprint(f()+b.n+s.Size(), Name("x"))
+	k := Knobs{Keyed: 1}
+	k.Assigned = 2
+	k.Counted++
+	p := &k.Addr
+	*p = 3
+	pair := Pair{4, 5}
+	// Reads do not set a field.
+	read := k.Unset + k.TestSet + k.Wire + k.Allowed
+	return fmt.Sprint(f()+b.n+s.Size()+k.Keyed+k.Assigned+k.Counted+k.Addr+pair.A+pair.B+read, Name("x"))
+}
+
+// Knobs is the field rule's fixture: every exported field of an exported
+// struct needs a non-test setter.
+type Knobs struct {
+	Unset    int // positive: read, never set
+	TestSet  int // positive: set in dead_test.go only
+	Keyed    int // clean: key in a composite literal
+	Assigned int // clean: left side of an assignment
+	Counted  int // clean: operand of ++
+	Addr     int // clean: operand of &
+	Wire     int `json:"wire"` // clean: encoding/json sets it
+	Allowed  int //uavdc:allow deadexport fixture: deliberate keep
+}
+
+// Pair is set by an unkeyed literal.
+type Pair struct {
+	A, B int // clean: positions in an unkeyed literal
 }

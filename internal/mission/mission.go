@@ -34,13 +34,15 @@ type Campaign struct {
 	Makespan float64
 }
 
+// minVolume is the volume in MB below which the field counts as drained:
+// a campaign stops when a sortie collects less, since everything
+// reachable is already gone.
+const minVolume = 1
+
 // Options configures a campaign.
 type Options struct {
 	// MaxSorties caps the number of flights; ≤ 0 means 100.
 	MaxSorties int
-	// MinVolume stops the campaign when a sortie collects less than this
-	// many MB (default 1): everything reachable is already drained.
-	MinVolume float64
 	// RechargeTime is the turnaround at the depot between sorties in
 	// seconds (battery swap ≈ minutes, full recharge ≈ an hour). It
 	// contributes to the campaign makespan only.
@@ -63,10 +65,6 @@ func Run(in *core.Instance, planner core.Planner, opts Options) (*Campaign, erro
 	maxSorties := opts.MaxSorties
 	if maxSorties <= 0 {
 		maxSorties = 100
-	}
-	minVolume := opts.MinVolume
-	if minVolume <= 0 {
-		minVolume = 1
 	}
 
 	// Private copy of the field so the caller's network is untouched.

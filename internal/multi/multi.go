@@ -99,7 +99,7 @@ func PlanFleet(in *core.Instance, opts Options) (*Plan, error) {
 	var err error
 	switch opts.Strategy {
 	case StrategyKMeans:
-		asg, err = cluster.KMeans(pts, weights, opts.Fleet, rng.New(opts.Seed).Split("multi-kmeans"), 0)
+		asg, err = cluster.KMeans(pts, weights, opts.Fleet, rng.New(opts.Seed).Split("multi-kmeans"))
 	case StrategySweep:
 		asg, err = cluster.Sweep(pts, weights, opts.Fleet, in.Net.Depot)
 	default:

@@ -6,6 +6,9 @@ import (
 	"uavdc/internal/tsp"
 )
 
+// localSearchRounds caps LocalSearch's improvement rounds.
+const localSearchRounds = 64
+
 // LocalSearch improves a feasible starting solution by budget-respecting
 // moves until a fixed point:
 //
@@ -17,13 +20,11 @@ import (
 //     (evaluated greedily);
 //   - polish: 2-opt/Or-opt re-ordering, which only frees budget.
 //
-// The depot is never removed. The result's reward is ≥ the input's.
-func LocalSearch(p *Problem, start Solution, maxIters int) Solution {
+// The depot is never removed. The result's reward is ≥ the input's. It
+// stops after localSearchRounds rounds if no fixed point comes first.
+func LocalSearch(p *Problem, start Solution) Solution {
 	cur := start
-	if maxIters <= 0 {
-		maxIters = 64
-	}
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < localSearchRounds; iter++ {
 		improved := false
 		// Polish ordering first so budget headroom is maximal.
 		t := cur.Tour.Clone()

@@ -1,6 +1,7 @@
 package orienteering
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -169,6 +170,24 @@ func TestExactDPVsBruteForce(t *testing.T) {
 	}
 }
 
+// heuristic is one of Solve's two construction arms.
+type heuristic struct {
+	name  string
+	build func(*Problem) (Solution, error)
+}
+
+// heuristics are the arms Solve runs above ExactMax nodes.
+var heuristics = []heuristic{{"greedy", GreedyRatio}, {"toursplit", TourSplit}}
+
+// solve runs h and refines its tour by local search, as Solve does.
+func (h heuristic) solve(p *Problem) (Solution, error) {
+	sol, err := h.build(p)
+	if err != nil {
+		return Solution{}, err
+	}
+	return LocalSearch(p, sol), nil
+}
+
 func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, budget := range []float64{60, 150, 300} {
@@ -177,22 +196,22 @@ func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, method := range []Method{MethodGreedy, MethodTourSplit} {
-				sol, err := Solve(p, method)
+			for _, method := range heuristics {
+				sol, err := method.solve(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := p.Feasible(sol.Tour); err != nil {
-					t.Fatalf("%v seed=%d budget=%v: %v", method, seed, budget, err)
+					t.Fatalf("%s seed=%d budget=%v: %v", method.name, seed, budget, err)
 				}
 				if sol.Reward > opt.Reward+1e-9 {
-					t.Fatalf("%v beat the optimum: %v > %v", method, sol.Reward, opt.Reward)
+					t.Fatalf("%s beat the optimum: %v > %v", method.name, sol.Reward, opt.Reward)
 				}
 				// Quality floor: the cited algorithm is a 3-approximation;
 				// our heuristics should do at least that well on these
 				// small Euclidean instances.
 				if sol.Reward < opt.Reward/3-1e-9 {
-					t.Errorf("%v seed=%d budget=%v: reward %v below opt/3 (%v)", method, seed, budget, sol.Reward, opt.Reward/3)
+					t.Errorf("%s seed=%d budget=%v: reward %v below opt/3 (%v)", method.name, seed, budget, sol.Reward, opt.Reward/3)
 				}
 			}
 		}
@@ -201,7 +220,7 @@ func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 
 func TestSolveAutoUsesExactWhenSmall(t *testing.T) {
 	p, _ := randomProblem(8, 200, 42)
-	auto, err := Solve(p, MethodAuto)
+	auto, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +235,7 @@ func TestSolveAutoUsesExactWhenSmall(t *testing.T) {
 
 func TestSolveAutoLarge(t *testing.T) {
 	p, _ := randomProblem(60, 300, 9)
-	sol, err := Solve(p, MethodAuto)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,38 +249,28 @@ func TestSolveAutoLarge(t *testing.T) {
 
 // TestDenseSolvesIdentically: a problem carrying its cost matrix solves to
 // the same tour and reward as one with the closure alone, with every
-// method that polishes tours.
+// solver that polishes tours.
 func TestDenseSolvesIdentically(t *testing.T) {
+	methods := map[string]func(*Problem) (Solution, error){
+		"greedy":    heuristics[0].solve,
+		"toursplit": heuristics[1].solve,
+		"auto":      func(p *Problem) (Solution, error) { return Solve(p) },
+	}
 	for seed := int64(0); seed < 4; seed++ {
-		for _, method := range []Method{MethodGreedy, MethodTourSplit, MethodAuto} {
+		for _, method := range slices.Sorted(maps.Keys(methods)) {
 			p, _ := randomProblem(40, 150, 30+seed)
-			want, err := Solve(p, method)
+			want, err := methods[method](p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p.Dense = tsp.NewMatrix(p.N, p.Cost)
-			got, err := Solve(p, method)
+			got, err := methods[method](p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.Tour.Order, want.Tour.Order) || got.Reward != want.Reward || got.Cost != want.Cost {
-				t.Fatalf("seed %d method %v: dense %+v, closure %+v", seed, method, got, want)
+				t.Fatalf("seed %d method %s: dense %+v, closure %+v", seed, method, got, want)
 			}
-		}
-	}
-}
-
-func TestSolveUnknownMethod(t *testing.T) {
-	p, _ := randomProblem(5, 100, 1)
-	if _, err := Solve(p, Method(99)); err == nil {
-		t.Error("unknown method accepted")
-	}
-	if Method(99).String() == "" {
-		t.Error("String for unknown method empty")
-	}
-	for _, m := range []Method{MethodAuto, MethodExact, MethodGreedy, MethodTourSplit} {
-		if m.String() == "" {
-			t.Errorf("empty String for %d", int(m))
 		}
 	}
 }
@@ -297,7 +306,7 @@ func TestLocalSearchNeverWorsens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := LocalSearch(p, start, 0)
+		out := LocalSearch(p, start)
 		if out.Reward < start.Reward-1e-9 {
 			t.Errorf("seed %d: local search lowered reward %v → %v", seed, start.Reward, out.Reward)
 		}
@@ -333,7 +342,7 @@ func TestLocalSearchDropRefill(t *testing.T) {
 	if err := p.Feasible(start.Tour); err != nil {
 		t.Fatal(err)
 	}
-	out := LocalSearch(p, start, 0)
+	out := LocalSearch(p, start)
 	if out.Reward < 30 {
 		t.Errorf("drop+refill should reach the cluster: reward %v, tour %v", out.Reward, out.Tour.Order)
 	}
@@ -376,7 +385,7 @@ func BenchmarkSolveAuto60(b *testing.B) {
 	p, _ := randomProblem(60, 300, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p, MethodAuto); err != nil {
+		if _, err := Solve(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -394,13 +403,13 @@ func TestUpperBoundDominatesAllSolvers(t *testing.T) {
 			if opt.Reward > ub+1e-9 {
 				t.Fatalf("seed=%d budget=%v: optimum %v above upper bound %v", seed, budget, opt.Reward, ub)
 			}
-			for _, m := range []Method{MethodGreedy, MethodTourSplit} {
-				sol, err := Solve(p, m)
+			for _, m := range heuristics {
+				sol, err := m.solve(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if sol.Reward > ub+1e-9 {
-					t.Fatalf("%v beat the upper bound", m)
+					t.Fatalf("%s beat the upper bound", m.name)
 				}
 			}
 		}

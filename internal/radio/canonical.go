@@ -13,8 +13,6 @@ func Canon(m Model) (canon.Radio, error) {
 	switch r := m.(type) {
 	case nil:
 		return canon.Radio{Kind: canon.RadioNone}, nil
-	case Constant:
-		return canon.Radio{Kind: canon.RadioConstant, RefRate: r.B.F()}, nil
 	case Shannon:
 		return canon.Radio{
 			Kind:        canon.RadioShannon,

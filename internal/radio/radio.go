@@ -1,10 +1,10 @@
 // Package radio models the sensor→UAV uplink rate. The paper assumes every
 // covered sensor uploads at one fixed bandwidth B, arguing the
 // distance-induced differences are negligible at low hovering altitude
-// (Section III-B). This package provides that constant model plus a
-// Shannon-capacity model over free-space path loss, so the planners and the
-// simulator can be run with the assumption *removed* — the ablation the
-// paper gestures at but does not evaluate.
+// (Section III-B). A nil Model is that constant B everywhere; this package
+// provides a Shannon-capacity model over free-space path loss, so the
+// planners and the simulator can be run with the assumption *removed* —
+// the ablation the paper gestures at but does not evaluate.
 //
 // Rates are in MB/s, distances in metres.
 package radio
@@ -23,15 +23,6 @@ type Model interface {
 	// coverage model admits.
 	Rate(d units.Meters) units.BitsPerSecond
 }
-
-// Constant is the paper's model: B MB/s regardless of distance.
-type Constant struct {
-	// B is the rate in MB/s.
-	B units.BitsPerSecond
-}
-
-// Rate implements Model.
-func (c Constant) Rate(units.Meters) units.BitsPerSecond { return c.B }
 
 // Shannon is a capacity-style model over free-space path loss: the
 // received SNR falls with the path-loss exponent, and the rate follows

@@ -8,15 +8,6 @@ import (
 	"uavdc/internal/units"
 )
 
-func TestConstant(t *testing.T) {
-	m := Constant{B: 150}
-	for _, d := range []units.Meters{0, 10, 1e6} {
-		if m.Rate(d) != 150 {
-			t.Errorf("Rate(%v) = %v", d, m.Rate(d))
-		}
-	}
-}
-
 func TestDefaultShannonCalibration(t *testing.T) {
 	s := DefaultShannon()
 	if got := s.Rate(s.RefDist); math.Abs((got - s.RefRate).F()) > 1e-9 {

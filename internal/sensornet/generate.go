@@ -92,10 +92,10 @@ type ClusterParams struct {
 	// GenParams carries the base field parameters.
 	GenParams
 	// NumClusters is the number of deployment hot spots (≥ 1).
-	NumClusters int
+	NumClusters int //uavdc:allow deadexport a parameter of the GenerateClustered test oracle
 	// ClusterRadius is the spread of sensors around their hot spot, in
 	// metres.
-	ClusterRadius float64
+	ClusterRadius float64 //uavdc:allow deadexport a parameter of the GenerateClustered test oracle
 }
 
 // GenerateClustered builds a Matérn-style clustered deployment: NumClusters

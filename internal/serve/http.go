@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -44,9 +46,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusMethodNotAllowed, encodeError(ErrBadRequest, "use POST"))
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		writeBody(w, http.StatusBadRequest, encodeError(ErrBadRequest, fmt.Sprintf("decode request: %v", err)))
 		return
 	}
@@ -66,6 +67,24 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Uavdc-Elapsed-Us", strconv.FormatInt(out.Elapsed.Microseconds(), 10))
 	writeBody(w, out.Status, out.Body)
+}
+
+// decodeRequest decodes exactly one JSON request from body. Whitespace
+// may follow it; anything else is an error, so a body is never half
+// read.
+func decodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the request")
+		}
+		return Request{}, err
+	}
+	return req, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

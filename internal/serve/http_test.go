@@ -80,17 +80,36 @@ func TestHTTPPlanRejections(t *testing.T) {
 		t.Fatalf("GET /plan: %d", resp.StatusCode)
 	}
 
-	resp, err = http.Post(ts.URL+"/plan", "application/json", strings.NewReader("{not json"))
+	valid, err := json.Marshal(testRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: %d", resp.StatusCode)
-	}
-	if eb := decodeErrorBody(t, body); eb.Error.Code != ErrBadRequest {
-		t.Fatalf("code %q, want %q", eb.Error.Code, ErrBadRequest)
+	for _, c := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"bad JSON", "{not json", http.StatusBadRequest},
+		{"trailing value and junk", string(valid) + `{"not":"a request"} trailing junk`, http.StatusBadRequest},
+		{"trailing junk", string(valid) + "x", http.StatusBadRequest},
+		{"trailing close brace", string(valid) + "}", http.StatusBadRequest},
+		{"trailing whitespace", string(valid) + " \t\r\n\n", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d (cache %q)", c.name, resp.StatusCode, c.want, resp.Header.Get("Uavdc-Cache"))
+		}
+		if c.want != http.StatusBadRequest {
+			continue
+		}
+		if eb := decodeErrorBody(t, body); eb.Error.Code != ErrBadRequest {
+			t.Fatalf("%s: code %q, want %q", c.name, eb.Error.Code, ErrBadRequest)
+		}
 	}
 }
 

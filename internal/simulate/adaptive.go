@@ -47,7 +47,7 @@ var DeviationBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e5}
 const DefaultMargin = 0.02
 
 // AdaptiveOptions configures an adaptive (fault-aware, replanning) mission
-// execution. The embedded Options supply RecordEvents and Noise; Altitude
+// execution. The embedded Options supply Noise and Trace; Altitude
 // and Radio are taken from the planning instance so the executor flies the
 // same physics the plan was priced against.
 type AdaptiveOptions struct {
@@ -60,10 +60,6 @@ type AdaptiveOptions struct {
 	// Workers fans the replan candidate scans across goroutines; results
 	// are identical at any worker count.
 	Workers int
-	// MaxReplans caps mid-flight replans (0 selects a cap generous enough
-	// to never bind in practice); the cap guarantees termination even
-	// under adversarial schedules that starve every stop.
-	MaxReplans int
 }
 
 // AdaptiveResult extends the simulator result with the adaptive executor's
@@ -129,10 +125,10 @@ func AdaptiveRun(in *core.Instance, plan *core.Plan, opts AdaptiveOptions) Adapt
 	if margin <= 0 {
 		margin = DefaultMargin
 	}
-	replanCap := opts.MaxReplans
-	if replanCap <= 0 {
-		replanCap = 8 + 2*len(plan.Stops)
-	}
+	// The replan cap is generous enough to never bind in practice; it
+	// guarantees termination even under adversarial schedules that starve
+	// every stop.
+	replanCap := 8 + 2*len(plan.Stops)
 	rec := obs.OrDiscard(in.Obs)
 	cReplan := rec.Counter(CounterReplanTriggered)
 	cFaults := rec.Counter(CounterFaultsApplied)
@@ -171,12 +167,6 @@ func AdaptiveRun(in *core.Instance, plan *core.Plan, opts AdaptiveOptions) Adapt
 	expected := battery
 
 	log := func(kind EventKind, stop int) {
-		if opts.RecordEvents {
-			res.Events = append(res.Events, Event{
-				Kind: kind, Time: now.F(), Pos: pos, Stop: stop,
-				EnergyUsed: res.EnergyUsed, Collected: res.Collected,
-			})
-		}
 		if emit {
 			tr.Event(MissionEventPrefix+kind.String(),
 				trace.Num("t_sim", now.F()),

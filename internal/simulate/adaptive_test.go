@@ -43,12 +43,12 @@ func allPlanners() []core.Planner {
 
 // assertAdaptiveMatchesRun compares a fault-free, noise-free adaptive
 // execution against the reference simulator bit-for-bit: volumes, energy,
-// time, and the full telemetry log.
+// time, and the mission trace event by event.
 func assertAdaptiveMatchesRun(t *testing.T, label string, in *core.Instance, plan *core.Plan) {
 	t.Helper()
-	opts := Options{RecordEvents: true, Altitude: in.Altitude, Radio: in.Radio}
-	want := Run(in.Net, in.Model, plan, opts)
-	got := AdaptiveRun(in, plan, AdaptiveOptions{Options: opts})
+	opts := Options{Altitude: in.Altitude, Radio: in.Radio}
+	want, wantEvents := runTraced(in.Net, in.Model, plan, opts)
+	got, gotEvents := adaptiveTraced(in, plan, AdaptiveOptions{Options: opts})
 	if !want.Completed {
 		t.Fatalf("%s: reference mission aborted: %s", label, want.AbortReason)
 	}
@@ -71,12 +71,15 @@ func assertAdaptiveMatchesRun(t *testing.T, label string, in *core.Instance, pla
 	if !reflect.DeepEqual(got.PerSensor, want.PerSensor) {
 		t.Errorf("%s: per-sensor volumes diverge", label)
 	}
-	if len(got.Events) != len(want.Events) {
-		t.Fatalf("%s: %d events, want %d", label, len(got.Events), len(want.Events))
+	if len(wantEvents) == 0 {
+		t.Fatalf("%s: the reference run traced no mission events", label)
 	}
-	for i := range want.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Errorf("%s: event %d = %+v, want %+v", label, i, got.Events[i], want.Events[i])
+	if len(gotEvents) != len(wantEvents) {
+		t.Fatalf("%s: %d events, want %d", label, len(gotEvents), len(wantEvents))
+	}
+	for i := range wantEvents {
+		if gotEvents[i] != wantEvents[i] {
+			t.Errorf("%s: event %d = %+v, want %+v", label, i, gotEvents[i], wantEvents[i])
 		}
 	}
 }
@@ -132,15 +135,13 @@ func TestAdaptiveNeverDiesUnderFaults(t *testing.T) {
 				for _, name := range slices.Sorted(maps.Keys(schedules)) {
 					sched := schedules[name]
 					for _, noise := range []Noise{{}, {Spread: 0.25, Seed: int64(seed)}} {
-						res := AdaptiveRun(in, plan, AdaptiveOptions{
-							Options: Options{RecordEvents: true, Noise: noise},
+						res, events := adaptiveTraced(in, plan, AdaptiveOptions{
+							Options: Options{Noise: noise},
 							Faults:  sched,
 						})
 						label := pl.Name() + "/" + name
-						for _, ev := range res.Events {
-							if ev.Kind == EventBatteryDead {
-								t.Fatalf("%s seed=%d cap=%g: battery died", label, seed, capacity)
-							}
+						if hasEvent(events, EventBatteryDead) {
+							t.Fatalf("%s seed=%d cap=%g: battery died", label, seed, capacity)
 						}
 						if res.FinalBattery < 0 {
 							t.Errorf("%s seed=%d cap=%g: depot battery %v < 0",
@@ -184,7 +185,7 @@ func TestAdaptiveCountersDeterministicAcrossWorkers(t *testing.T) {
 		reg := obs.NewRegistry()
 		in.Obs = reg
 		res := AdaptiveRun(&in, plan, AdaptiveOptions{
-			Options: Options{RecordEvents: true, Noise: Noise{Spread: 0.1, Seed: 11}},
+			Options: Options{Noise: Noise{Spread: 0.1, Seed: 11}},
 			Faults:  sched,
 			Margin:  0.01,
 			Workers: workers,
@@ -305,40 +306,40 @@ func TestNoiseCoversReplannedLegs(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := in.Model
-	res := AdaptiveRun(in, plan, AdaptiveOptions{
-		Options: Options{RecordEvents: true, Noise: Noise{Spread: 0.2, Seed: 5}},
+	res, events := adaptiveTraced(in, plan, AdaptiveOptions{
+		Options: Options{Noise: Noise{Spread: 0.2, Seed: 5}},
 		Faults:  sched,
 		Margin:  0.01,
 	})
 	if res.Replans == 0 {
 		t.Fatal("scenario triggered no replan; test exercises nothing")
 	}
-	// Walk the telemetry after the first replan: every flight leg's billed
+	// Walk the trace after the first replan: every flight leg's billed
 	// energy, divided by its nominal cost and the (identity, legs ≥ 2)
 	// fault factor, is the noise draw — which is ≠ 1 almost surely.
 	replanAt := -1
-	for i, ev := range res.Events {
-		if ev.Kind == EventReplan {
+	for i, ev := range events {
+		if ev.kind == EventReplan.String() {
 			replanAt = i
 			break
 		}
 	}
 	if replanAt < 0 {
-		t.Fatal("no replan event in telemetry")
+		t.Fatal("no replan event in the trace")
 	}
 	noisy := 0
-	for i := replanAt + 1; i < len(res.Events); i++ {
-		ev := res.Events[i]
-		if ev.Kind != EventArrive && ev.Kind != EventReturn {
+	for i := replanAt + 1; i < len(events); i++ {
+		ev := events[i]
+		if ev.kind != EventArrive.String() && ev.kind != EventReturn.String() {
 			continue
 		}
-		prev := res.Events[i-1]
-		dist := prev.Pos.Dist(ev.Pos)
+		prev := events[i-1]
+		dist := prev.pos().Dist(ev.pos())
 		nominal := em.TravelEnergy(units.Meters(dist))
 		if nominal <= 0 {
 			continue
 		}
-		factor := (ev.EnergyUsed - prev.EnergyUsed) / nominal.F()
+		factor := (ev.energy - prev.energy) / nominal.F()
 		if math.Abs(factor-1) > 1e-6 {
 			noisy++
 		}
@@ -364,9 +365,8 @@ func TestAdaptiveDivertsInsteadOfDying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := AdaptiveRun(in, plan, AdaptiveOptions{
-		Options: Options{RecordEvents: true},
-		Faults:  sched,
+	res, events := adaptiveTraced(in, plan, AdaptiveOptions{
+		Faults: sched,
 		// Replanning under a uniform 3.5× surcharge keeps plans tiny; with
 		// replans disabled by a huge margin the divert path must trigger.
 		Margin: 0.99,
@@ -380,17 +380,11 @@ func TestAdaptiveDivertsInsteadOfDying(t *testing.T) {
 	if !res.Diverted || res.StopsSkipped == 0 {
 		t.Errorf("expected a divert, got %+v", res)
 	}
-	sawDivert := false
-	for _, ev := range res.Events {
-		if ev.Kind == EventDivert {
-			sawDivert = true
-		}
-		if ev.Kind == EventBatteryDead {
-			t.Fatal("battery died")
-		}
+	if hasEvent(events, EventBatteryDead) {
+		t.Fatal("battery died")
 	}
-	if !sawDivert {
-		t.Error("no EventDivert in telemetry")
+	if !hasEvent(events, EventDivert) {
+		t.Error("no EventDivert in the trace")
 	}
 }
 

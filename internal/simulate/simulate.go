@@ -30,7 +30,7 @@ import (
 // byte-identical bytes like the planner spans.
 const MissionEventPrefix = "mission/"
 
-// EventKind labels a telemetry event.
+// EventKind labels a mission trace event.
 type EventKind int
 
 const (
@@ -74,21 +74,6 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one telemetry record.
-type Event struct {
-	Kind EventKind
-	// Time is seconds since takeoff.
-	Time float64
-	// Pos is the UAV ground-projected position.
-	Pos geom.Point
-	// Stop is the plan stop index (-1 for depot events).
-	Stop int
-	// EnergyUsed is cumulative energy drawn, J.
-	EnergyUsed float64
-	// Collected is cumulative data gathered, MB.
-	Collected float64
-}
-
 // Result is the outcome of a simulated mission.
 type Result struct {
 	// Completed is true when the UAV executed every stop and returned to
@@ -108,14 +93,10 @@ type Result struct {
 	Collected float64
 	// PerSensor is data gathered per sensor, MB.
 	PerSensor []float64
-	// Events is the telemetry log (only when Options.RecordEvents).
-	Events []Event
 }
 
 // Options configures a simulation run.
 type Options struct {
-	// RecordEvents enables the telemetry log.
-	RecordEvents bool
 	// Altitude is the hovering altitude H used for slant-distance rate
 	// computation when Radio is set.
 	Altitude units.Meters
@@ -126,8 +107,11 @@ type Options struct {
 	// segment; the zero value is the deterministic nameplate model.
 	Noise Noise
 	// Trace, when non-nil and enabled, receives the mission event log as
-	// MissionEventPrefix events. Recording never changes the simulation
-	// outcome.
+	// MissionEventPrefix events: one per takeoff, arrival, end of hover,
+	// return, and battery death, each with the simulated time (t_sim),
+	// stop index (-1 at the depot), position (x, y), cumulative energy
+	// (energy_j) and volume (collected_mb), and the battery (battery_j).
+	// Recording never changes the simulation outcome.
 	Trace trace.Tracer
 }
 
@@ -153,12 +137,6 @@ func Run(net *sensornet.Network, em energy.Model, plan *core.Plan, opts Options)
 	tr := trace.OrDiscard(opts.Trace)
 	emit := tr.Enabled()
 	log := func(kind EventKind, stop int) {
-		if opts.RecordEvents {
-			res.Events = append(res.Events, Event{
-				Kind: kind, Time: now.F(), Pos: pos, Stop: stop,
-				EnergyUsed: res.EnergyUsed, Collected: res.Collected,
-			})
-		}
 		if emit {
 			tr.Event(MissionEventPrefix+kind.String(),
 				trace.Num("t_sim", now.F()),

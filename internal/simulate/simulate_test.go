@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"uavdc/internal/core"
@@ -9,8 +10,75 @@ import (
 	"uavdc/internal/geom"
 	"uavdc/internal/rng"
 	"uavdc/internal/sensornet"
+	"uavdc/internal/trace"
 	"uavdc/internal/units"
 )
+
+// flightEvent is one mission trace event, projected on the attributes
+// Run and AdaptiveRun both emit.
+type flightEvent struct {
+	kind                                         string // the name after MissionEventPrefix
+	tSim, stop, x, y, energy, collected, battery float64
+}
+
+func (ev flightEvent) pos() geom.Point { return geom.Pt(ev.x, ev.y) }
+
+// flightLog returns the mission events recorded in buf, in order.
+func flightLog(buf *trace.Buffer) []flightEvent {
+	var out []flightEvent
+	for _, r := range buf.Snapshot().Records {
+		kind, ok := strings.CutPrefix(r.Name, MissionEventPrefix)
+		if r.Kind != trace.KindEvent || !ok {
+			continue
+		}
+		ev := flightEvent{kind: kind}
+		for _, a := range r.Attrs {
+			switch a.Key {
+			case "t_sim":
+				ev.tSim = a.Num
+			case "stop":
+				ev.stop = a.Num
+			case "x":
+				ev.x = a.Num
+			case "y":
+				ev.y = a.Num
+			case "energy_j":
+				ev.energy = a.Num
+			case "collected_mb":
+				ev.collected = a.Num
+			case "battery_j":
+				ev.battery = a.Num
+			}
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// runTraced runs the simulator with a trace buffer attached and returns
+// its mission events with the result.
+func runTraced(net *sensornet.Network, em energy.Model, plan *core.Plan, opts Options) (Result, []flightEvent) {
+	buf := trace.NewBuffer()
+	opts.Trace = buf
+	return Run(net, em, plan, opts), flightLog(buf)
+}
+
+// adaptiveTraced is runTraced for the adaptive executor.
+func adaptiveTraced(in *core.Instance, plan *core.Plan, opts AdaptiveOptions) (AdaptiveResult, []flightEvent) {
+	buf := trace.NewBuffer()
+	opts.Trace = buf
+	return AdaptiveRun(in, plan, opts), flightLog(buf)
+}
+
+// hasEvent reports whether events holds one of the given kind.
+func hasEvent(events []flightEvent, kind EventKind) bool {
+	for _, ev := range events {
+		if ev.kind == kind.String() {
+			return true
+		}
+	}
+	return false
+}
 
 func simNet() *sensornet.Network {
 	return &sensornet.Network{
@@ -45,7 +113,7 @@ func TestRunCompletesAndMatchesPlanAccounting(t *testing.T) {
 	net := simNet()
 	em := energy.Default()
 	plan := simPlan()
-	res := Run(net, em, plan, Options{RecordEvents: true})
+	res, events := runTraced(net, em, plan, Options{})
 	if !res.Completed {
 		t.Fatalf("mission aborted: %s", res.AbortReason)
 	}
@@ -64,31 +132,27 @@ func TestRunCompletesAndMatchesPlanAccounting(t *testing.T) {
 	if math.Abs(res.MissionTime-plan.Duration(em)) > 1e-9 {
 		t.Errorf("mission time %v vs plan %v", res.MissionTime, plan.Duration(em))
 	}
-	// Telemetry shape: takeoff, (arrive, collect)×2, return.
+	// Trace shape: takeoff, (arrive, collect)×2, return.
 	kinds := []EventKind{EventTakeoff, EventArrive, EventCollect, EventArrive, EventCollect, EventReturn}
-	if len(res.Events) != len(kinds) {
-		t.Fatalf("got %d events", len(res.Events))
+	if len(events) != len(kinds) {
+		t.Fatalf("got %d events", len(events))
 	}
 	for i, k := range kinds {
-		if res.Events[i].Kind != k {
-			t.Errorf("event %d = %v, want %v", i, res.Events[i].Kind, k)
+		if events[i].kind != k.String() {
+			t.Errorf("event %d = %v, want %v", i, events[i].kind, k)
 		}
-		if i > 0 && res.Events[i].Time < res.Events[i-1].Time {
+		if i > 0 && events[i].tSim < events[i-1].tSim {
 			t.Error("events not time-ordered")
 		}
 	}
-}
-
-func TestRunNoEventsByDefault(t *testing.T) {
-	res := Run(simNet(), energy.Default(), simPlan(), Options{})
-	if res.Events != nil {
-		t.Error("events recorded without RecordEvents")
+	if last := events[len(events)-1]; last.energy != res.EnergyUsed || last.collected != res.Collected {
+		t.Errorf("return event %+v disagrees with the result", last)
 	}
 }
 
 func TestRunDiesEnRoute(t *testing.T) {
 	em := energy.Default().WithCapacity(300) // 30 m of flight only
-	res := Run(simNet(), em, simPlan(), Options{RecordEvents: true})
+	res, events := runTraced(simNet(), em, simPlan(), Options{})
 	if res.Completed {
 		t.Fatal("impossible mission completed")
 	}
@@ -101,9 +165,8 @@ func TestRunDiesEnRoute(t *testing.T) {
 	if res.Collected != 0 {
 		t.Error("collected data without reaching a stop")
 	}
-	last := res.Events[len(res.Events)-1]
-	if last.Kind != EventBatteryDead {
-		t.Errorf("last event %v", last.Kind)
+	if last := events[len(events)-1]; last.kind != EventBatteryDead.String() {
+		t.Errorf("last event %v", last.kind)
 	}
 }
 
@@ -181,7 +244,7 @@ func TestRunConservesPerSensorAcrossStops(t *testing.T) {
 }
 
 func TestEmptyPlanMission(t *testing.T) {
-	res := Run(simNet(), energy.Default(), &core.Plan{Depot: geom.Pt(0, 0)}, Options{RecordEvents: true})
+	res := Run(simNet(), energy.Default(), &core.Plan{Depot: geom.Pt(0, 0)}, Options{})
 	if !res.Completed || res.EnergyUsed != 0 || res.Collected != 0 {
 		t.Errorf("empty plan result %+v", res)
 	}

@@ -17,11 +17,12 @@ import (
 // palette cycles across tours when rendering fleets.
 var palette = []string{"#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf"}
 
+// widthPx is the image width in pixels; the height follows the region's
+// aspect ratio.
+const widthPx = 800
+
 // Options tunes the rendering.
 type Options struct {
-	// WidthPx is the image width in pixels (height follows the region's
-	// aspect ratio); ≤ 0 means 800.
-	WidthPx int
 	// CoverRadius draws a coverage circle of this many metres at every
 	// stop; 0 disables the circles.
 	CoverRadius float64
@@ -31,10 +32,7 @@ type Options struct {
 
 // WriteSVG renders the network and the given plans (one colour each).
 func WriteSVG(w io.Writer, net *sensornet.Network, plans []*core.Plan, opts Options) error {
-	width := opts.WidthPx
-	if width <= 0 {
-		width = 800
-	}
+	width := widthPx
 	rw, rh := net.Region.Width(), net.Region.Height()
 	if rw <= 0 || rh <= 0 {
 		return fmt.Errorf("viz: degenerate region")

@@ -40,20 +40,12 @@ const (
 	Health = "uavdc-health/1"
 	// Lint tags uavlint's -json report (internal/lint).
 	Lint = "uavdc-lint/2"
-	// Mission tags the campaign-knob cache-key extension
-	// (internal/mission).
-	Mission = "uavdc-mission/1"
-	// Multi tags the fleet-knob cache-key extension (internal/multi).
-	Multi = "uavdc-multi/1"
 	// Oplog tags the request op-log JSONL stream (internal/oplog).
 	Oplog = "uavdc-oplog/1"
 	// Runtime tags the /debug/runtime JSON body (internal/serve).
 	Runtime = "uavdc-runtime/1"
 	// Serve tags plan request and response bodies (internal/serve).
 	Serve = "uavdc-serve/1"
-	// SimulateAdaptive tags the adaptive-executor cache-key extension
-	// (internal/simulate).
-	SimulateAdaptive = "uavdc-simulate-adaptive/1"
 	// Trace tags the flight-recorder JSONL stream (internal/trace).
 	Trace = "uavdc-trace/1"
 	// Window tags the /debug/window JSON body (internal/serve).
@@ -66,8 +58,7 @@ var current = map[string]int{}
 
 func init() {
 	for _, tag := range []string{
-		Bench, Canon, Health, Lint, Mission, Multi,
-		Oplog, Runtime, Serve, SimulateAdaptive, Trace, Window,
+		Bench, Canon, Health, Lint, Oplog, Runtime, Serve, Trace, Window,
 	} {
 		name, version, err := ParseTag(tag)
 		if err != nil {
