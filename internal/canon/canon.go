@@ -144,7 +144,7 @@ func (in Instance) Normalized() Instance {
 // field values: fixed field order, IEEE-754 bit patterns for floats,
 // length-prefixed strings and slices.
 func (in Instance) Encode() []byte {
-	e := NewEncoder()
+	e := newEncoder()
 	e.Str(Version)
 	e.F64(in.MinX, in.MinY, in.MaxX, in.MaxY)
 	e.F64(in.DepotX, in.DepotY)
@@ -177,35 +177,35 @@ func (in Instance) Key() Key {
 	return sha256.Sum256(in.Normalized().Encode())
 }
 
-// Encoder is the canonical byte writer: fixed-width little-endian IEEE
+// encoder is the canonical byte writer: fixed-width little-endian IEEE
 // bits for floats, fixed-width two's-complement for ints, length-prefixed
 // strings.
-type Encoder struct {
+type encoder struct {
 	buf []byte
 }
 
-// NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder { return &Encoder{} }
+// newEncoder returns an empty encoder.
+func newEncoder() *encoder { return &encoder{} }
 
 // F64 appends each float's IEEE-754 bit pattern.
-func (e *Encoder) F64(vs ...float64) {
+func (e *encoder) F64(vs ...float64) {
 	for _, v := range vs {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 	}
 }
 
 // I64 appends each integer as 8 little-endian bytes.
-func (e *Encoder) I64(vs ...int64) {
+func (e *encoder) I64(vs ...int64) {
 	for _, v := range vs {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
 	}
 }
 
 // Byte appends one raw byte.
-func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
+func (e *encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
 // Bool appends 1 or 0.
-func (e *Encoder) Bool(v bool) {
+func (e *encoder) Bool(v bool) {
 	if v {
 		e.Byte(1)
 	} else {
@@ -214,10 +214,10 @@ func (e *Encoder) Bool(v bool) {
 }
 
 // Str appends a length-prefixed string.
-func (e *Encoder) Str(s string) {
+func (e *encoder) Str(s string) {
 	e.I64(int64(len(s)))
 	e.buf = append(e.buf, s...)
 }
 
 // Bytes returns the accumulated encoding.
-func (e *Encoder) Bytes() []byte { return e.buf }
+func (e *encoder) Bytes() []byte { return e.buf }

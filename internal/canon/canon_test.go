@@ -78,7 +78,7 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 func TestDecodeRejectsHugeSensorCount(t *testing.T) {
-	e := NewEncoder()
+	e := newEncoder()
 	e.Str(Version)
 	e.F64(0, 0, 1, 1, 0, 0)
 	e.I64(1 << 40) // sensor count far beyond the payload
@@ -173,12 +173,16 @@ func TestKeySensitivity(t *testing.T) {
 // FuzzCanonicalInstance locks the encoding's two contracts: (1) the same
 // logical instance — defaults elided or spelled out, built in any
 // parameter order — produces the same cache key; (2) Decode(Encode(x))
-// reproduces x bit-exactly, and re-encoding reproduces the bytes.
+// reproduces x bit-exactly, and re-encoding reproduces the bytes. An
+// encoding with a radio kind no encoder emits (1, the retired
+// constant-rate model, or anything past RadioShannon) is not canonical
+// and must be rejected.
 func FuzzCanonicalInstance(f *testing.F) {
-	f.Add(uint8(2), 50.0, 10.0, 0.0, 3e5, int64(4), "partial", false, 300.0)
-	f.Add(uint8(0), 25.0, 0.0, 20.0, 1e4, int64(0), "", true, 0.0)
-	f.Add(uint8(5), 1.0, 0.5, 0.9, 0.0, int64(-3), "lns", false, 1e308)
-	f.Fuzz(func(t *testing.T, nSensors uint8, commRange, delta, altitude, capacity float64, k int64, algorithm string, refine bool, data float64) {
+	f.Add(uint8(2), 50.0, 10.0, 0.0, 3e5, int64(4), "partial", false, 300.0, uint8(RadioNone))
+	f.Add(uint8(0), 25.0, 0.0, 20.0, 1e4, int64(0), "", true, 0.0, uint8(RadioShannon))
+	f.Add(uint8(5), 1.0, 0.5, 0.9, 0.0, int64(-3), "lns", false, 1e308, uint8(RadioNone))
+	f.Add(uint8(3), 50.0, 10.0, 0.0, 3e5, int64(4), "partial", false, 300.0, uint8(1))
+	f.Fuzz(func(t *testing.T, nSensors uint8, commRange, delta, altitude, capacity float64, k int64, algorithm string, refine bool, data float64, radioKind uint8) {
 		if math.IsNaN(commRange) || math.IsNaN(delta) || math.IsNaN(altitude) {
 			return // NaN knobs never compare equal; covered by the bit-faithful test above
 		}
@@ -188,10 +192,17 @@ func FuzzCanonicalInstance(f *testing.F) {
 			BandwidthMBps: 150, CommRangeM: commRange,
 			HoverPowerW: 150, TravelPowerW: 100, SpeedMS: 10, CapacityJ: capacity,
 			DeltaM: delta, K: k, AltitudeM: altitude,
+			Radio:     Radio{Kind: RadioKind(radioKind)},
 			Algorithm: algorithm, Refine: refine,
 		}
 		for i := 0; i < int(nSensors)%12; i++ {
 			in.Sensors = append(in.Sensors, Sensor{X: float64(i) * 13, Y: float64(i) * 7, Data: data})
+		}
+		if in.Radio.Kind != RadioNone && in.Radio.Kind != RadioShannon {
+			if _, err := Decode(in.Encode()); err == nil {
+				t.Fatalf("Decode accepted radio kind %d", in.Radio.Kind)
+			}
+			return
 		}
 
 		// Round trip: bit-exact instance and bytes.

@@ -45,7 +45,7 @@ func Decode(data []byte) (Instance, error) {
 	if d.off != len(d.buf) {
 		return Instance{}, fmt.Errorf("canon: %d trailing bytes after instance", len(d.buf)-d.off)
 	}
-	if in.Radio.Kind > RadioShannon {
+	if in.Radio.Kind != RadioNone && in.Radio.Kind != RadioShannon {
 		return Instance{}, fmt.Errorf("canon: unknown radio kind %d", in.Radio.Kind)
 	}
 	return in, nil

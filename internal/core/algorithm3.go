@@ -14,17 +14,20 @@ import (
 // ρ-ratio loop of Algorithm 2 then runs over the virtual candidates with
 // two extra rules: (i) at most one virtual location per real location may
 // be in the tour — choosing a second one upgrades the stop in place
-// (Lemma 2), paying only the extra hover energy; (ii) residual volumes and
-// candidate awards/sojourns are recomputed after every acceptance, because
-// a sensor in overlapping coverage may have been partially drained at
-// another stop.
+// (Lemma 2), paying only the extra hover energy; (ii) after every
+// acceptance, the awards and sojourns of the candidates covering a sensor
+// the accepted stop took data from are recomputed against the residual
+// volumes, because such a sensor may have been partially drained. Every
+// other candidate's awards and sojourns are unchanged and are reused; only
+// its energy check and ratio are redone against the grown route.
 //
-// Implementation note: the sojourn ladder is rebuilt from the *residual*
-// drain time of each location at evaluation time rather than frozen at the
-// initial t(s_j). The paper's Algorithm 3 (line 12) already recomputes
-// t′ and P′ against residuals for overlapping candidates; deriving the K
-// levels from the current t′ applies that recomputation uniformly and
-// makes K = 1 coincide exactly with Algorithm 2.
+// Implementation note: the sojourn ladder is derived from the *residual*
+// drain time of each location rather than frozen at the initial t(s_j).
+// The paper's Algorithm 3 (line 12) already recomputes t′ and P′ against
+// residuals for overlapping candidates; deriving the K levels from the
+// current t′ applies that recomputation uniformly and makes K = 1
+// coincide exactly with Algorithm 2. The reference path
+// (Instance.Reference) re-derives every ladder at every evaluation.
 type Algorithm3 struct {
 	// Workers sets the number of goroutines scanning candidate locations
 	// per iteration; 0 or 1 means serial. Results are identical at any
@@ -42,7 +45,6 @@ type partialCandidate struct {
 	sojourn units.Seconds // new total sojourn at the stop
 	gain    units.Bits    // extra MB collected
 	travelD float64       // route-length increase in metres (new bases only)
-	take    map[int]units.Bits
 }
 
 // Plan implements Planner.
@@ -111,66 +113,50 @@ func betterPartial(c1 partialCandidate, r1 float64, c2 partialCandidate, r2 floa
 func (st *greedyState) pickPartial(k, workers int) (partialCandidate, bool) {
 	cur := st.energy()
 	ids := st.scanIdx().compact()
+	lad := st.ladders(k)
 	st.resetPricing()
 	st.cSkipped.Add(int64(st.set.Len()-1) - st.nExcluded - int64(len(ids)))
 	return scanBest(st.rec, workers, ids, func(c int, so scanObs) (partialCandidate, float64, bool) {
-		return st.evalLoc(k, c, cur, so)
+		return st.evalLoc(lad, k, c, cur, so)
 	}, betterPartial)
 }
 
 // evalLoc prices every level of one location against the route and returns
 // its best candidate under the total order. so carries the evaluating
 // worker's counter handles.
-func (st *greedyState) evalLoc(k, c int, cur units.Joules, so scanObs) (partialCandidate, float64, bool) {
+func (st *greedyState) evalLoc(lad *ladderCache, k, c int, cur units.Joules, so scanObs) (partialCandidate, float64, bool) {
 	so.evalHit(c)
-	in := st.in
 	best := partialCandidate{loc: -1}
 	bestRatio := -1.0
-	loc := &st.set.Locs[c]
-	// Residual full-drain time defines this location's level ladder.
-	so.resid.Inc()
-	fullSojourn, fullAward := hover.ResidualDrain(loc.Covered, st.residual, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth))
-	prevSojourn := st.sojourns[c] // 0 when not in the route
-	already := st.collected[c]
-	if fullAward <= 0 && !st.inTour[c] {
-		return best, -1, false
+	rungs := st.ladder(lad, k, c, so)
+	if len(rungs) == 0 {
+		return best, bestRatio, false
 	}
+	upgrade := st.inTour[c]
 	var pos int
 	var travelD float64
-	if !st.inTour[c] {
+	var travelE units.Joules
+	if !upgrade {
 		pos, travelD = st.insertion(c)
+		travelE = st.in.Model.TravelEnergy(units.Meters(travelD))
 	}
-	for level := 1; level <= k; level++ {
-		sojourn := units.Seconds(float64(level) * fullSojourn.F() / float64(k))
-		if sojourn <= prevSojourn+1e-12 {
-			continue // not an upgrade; paper discards dominated levels
-		}
-		gain, take := partialTake(loc.Covered, st.residual, already, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth), sojourn)
-		if gain <= 1e-12 {
-			continue
-		}
-		hoverE := in.Model.HoverEnergy(sojourn - prevSojourn)
-		var travelE units.Joules
-		if !st.inTour[c] {
-			travelE = in.Model.TravelEnergy(units.Meters(travelD))
-		}
-		if cur+hoverE+travelE > st.budget+1e-9 {
+	for _, r := range rungs {
+		if cur+r.hoverE+travelE > st.budget+1e-9 {
 			so.pruned.Inc()
 			continue
 		}
-		denom := hoverE + travelE
+		denom := r.hoverE + travelE
 		ratio := math.Inf(1)
 		if denom > 1e-12 {
-			ratio = gain.F() / denom.F()
+			ratio = r.gain.F() / denom.F()
 		}
 		cand := partialCandidate{
 			loc:     c,
 			pos:     pos,
-			upgrade: st.inTour[c],
-			sojourn: sojourn,
-			gain:    gain,
+			upgrade: upgrade,
+			sojourn: r.sojourn,
+			gain:    r.gain,
 			travelD: travelD,
-			take:    take,
 		}
 		if betterPartial(cand, ratio, best, bestRatio) {
 			best, bestRatio = cand, ratio
@@ -179,14 +165,52 @@ func (st *greedyState) evalLoc(k, c int, cur units.Joules, so scanObs) (partialC
 	return best, bestRatio, best.loc >= 0
 }
 
+// ladder returns location c's rungs: lad's cached ones while fresh,
+// otherwise rebuilt (into lad when there is one) from the residual
+// full-drain time, which divides into the K levels.
+func (st *greedyState) ladder(lad *ladderCache, k, c int, so scanObs) []rung {
+	if lad != nil && lad.fresh[c] {
+		return lad.rungs[c*k : c*k+int(lad.n[c])]
+	}
+	so.resid.Inc()
+	var out []rung
+	if lad != nil {
+		out = lad.rungs[c*k : c*k : c*k+k]
+	}
+	in := st.in
+	loc := &st.set.Locs[c]
+	bw := units.BitsPerSecond(in.Net.Bandwidth)
+	fullSojourn, fullAward := hover.ResidualDrain(loc.Covered, st.residual, loc.Rates, bw)
+	if fullAward > 0 || st.inTour[c] {
+		prevSojourn := st.sojourns[c] // 0 when not in the route
+		already := st.collected[c]
+		for level := 1; level <= k; level++ {
+			sojourn := units.Seconds(float64(level) * fullSojourn.F() / float64(k))
+			if sojourn <= prevSojourn+1e-12 {
+				continue // not an upgrade; paper discards dominated levels
+			}
+			gain := partialTake(loc.Covered, st.residual, already, loc.Rates, bw, sojourn, nil)
+			if gain <= 1e-12 {
+				continue
+			}
+			out = append(out, rung{sojourn: sojourn, gain: gain, hoverE: in.Model.HoverEnergy(sojourn - prevSojourn)})
+		}
+	}
+	if lad != nil {
+		lad.n[c] = int32(len(out))
+		lad.fresh[c] = true
+	}
+	return out
+}
+
 // partialTake computes, for a stop at the given location with total sojourn
 // time, how much more each covered sensor can upload: the per-sensor cap is
 // rate_v·sojourn for the whole stay, minus what this stop already took,
 // bounded by the sensor's residual volume. rates is parallel to covered;
-// nil means the constant bandwidth.
-func partialTake(covered []int, residual []units.Bits, already map[int]units.Bits, rates []units.BitsPerSecond, bandwidth units.BitsPerSecond, sojourn units.Seconds) (units.Bits, map[int]units.Bits) {
+// nil means the constant bandwidth. It returns the total gain and, when
+// take is non-nil, records each sensor's amount there.
+func partialTake(covered []int, residual []units.Bits, already map[int]units.Bits, rates []units.BitsPerSecond, bandwidth units.BitsPerSecond, sojourn units.Seconds, take map[int]units.Bits) units.Bits {
 	var gain units.Bits
-	take := make(map[int]units.Bits, len(covered))
 	for i, v := range covered {
 		if residual[v] <= 0 {
 			continue
@@ -201,17 +225,25 @@ func partialTake(covered []int, residual []units.Bits, already map[int]units.Bit
 		}
 		amt := units.Min(residual[v], room)
 		if amt > 0 {
-			take[v] = amt
+			if take != nil {
+				take[v] = amt
+			}
 			gain += amt
 		}
 	}
-	return gain, take
+	return gain
 }
 
 // acceptPartial applies a partial candidate: inserts or upgrades the stop,
 // moves the taken volumes from residuals into the stop's ledger, and
-// re-optimises the route.
+// re-optimises the route. The take is built here, for the winner only, by
+// the partialTake call that priced its gain; it is never empty (the gain
+// is positive), so the accepted location is among the locations whose
+// ladders noteTaken marks for rebuilding.
 func (st *greedyState) acceptPartial(c partialCandidate) {
+	loc := &st.set.Locs[c.loc]
+	take := make(map[int]units.Bits, len(loc.Covered))
+	partialTake(loc.Covered, st.residual, st.collected[c.loc], loc.Rates, units.BitsPerSecond(st.in.Net.Bandwidth), c.sojourn, take)
 	if c.upgrade {
 		st.cUpgraded.Inc()
 	} else {
@@ -222,13 +254,14 @@ func (st *greedyState) acceptPartial(c partialCandidate) {
 	st.hoverTime += c.sojourn - st.sojourns[c.loc]
 	st.sojourns[c.loc] = c.sojourn
 	ledger := st.collected[c.loc]
-	for v, amt := range c.take {
+	for v, amt := range take {
 		ledger[v] += amt
 		st.residual[v] -= amt
 		if st.residual[v] <= 0 {
 			st.residual[v] = 0
 			st.noteDrained(v)
 		}
+		st.noteTaken(v)
 	}
 	st.improveTour()
 }

@@ -20,6 +20,12 @@ func pointSet(pts []geom.Point) *hover.Set {
 	return set
 }
 
+// cheapest is one unmemoized pricing: the cheapest slot for a stop at p
+// and its length delta.
+func (sc *insertionScratch) cheapest(p geom.Point) (pos int, delta float64) {
+	return sc.slot(sc.scan(p))
+}
+
 // TestCheapestMatchesTourInsertion: on a closed tour, the scratch's one
 // insertion loop returns tsp.BestInsertion's position and delta bit for
 // bit — including the 1-stop tour, which tsp prices as 2·d, and tours

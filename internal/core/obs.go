@@ -21,7 +21,10 @@ const (
 	// energy budget.
 	CounterPrunedOverBudget = "core.pruned_over_budget"
 	// CounterResidualRecomputes counts residual drain-time recomputations
-	// (hover.ResidualDrain calls) — the paper's Algorithm 3 line 12.
+	// (hover.ResidualDrain calls) — the paper's Algorithm 3 line 12: one
+	// per Algorithm 2 evaluation and one per Algorithm 3 ladder rebuild,
+	// which the fast path does only for the locations the last acceptance
+	// changed (every evaluation on the reference path).
 	CounterResidualRecomputes = "core.residual_recomputes"
 	// CounterAcceptedStops counts stops newly inserted into the tour.
 	CounterAcceptedStops = "core.accepted_stops"

@@ -80,19 +80,7 @@ func ReplanResidual(in *Instance, state ResidualState) (*Plan, error) {
 	if k < 1 {
 		k = 1
 	}
-	st := newGreedyState(in, set)
-	st.budget = state.Budget
-	copy(st.residual, state.Residual)
-	st.path = &openPath{start: state.Pos, end: in.Net.Depot, length: state.Pos.Dist(in.Net.Depot)}
-	if state.Exclude != nil {
-		st.excluded = make([]bool, set.Len())
-		for c := 1; c < set.Len(); c++ {
-			st.excluded[c] = state.Exclude(set.Locs[c].Pos)
-			if st.excluded[c] {
-				st.nExcluded++
-			}
-		}
-	}
+	st := newPathState(in, set, state)
 	for {
 		endIter := tr.Begin(SpanPlanReplanIterate)
 		best, ok := st.pickPartial(k, state.Workers)
@@ -106,6 +94,26 @@ func ReplanResidual(in *Instance, state ResidualState) (*Plan, error) {
 	p := st.plan("replan")
 	endPlan(trace.Int("stops", len(p.Stops)))
 	return p, nil
+}
+
+// newPathState is the replanner's greedy state: an empty open path from
+// state.Pos to the depot, state's budget and residuals, and its excluded
+// candidates.
+func newPathState(in *Instance, set *hover.Set, state ResidualState) *greedyState {
+	st := newGreedyState(in, set)
+	st.budget = state.Budget
+	copy(st.residual, state.Residual)
+	st.path = &openPath{start: state.Pos, end: in.Net.Depot, length: state.Pos.Dist(in.Net.Depot)}
+	if state.Exclude != nil {
+		st.excluded = make([]bool, set.Len())
+		for c := 1; c < set.Len(); c++ {
+			st.excluded[c] = state.Exclude(set.Locs[c].Pos)
+			if st.excluded[c] {
+				st.nExcluded++
+			}
+		}
+	}
+	return st
 }
 
 // openPath is the replanner's route shape: from a fixed start (the UAV
