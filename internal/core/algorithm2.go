@@ -197,8 +197,10 @@ type greedyState struct {
 	idx       *scanIndex
 	ins       insertionScratch
 	lad       *ladderCache
-	// before is improveTour's copy of the route order, to tell a reorder.
+	// before is improveTour's copy of the route order, to tell a reorder;
+	// retour re-tours the closed tour on the fast path.
 	before []int
+	retour tsp.Retour
 }
 
 func newGreedyState(in *Instance, set *hover.Set) *greedyState {
@@ -328,16 +330,21 @@ func (st *greedyState) order() []int {
 	return st.tour.Order
 }
 
-// improveTour re-optimises the route after an acceptance: the tour through
-// a dense submatrix over its items (see tsp.ImproveMetric), the path with
-// its fixed-endpoint 2-opt. A changed or rotated order voids every
-// insertion memo.
+// improveTour re-optimises the route after an acceptance: the path with
+// its fixed-endpoint 2-opt, the tour with Improve — on the fast path by
+// st.retour, which grows its matrix by one row and column per inserted
+// location and replays the search from the tour's last fixed point, on
+// the reference path by tsp.ImproveMetric. A changed or rotated order
+// voids every insertion memo.
 func (st *greedyState) improveTour() {
 	st.before = append(st.before[:0], st.order()...)
-	if st.path != nil {
+	switch {
+	case st.path != nil:
 		st.path.improve(st.set)
-	} else {
+	case st.reference:
 		tsp.ImproveMetric(&st.tour, st.dist, st.rec)
+	default:
+		st.retour.Improve(&st.tour, st.dist, st.rec)
 	}
 	if !slices.Equal(st.before, st.order()) {
 		st.ins.gen++

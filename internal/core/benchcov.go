@@ -36,7 +36,7 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark-coverage tsp: %w", err)
 	}
-	pr.RotateTo(0)
+	pr.Tour.RotateTo(0)
 
 	// Iteratively: realise the coverage-aware plan along the tour, and
 	// while it exceeds the budget prune the stop with the least collected
@@ -70,7 +70,7 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 		}
 		removals.Inc()
 		pr.RemoveAt(bestIdx+1, rec)
-		pr.RotateTo(0)
+		pr.Tour.RotateTo(0)
 	}
 }
 

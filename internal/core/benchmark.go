@@ -90,7 +90,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 	endPrune(trace.Int("removed", removed))
 	pr.Improve(rec)
 
-	pr.RotateTo(0)
+	pr.Tour.RotateTo(0)
 	plan := &Plan{Algorithm: b.Name(), Depot: net.Depot}
 	for _, it := range pr.Tour.Order {
 		if it == 0 {
@@ -121,10 +121,11 @@ func pos(in *Instance, i int) geom.Point {
 // sensor (item 0 is the depot, item v+1 is sensor v), polishes it, and
 // returns it in the remove-and-re-tour helper both baselines prune
 // through, with the metric it is priced by. The fast path memoises the
-// distance matrix, so the helper can certify most re-tours in O(n); the
-// reference path, and instances over costMemoMax, re-run the full Improve
-// over the closure after every removal. All of it yields the same
-// float64s, tours and counters.
+// distance matrix, so the helper can replay each re-tour from the last
+// fixed point, evaluating only the moves at the edges a removal or its
+// own moves changed; the reference path, and instances over costMemoMax,
+// re-run the full Improve over the closure after every removal. All of
+// it yields the same float64s, tours and counters.
 func baselineTour(in *Instance, rec obs.Recorder) (*tsp.Pruner, tsp.Metric, error) {
 	n := len(in.Net.Sensors)
 	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })

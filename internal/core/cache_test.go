@@ -2,11 +2,15 @@ package core
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/obs"
+	"uavdc/internal/tsp"
 )
 
 // These tests hold the greedy state's incremental caches to a fresh
@@ -136,6 +140,46 @@ func TestInsertionMemoMatchesScan(t *testing.T) {
 		}
 		t.Logf("%s: %d memos checked over %d upgrades and %d reorders", name, checked, upgrades, reorders)
 	}
+}
+
+// TestRetourMatchesImproveMetric: after every acceptance of the seeded
+// closed-tour run, the fast path's re-tour (greedyState.retour, a matrix
+// over insertion slots and a replay from the last fixed point) leaves the
+// order tsp.ImproveMetric gives on the same pre-improve tour, and records
+// the same tsp counters.
+func TestRetourMatchesImproveMetric(t *testing.T) {
+	const k = 3
+	st := cacheStates(t, k)[0].st
+	reg := obs.NewRegistry()
+	st.rec = reg
+	prev := map[string]int64{}
+	checked := 0
+	upgrades, reorders := cacheRun(t, "tour", st, k, func(st *greedyState) {
+		want := tsp.Tour{Order: slices.Clone(st.before)}
+		wreg := obs.NewRegistry()
+		tsp.ImproveMetric(&want, st.dist, wreg)
+		if !slices.Equal(st.tour.Order, want.Order) {
+			t.Fatalf("acceptance %d: order %v, ImproveMetric gives %v", checked, st.tour.Order, want.Order)
+		}
+		now := reg.Snapshot().Counters
+		wc := wreg.Snapshot().Counters
+		for _, name := range slices.Sorted(maps.Keys(now)) {
+			if !strings.HasPrefix(name, "tsp.") {
+				continue
+			}
+			if got, w := now[name]-prev[name], wc[name]; got != w {
+				t.Fatalf("acceptance %d: %s moved by %d, ImproveMetric records %d", checked, name, got, w)
+			}
+		}
+		for _, name := range slices.Sorted(maps.Keys(wc)) {
+			if _, ok := now[name]; !ok {
+				t.Fatalf("acceptance %d: %s not recorded", checked, name)
+			}
+		}
+		prev = now
+		checked++
+	})
+	t.Logf("%d acceptances checked, %d upgrades and %d reorders", checked, upgrades, reorders)
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -142,7 +142,7 @@ func paperDensityInstance(t testing.TB, seed uint64, sensors int, capacity units
 }
 
 // TestFastPathMatchesReferenceBenchmark holds both baselines' prune loops
-// (matrix, in-place pricing and the re-tour certificate) to the reference
+// (matrix, in-place pricing and the re-tour replay) to the reference
 // path (closure metric, tsp.Remove pricing, a full Improve after every
 // removal): bit-equal plans and equal counters, on fields tight enough
 // that hundreds of sensors are pruned.

@@ -85,9 +85,9 @@ func orOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 		improved := false
 		for segLen := 1; segLen <= 3 && segLen < n-1; segLen++ {
 			for i := 0; i < n; i++ {
-				// Segment s = positions i..i+segLen-1 (cyclic segments
-				// crossing the wrap are skipped; a full sweep still sees
-				// every segment in some rotation over successive rounds).
+				// Segment s = positions i..i+segLen-1. Segments that
+				// cross the wrap are never tested: nothing here rotates
+				// the tour, so they stay skipped until a caller does.
 				if i+segLen > n {
 					continue
 				}
@@ -120,7 +120,8 @@ func orOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 						improved = true
 						moved++
 						moves.Inc()
-						// Restart scanning this segment length.
+						// One move per segment length and round: leave
+						// the i loop and go on to the next length.
 						i = -1
 						break
 					}
@@ -165,22 +166,34 @@ func reverse(s []int) {
 // construction. An optional obs.Recorder counts both passes' sweeps and
 // moves and receives the tsp/improve span.
 func Improve(t *Tour, x *Matrix, rec ...obs.Recorder) float64 {
-	saved, _ := improve(t, x, obs.First(rec...))
+	saved, _ := improve(t, x, obs.First(rec...), nil)
 	return saved
 }
 
-// improveIters caps Improve's 2-opt + Or-opt iterations.
-const improveIters = 8
+// improveIters caps Improve's 2-opt + Or-opt iterations, and
+// orOptRounds the Or-opt rounds of one iteration.
+const (
+	improveIters = 8
+	orOptRounds  = 2
+)
 
 // improve is Improve, also reporting whether its last iteration accepted
-// no move. That is the only way it stops before the iteration cap, and it
-// means the final tour is a fixed point of one full 2-opt sweep and one
-// full Or-opt round: every pair both scan evaluated was non-improving.
-func improve(t *Tour, x *Matrix, r obs.Recorder) (total float64, fixed bool) {
+// no move. That means the final tour is a fixed point of one full 2-opt
+// sweep and one full Or-opt round: every pair both scans evaluated was
+// non-improving. With a non-nil f, the sweeps skip the evaluations f's
+// fixed point certifies (see fixedPoint); the moves are the same.
+func improve(t *Tour, x *Matrix, r obs.Recorder, f *fixedPoint) (total float64, fixed bool) {
 	end := trace.Of(r).Begin(SpanImprove, trace.Int("items", t.Len()))
 	for iter := 0; iter < improveIters; iter++ {
-		s2, m2 := twoOpt(t, x, 0, r)
-		s3, m3 := orOpt(t, x, 2, r)
+		var s2, s3 float64
+		var m2, m3 int
+		if f == nil {
+			s2, m2 = twoOpt(t, x, 0, r)
+			s3, m3 = orOpt(t, x, orOptRounds, r)
+		} else {
+			s2, m2 = f.twoOpt(t, x, r)
+			s3, m3 = f.orOpt(t, x, r)
+		}
 		d := s2 + s3
 		total += d
 		fixed = m2+m3 == 0

@@ -39,12 +39,15 @@ func (x *Matrix) Metric() Metric {
 	return func(i, j int) float64 { return d[i*n+j] }
 }
 
-// ImproveMetric is Improve for callers that hold only a Metric. It runs
-// Improve on a relabelled tour 0..t-1 over the matrix of m restricted to
-// t's items, so every comparison sees the exact float64s m returns and the
-// moves, the final order, the counters and the trace span are those of
-// Improve on a matrix over all items. The submatrix costs 8·t² bytes per
-// call.
+// ImproveMetric is Improve for callers that hold only a Metric and
+// polish a tour once: orienteering without a dense table, refinement,
+// the literal Eq. 13 pricing, and the reference path, where it is the
+// oracle for Retour. It runs Improve on a relabelled tour 0..t-1 over the
+// matrix of m restricted to t's items, so every comparison sees the exact
+// float64s m returns and the moves, the final order, the counters and the
+// trace span are those of Improve on a matrix over all items. The
+// submatrix costs 8·t² bytes per call; a tour polished after every edit
+// uses a Retour instead.
 func ImproveMetric(t *Tour, m Metric, rec ...obs.Recorder) float64 {
 	items := append([]int(nil), t.Order...)
 	x := NewMatrix(len(items), func(i, j int) float64 { return m(items[i], items[j]) })

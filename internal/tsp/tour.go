@@ -2,16 +2,18 @@
 // Christofides' 3/2-approximation (the algorithm the paper uses for tour
 // construction in Algorithm 2/3 and in the evaluation benchmark),
 // cheapest-insertion pricing (the incremental form the greedy planners use
-// to price candidate hovering locations), 2-opt / Or-opt local search, an
-// exact re-tour after removing one item (Pruner, for the benchmark's
-// prune loop), and an exact Held–Karp solver used as a test oracle.
+// to price candidate hovering locations), 2-opt / Or-opt local search,
+// an exact replay of that search from a tour's last fixed point after
+// an edit (Pruner, for the baselines' prune loops, and Retour, for the
+// greedy planners' re-tour after each acceptance), and an exact
+// Held–Karp solver used as a test oracle.
 //
 // All algorithms work on index sets 0..n-1. Construction and insertion
 // pricing take costs as a Metric function, so callers can plug in
 // Euclidean distance, energy-weighted distance, or the paper's
 // auxiliary-graph weights. The local search runs on a Matrix, a dense
 // table of a Metric's exact values; ImproveMetric builds one over a
-// tour's items for callers that hold only a Metric.
+// tour's items per call, and Retour keeps one that grows with the tour.
 package tsp
 
 import (
