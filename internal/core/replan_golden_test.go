@@ -83,9 +83,14 @@ func TestReplanGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "== %s\n%s", tc.name, got)
 	}
-	got := sb.String()
+	checkGolden(t, "replan.golden", sb.String())
+}
 
-	path := filepath.Join("testdata", "replan.golden")
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -100,7 +105,7 @@ func TestReplanGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if got != string(want) {
-		t.Errorf("replanned plans drifted from golden.\n--- want (%s)\n%s--- got\n%s", path, want, got)
+		t.Errorf("plans drifted from golden.\n--- want (%s)\n%s--- got\n%s", path, want, got)
 	}
 }
 
