@@ -13,7 +13,6 @@ package uavdc_test
 // comparison.
 
 import (
-	"runtime"
 	"testing"
 
 	"uavdc"
@@ -153,11 +152,6 @@ func benchPlanner(b *testing.B, pl core.Planner, k int) {
 func BenchmarkAlgorithm1(b *testing.B) { benchPlanner(b, &core.Algorithm1{}, 1) }
 func BenchmarkAlgorithm2(b *testing.B) { benchPlanner(b, &core.Algorithm2{}, 1) }
 
-// BenchmarkAlgorithm2Parallel measures the worker-parallel candidate scan
-// against BenchmarkAlgorithm2 (identical plans, different wall time).
-func BenchmarkAlgorithm2Parallel(b *testing.B) {
-	benchPlanner(b, &core.Algorithm2{Workers: runtime.NumCPU()}, 1)
-}
 func BenchmarkAlgorithm3K2(b *testing.B) {
 	benchPlanner(b, &core.Algorithm3{}, 2)
 }

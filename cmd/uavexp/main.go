@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		seed      = fs.Uint64("seed", 0, "override experiment seed (0 = preset default)")
 		csvPath   = fs.String("csv", "", "write long-form CSV to this file")
 		markdown  = fs.Bool("md", false, "render markdown tables instead of aligned text")
-		workers   = fs.Int("workers", 0, "parallel candidate-scan goroutines (identical plans; distorts runtime panels)")
 		metrics   = fs.Bool("metrics", false, "record obs counters and print the (c) instrumentation panel")
 		tracePath = fs.String("trace", "", "write the flight-recorder trace (JSONL) to this file")
 		traceDet  = fs.Bool("tracedetail", false, "include per-candidate scan events in the trace")
@@ -81,9 +80,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
 	}
 	cfg.Metrics = *metrics
 	if *tracePath != "" {

@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen address")
 		cache      = fs.Int("cache", 1024, "plan cache capacity in entries (negative disables)")
-		workers    = fs.Int("workers", 4, "planner worker goroutines")
+		workers    = fs.Int("workers", serve.DefaultWorkers, "planner worker goroutines")
 		queue      = fs.Int("queue", 64, "pending-plan queue slots before backpressure")
 		timeout    = fs.Duration("timeout", 0, "per-request deadline (0 = none)")
 		tracePath  = fs.String("trace", "", "stream uavdc-trace/1 spans (JSONL) to this file")

@@ -33,6 +33,6 @@
 // Beyond single tours, PlanFleet splits the field among several UAVs,
 // PlanCampaign flies repeated sorties until the field drains, and Options
 // toggles the extensions: hovering altitude and Shannon distance-dependent
-// uplink (AltitudeM, ShannonRadio), continuous stop refinement (Refine),
-// and deterministic multi-core planning (Parallel).
+// uplink (AltitudeM, ShannonRadio) and continuous stop refinement
+// (Refine).
 package uavdc

@@ -2,7 +2,6 @@ package uavdc
 
 import (
 	"fmt"
-	"runtime"
 
 	"uavdc/internal/faults"
 	"uavdc/internal/simulate"
@@ -97,10 +96,6 @@ func Execute(sc Scenario, uav UAV, opts ExecuteOptions) (*ExecuteResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	workers := 0
-	if opts.Parallel {
-		workers = runtime.NumCPU()
-	}
 	// The same recorder that captured the planning spans (inside Plan above)
 	// captures the adaptive mission log and any replan spans.
 	tr := opts.Trace.tracer()
@@ -112,9 +107,8 @@ func Execute(sc Scenario, uav UAV, opts ExecuteOptions) (*ExecuteResult, error) 
 			Noise: simulate.Noise{Spread: opts.NoiseSpread, Seed: opts.NoiseSeed},
 			Trace: tr,
 		},
-		Faults:  sched,
-		Margin:  opts.MarginFrac,
-		Workers: workers,
+		Faults: sched,
+		Margin: opts.MarginFrac,
 	})
 	if !sim.Completed {
 		// Only an instance whose vertical overhead exceeds the battery is

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"uavdc/internal/geom"
@@ -31,17 +30,14 @@ type Algorithm2 struct {
 	// ExactRatioTSP prices every candidate with a full Christofides
 	// recomputation, as the paper's Eq. 13 literally specifies.
 	ExactRatioTSP bool //uavdc:allow deadexport the paper's literal Eq. 13 pricing, kept as the reference TestAlgorithm2ExactRatioTSPAgreesRoughly checks the incremental pricing against
-	// Workers sets the number of goroutines scanning candidates per
-	// iteration; 0 or 1 means serial. Results are identical at any
-	// worker count: candidates are compared with a total order
-	// (ratio, then award, then lowest id).
-	Workers int
 }
 
 // Name implements Planner.
 func (a *Algorithm2) Name() string { return "algorithm2" }
 
-// Plan implements Planner.
+// Plan implements Planner. It is Algorithm 3's scan and accept step in
+// drain mode: one rung per location, the full residual drain, which the
+// accepted stop takes whole.
 func (a *Algorithm2) Plan(in *Instance) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -57,15 +53,17 @@ func (a *Algorithm2) Plan(in *Instance) (*Plan, error) {
 	}
 	endCand(trace.Int("candidates", set.Len()))
 	st := newGreedyState(in, set)
+	st.drain = true
+	st.exactTSP = a.ExactRatioTSP
 	st.reference = st.reference || a.ExactRatioTSP
 	for {
 		endIter := tr.Begin(SpanPlanAlg2Iterate)
-		best, ok := a.pickNext(st)
+		best, ok := st.pickPartial(1)
 		if !ok {
 			endIter()
 			break
 		}
-		st.acceptFull(best)
+		st.acceptPartial(best)
 		endIter(trace.Int("loc", best.loc))
 	}
 	p := st.plan(a.Name())
@@ -73,91 +71,7 @@ func (a *Algorithm2) Plan(in *Instance) (*Plan, error) {
 	return p, nil
 }
 
-type fullCandidate struct {
-	loc     int           // hover-set id
-	pos     int           // insertion position in the tour
-	sojourn units.Seconds // t′
-	award   units.Bits    // P′
-	travelD float64       // tour-length increase in metres
-}
-
-// evalFull prices candidate c against the current state, returning ok =
-// false when it is covered, drained, or over budget. so carries the
-// evaluating worker's counter handles.
-func (a *Algorithm2) evalFull(st *greedyState, c int, curEnergy units.Joules, so scanObs) (fullCandidate, float64, bool) {
-	so.evalHit(c)
-	loc := &st.set.Locs[c]
-	so.resid.Inc()
-	sojourn, award := hover.ResidualDrain(loc.Covered, st.residual, loc.Rates, units.BitsPerSecond(st.in.Net.Bandwidth))
-	if award <= 0 {
-		return fullCandidate{}, 0, false
-	}
-	var pos int
-	var travelD float64
-	switch {
-	case a.ExactRatioTSP:
-		pos, travelD = st.christofidesDelta(c)
-	default:
-		pos, travelD = st.insertion(c)
-	}
-	hoverE := st.in.Model.HoverEnergy(sojourn)
-	travelE := st.in.Model.TravelEnergy(units.Meters(travelD))
-	if curEnergy+hoverE+travelE > st.budget+1e-9 {
-		so.pruned.Inc()
-		return fullCandidate{}, 0, false
-	}
-	denom := hoverE + travelE
-	ratio := math.Inf(1)
-	if denom > 1e-12 {
-		ratio = award.F() / denom.F()
-	}
-	return fullCandidate{loc: c, pos: pos, sojourn: sojourn, award: award, travelD: travelD}, ratio, true
-}
-
-// betterFull is the strict total order on candidates: higher ratio, then
-// higher award, then lower id — the id tie-break makes the parallel scan
-// bit-identical to the serial one.
-func betterFull(c1 fullCandidate, r1 float64, c2 fullCandidate, r2 float64) bool {
-	if r1 != r2 { //uavdc:allow floateq exact compare keeps the tie-break order total and bit-reproducible; an epsilon would break transitivity
-		return r1 > r2
-	}
-	if c1.award != c2.award { //uavdc:allow floateq exact compare keeps the tie-break order total and bit-reproducible; an epsilon would break transitivity
-		return c1.award > c2.award
-	}
-	return c1.loc < c2.loc
-}
-
-// pickNext returns the best-ratio feasible candidate outside the tour,
-// fanning the scan across Workers goroutines when asked. The fast scan
-// walks only residual-active candidates and records the ones it skips, so
-// evals + skipped always reconciles with the reference scan's evals;
-// ExactRatioTSP, whose pricing runs Christofides on the shared recorder,
-// scans serially on the reference list. Both return bit-identical picks.
-func (a *Algorithm2) pickNext(st *greedyState) (fullCandidate, bool) {
-	cur := st.energy()
-	ids := st.scanIdx().compact()
-	st.resetPricing()
-	evals := int64(0)
-	for _, c := range ids {
-		if !st.inTour[c] {
-			evals++
-		}
-	}
-	// The reference scan evaluates every candidate outside the tour.
-	st.cSkipped.Add(int64(st.set.Len()-st.tour.Len()) - evals)
-	workers := a.Workers
-	if a.ExactRatioTSP {
-		workers = 1
-	}
-	return scanBest(st.rec, workers, ids, func(c int, so scanObs) (fullCandidate, float64, bool) {
-		if st.inTour[c] {
-			return fullCandidate{}, 0, false
-		}
-		return a.evalFull(st, c, cur, so)
-	}, betterFull)
-}
-
-// greedyState is the shared incremental machinery of Algorithms 2 and 3,
+// greedyState is the one incremental machinery of Algorithms 2 and 3,
 // the LNS repair loop and the residual replanner. Its route is the
 // planners' closed depot tour or, when path is set, the replanner's open
 // path to the depot; only the leaf methods for pricing (resetPricing,
@@ -176,9 +90,17 @@ type greedyState struct {
 	sojourns  map[int]units.Seconds
 	collected map[int]map[int]units.Bits // loc → sensor → MB
 	hoverTime units.Seconds
+	// drain is Algorithm 2's mode of the scan: a location's one rung is
+	// its full residual drain, and an accepted stop takes every covered
+	// residual whole. exactTSP prices insertions with Christofides
+	// (Algorithm2.ExactRatioTSP).
+	drain    bool
+	exactTSP bool
 	// rec is the instance's recorder (obs.Discard when uninstrumented);
-	// cAccepted/cUpgraded are its cached accept-path counter handles.
+	// so and cAccepted/cUpgraded/cSkipped are its cached scan and
+	// accept-path counter handles.
 	rec       obs.Recorder
+	so        scanObs
 	cAccepted obs.Counter
 	cUpgraded obs.Counter
 	cSkipped  obs.Counter
@@ -191,7 +113,7 @@ type greedyState struct {
 	// the default fast path prunes idx to the residual-active candidates
 	// (built lazily so callers may seed residuals first), prices
 	// insertions through ins (cached route edges plus per-location memos)
-	// and reuses Algorithm 3's level ladders through lad (built lazily
+	// and reuses the level ladders through lad (built lazily
 	// next to idx; nil on the reference path).
 	reference bool
 	idx       *scanIndex
@@ -215,6 +137,7 @@ func newGreedyState(in *Instance, set *hover.Set) *greedyState {
 		sojourns:  map[int]units.Seconds{},
 		collected: map[int]map[int]units.Bits{},
 		rec:       rec,
+		so:        newScanObs(rec),
 		cAccepted: rec.Counter(CounterAcceptedStops),
 		cUpgraded: rec.Counter(CounterUpgradedStops),
 		cSkipped:  rec.Counter(CounterScanSkippedDrained),
@@ -250,7 +173,7 @@ func (st *greedyState) scanIdx() *scanIndex {
 	return st.idx
 }
 
-// ladders lazily builds Algorithm 3's ladder cache for K = k on the fast
+// ladders lazily builds the ladder cache for K = k on the fast
 // path; it stays nil on the reference path and past ladderCacheMaxRungs.
 func (st *greedyState) ladders(k int) *ladderCache {
 	if st.lad == nil && !st.reference && st.set.Len()*k <= ladderCacheMaxRungs {
@@ -292,9 +215,11 @@ func (st *greedyState) resetPricing() {
 // insertion prices adding location c to the route: the insertion position
 // and the route-length increase in metres. The fast path reads c's memo
 // against the scratch resetPricing loaded; the reference path prices
-// against the route itself.
+// against the route itself, and exactTSP by re-running Christofides.
 func (st *greedyState) insertion(c int) (int, float64) {
 	switch {
+	case st.exactTSP:
+		return st.christofidesDelta(c)
 	case !st.reference:
 		return st.ins.memoized(c, st.set.Locs[c].Pos)
 	case st.path != nil:
@@ -349,25 +274,6 @@ func (st *greedyState) improveTour() {
 	if !slices.Equal(st.before, st.order()) {
 		st.ins.gen++
 	}
-}
-
-// acceptFull inserts the candidate, drains every still-loaded covered
-// sensor completely, and re-optimises the tour order.
-func (st *greedyState) acceptFull(c fullCandidate) {
-	st.cAccepted.Inc()
-	st.insert(c.loc, c.pos, c.travelD)
-	st.sojourns[c.loc] = c.sojourn
-	st.hoverTime += c.sojourn
-	m := map[int]units.Bits{}
-	for _, v := range st.set.Locs[c.loc].Covered {
-		if st.residual[v] > 0 {
-			m[v] = st.residual[v]
-			st.residual[v] = 0
-			st.noteDrained(v)
-		}
-	}
-	st.collected[c.loc] = m
-	st.improveTour()
 }
 
 // christofidesDelta prices candidate c by re-running Christofides over the

@@ -26,14 +26,12 @@ import (
 // The paper's Algorithm 3 (line 12) already recomputes t′ and P′ against
 // residuals for overlapping candidates; deriving the K levels from the
 // current t′ applies that recomputation uniformly and makes K = 1
-// coincide exactly with Algorithm 2. The reference path
-// (Instance.Reference) re-derives every ladder at every evaluation.
-type Algorithm3 struct {
-	// Workers sets the number of goroutines scanning candidate locations
-	// per iteration; 0 or 1 means serial. Results are identical at any
-	// worker count (total-order tie-breaking).
-	Workers int
-}
+// Algorithm 2's rule up to rounding: its one level takes rate·t′ from
+// each sensor, which can fall an ulp short of the residual. Algorithm 2
+// itself runs this scan in drain mode (greedyState.drain), which takes
+// the residual whole. The reference path (Instance.Reference) re-derives
+// every ladder at every evaluation.
+type Algorithm3 struct{}
 
 // Name implements Planner.
 func (a *Algorithm3) Name() string { return "algorithm3" }
@@ -69,7 +67,7 @@ func (a *Algorithm3) Plan(in *Instance) (*Plan, error) {
 	st := newGreedyState(in, set)
 	for {
 		endIter := tr.Begin(SpanPlanAlg3Iterate)
-		best, ok := st.pickPartial(k, a.Workers)
+		best, ok := st.pickPartial(k)
 		if !ok {
 			endIter()
 			break
@@ -82,9 +80,8 @@ func (a *Algorithm3) Plan(in *Instance) (*Plan, error) {
 	return p, nil
 }
 
-// betterPartial is the strict total order used to merge candidate scans:
-// higher ratio, then higher gain, then lower location id, then lower
-// sojourn (level) — identical to the serial first-seen preference.
+// betterPartial is the strict total order on candidates: higher ratio,
+// then higher gain, then lower location id, then lower sojourn (level).
 func betterPartial(c1 partialCandidate, r1 float64, c2 partialCandidate, r2 float64) bool {
 	if c2.loc < 0 {
 		return true
@@ -101,34 +98,37 @@ func betterPartial(c1 partialCandidate, r1 float64, c2 partialCandidate, r2 floa
 	return c1.sojourn < c2.sojourn
 }
 
-// pickPartial is Algorithm 3's argmax step, shared by the planner, LNS
-// repair and the residual replanner: it scans every (location, level)
-// pair, fanning across workers goroutines when asked. The fast scan walks
-// only residual-active, non-excluded locations — an inactive location can
-// produce neither a positive full award nor a positive partial gain, and a
-// fully drained in-route stop has no level above its current sojourn, so
-// skipping both is bit-equivalent; the skip count reconciles its evals with
-// the reference scan's, which visits every non-excluded location each
-// iteration.
-func (st *greedyState) pickPartial(k, workers int) (partialCandidate, bool) {
+// pickPartial is the ratio-greedy argmax step (Eq. 13) of Algorithms 2
+// and 3, LNS repair and the residual replanner: it scans every (location,
+// level) pair and returns the best feasible one, ok = false when there is
+// none. The fast scan walks only residual-active, non-excluded locations —
+// an inactive location can produce neither a positive full award nor a
+// positive partial gain, and a fully drained in-route stop has no level
+// above its current sojourn, so skipping both is bit-equivalent; the skip
+// count reconciles its evals with the reference scan's, which visits
+// every non-excluded location each iteration.
+func (st *greedyState) pickPartial(k int) (partialCandidate, bool) {
 	cur := st.energy()
 	ids := st.scanIdx().compact()
 	lad := st.ladders(k)
 	st.resetPricing()
 	st.cSkipped.Add(int64(st.set.Len()-1) - st.nExcluded - int64(len(ids)))
-	return scanBest(st.rec, workers, ids, func(c int, so scanObs) (partialCandidate, float64, bool) {
-		return st.evalLoc(lad, k, c, cur, so)
-	}, betterPartial)
+	best, bestRatio := partialCandidate{loc: -1}, -1.0
+	for _, c := range ids {
+		if cand, ratio, ok := st.evalLoc(lad, k, int(c), cur); ok && betterPartial(cand, ratio, best, bestRatio) {
+			best, bestRatio = cand, ratio
+		}
+	}
+	return best, best.loc >= 0
 }
 
 // evalLoc prices every level of one location against the route and returns
-// its best candidate under the total order. so carries the evaluating
-// worker's counter handles.
-func (st *greedyState) evalLoc(lad *ladderCache, k, c int, cur units.Joules, so scanObs) (partialCandidate, float64, bool) {
-	so.evalHit(c)
+// its best candidate under the total order.
+func (st *greedyState) evalLoc(lad *ladderCache, k, c int, cur units.Joules) (partialCandidate, float64, bool) {
+	st.so.evalHit(c)
 	best := partialCandidate{loc: -1}
 	bestRatio := -1.0
-	rungs := st.ladder(lad, k, c, so)
+	rungs := st.ladder(lad, k, c)
 	if len(rungs) == 0 {
 		return best, bestRatio, false
 	}
@@ -142,7 +142,7 @@ func (st *greedyState) evalLoc(lad *ladderCache, k, c int, cur units.Joules, so 
 	}
 	for _, r := range rungs {
 		if cur+r.hoverE+travelE > st.budget+1e-9 {
-			so.pruned.Inc()
+			st.so.pruned.Inc()
 			continue
 		}
 		denom := r.hoverE + travelE
@@ -167,12 +167,13 @@ func (st *greedyState) evalLoc(lad *ladderCache, k, c int, cur units.Joules, so 
 
 // ladder returns location c's rungs: lad's cached ones while fresh,
 // otherwise rebuilt (into lad when there is one) from the residual
-// full-drain time, which divides into the K levels.
-func (st *greedyState) ladder(lad *ladderCache, k, c int, so scanObs) []rung {
+// full-drain time, which divides into the K levels. In drain mode a
+// location with data left has one rung, the full drain itself.
+func (st *greedyState) ladder(lad *ladderCache, k, c int) []rung {
 	if lad != nil && lad.fresh[c] {
 		return lad.rungs[c*k : c*k+int(lad.n[c])]
 	}
-	so.resid.Inc()
+	st.so.resid.Inc()
 	var out []rung
 	if lad != nil {
 		out = lad.rungs[c*k : c*k : c*k+k]
@@ -181,7 +182,12 @@ func (st *greedyState) ladder(lad *ladderCache, k, c int, so scanObs) []rung {
 	loc := &st.set.Locs[c]
 	bw := units.BitsPerSecond(in.Net.Bandwidth)
 	fullSojourn, fullAward := hover.ResidualDrain(loc.Covered, st.residual, loc.Rates, bw)
-	if fullAward > 0 || st.inTour[c] {
+	switch {
+	case st.drain:
+		if fullAward > 0 {
+			out = append(out, rung{sojourn: fullSojourn, gain: fullAward, hoverE: in.Model.HoverEnergy(fullSojourn)})
+		}
+	case fullAward > 0 || st.inTour[c]:
 		prevSojourn := st.sojourns[c] // 0 when not in the route
 		already := st.collected[c]
 		for level := 1; level <= k; level++ {
@@ -236,14 +242,23 @@ func partialTake(covered []int, residual []units.Bits, already map[int]units.Bit
 
 // acceptPartial applies a partial candidate: inserts or upgrades the stop,
 // moves the taken volumes from residuals into the stop's ledger, and
-// re-optimises the route. The take is built here, for the winner only, by
-// the partialTake call that priced its gain; it is never empty (the gain
-// is positive), so the accepted location is among the locations whose
-// ladders noteTaken marks for rebuilding.
+// re-optimises the route. The take is built here, for the winner only: in
+// drain mode every still-loaded covered sensor's whole residual, so each
+// reaches exactly 0; otherwise by the partialTake call that priced its
+// gain. It is never empty (the gain is positive), so the accepted location
+// is among the locations whose ladders noteTaken marks for rebuilding.
 func (st *greedyState) acceptPartial(c partialCandidate) {
 	loc := &st.set.Locs[c.loc]
 	take := make(map[int]units.Bits, len(loc.Covered))
-	partialTake(loc.Covered, st.residual, st.collected[c.loc], loc.Rates, units.BitsPerSecond(st.in.Net.Bandwidth), c.sojourn, take)
+	if st.drain {
+		for _, v := range loc.Covered {
+			if st.residual[v] > 0 {
+				take[v] = st.residual[v]
+			}
+		}
+	} else {
+		partialTake(loc.Covered, st.residual, st.collected[c.loc], loc.Rates, units.BitsPerSecond(st.in.Net.Bandwidth), c.sojourn, take)
+	}
 	if c.upgrade {
 		st.cUpgraded.Inc()
 	} else {

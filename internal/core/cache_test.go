@@ -27,7 +27,7 @@ import (
 func cacheRun(t *testing.T, name string, st *greedyState, k int, check func(st *greedyState)) (upgrades, reorders int) {
 	t.Helper()
 	for {
-		best, ok := st.pickPartial(k, 1)
+		best, ok := st.pickPartial(k)
 		if !ok {
 			break
 		}
@@ -84,7 +84,6 @@ func cacheStates(t *testing.T, k int) []namedState {
 // ladder equals the ladder rebuilt without the cache.
 func TestLadderCacheMatchesFresh(t *testing.T) {
 	const k = 3
-	so := newScanObs(obs.Discard)
 	for _, ns := range cacheStates(t, k) {
 		name, st := ns.name, ns.st
 		checked := 0
@@ -95,7 +94,7 @@ func TestLadderCacheMatchesFresh(t *testing.T) {
 				}
 				checked++
 				got := st.lad.rungs[int(c)*k : int(c)*k+int(st.lad.n[c])]
-				want := st.ladder(nil, k, int(c), so)
+				want := st.ladder(nil, k, int(c))
 				if len(got) != len(want) {
 					t.Fatalf("%s: location %d: %d cached rungs, %d fresh", name, c, len(got), len(want))
 				}

@@ -8,9 +8,9 @@ import (
 // Canonical maps the typed planning instance to the canonical encoding.
 // The algorithm name and refine flag complete the planner selection — they
 // live outside core.Instance (the facade resolves them) but inside the
-// cache identity. Worker counts, the Obs recorder and the Reference path
-// switch are deliberately absent: the determinism and fast-path parity
-// rails guarantee they never change the plan.
+// cache identity. The Obs recorder and the Reference path switch are
+// deliberately absent: the determinism and fast-path parity rails
+// guarantee they never change the plan.
 func (in *Instance) Canonical(algorithm string, refine bool) (canon.Instance, error) {
 	r, err := radio.Canon(in.Radio)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // parity contract (EXPERIMENTS.md): the spatial-index-pruned candidate
 // scan, the cached-edge insertion pricing, and the memoized distance
 // matrices must yield plans bit-identical to the retained reference scan,
-// at every worker count, because the fast path only skips candidates whose
+// because the fast path only skips candidates whose
 // award is provably zero and substitutes arithmetic that produces the
 // exact same float64s.
 
@@ -28,7 +28,7 @@ func referenceOf(in *Instance) *Instance {
 }
 
 // TestFastPathMatchesReferenceAlg2 runs Algorithm 2 both ways on several
-// instances and worker counts and demands bit-equal plans.
+// instances and demands bit-equal plans.
 func TestFastPathMatchesReferenceAlg2(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 9} {
 		for _, capacity := range []units.Joules{1.2e4, 3e4} {
@@ -38,13 +38,11 @@ func TestFastPathMatchesReferenceAlg2(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				fast, err := (&Algorithm2{Workers: workers}).Plan(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertPlansIdentical(t, "algorithm2-fast", workers, ref, fast)
+			fast, err := (&Algorithm2{}).Plan(in)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertPlansIdentical(t, "algorithm2-fast", ref, fast)
 		}
 	}
 }
@@ -62,13 +60,11 @@ func TestFastPathMatchesReferenceAlg3(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				fast, err := (&Algorithm3{Workers: workers}).Plan(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertPlansIdentical(t, "algorithm3-fast", workers, ref, fast)
+			fast, err := (&Algorithm3{}).Plan(in)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertPlansIdentical(t, "algorithm3-fast", ref, fast)
 		}
 	}
 }
@@ -87,7 +83,7 @@ func TestFastPathMatchesReferenceLNS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPlansIdentical(t, "lns-fast", 0, ref, fast)
+		assertPlansIdentical(t, "lns-fast", ref, fast)
 	}
 }
 
@@ -115,15 +111,11 @@ func TestFastPathMatchesReferenceReplan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			st := state
-			st.Workers = workers
-			fast, err := ReplanResidual(in, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertPlansIdentical(t, "replan-fast", workers, ref, fast)
+		fast, err := ReplanResidual(in, state)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertPlansIdentical(t, "replan-fast", ref, fast)
 	}
 }
 
@@ -171,7 +163,7 @@ func TestFastPathMatchesReferenceBenchmark(t *testing.T) {
 			}
 			ref, refSnap := run(true)
 			fast, fastSnap := run(false)
-			assertPlansIdentical(t, p.Name(), 0, ref, fast)
+			assertPlansIdentical(t, p.Name(), ref, fast)
 			if !refSnap.Equal(fastSnap) {
 				t.Errorf("%s seed %d: counters diverge:\n%s", p.Name(), c.seed, refSnap.Diff(fastSnap))
 			}
@@ -259,33 +251,6 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 		})
 		return err
 	})
-}
-
-// TestFastCountersDeterministicAcrossWorkers extends the PR4 oracle to the
-// pruned scan: every counter, including the skip ledger, must be
-// bit-identical at any worker count.
-func TestFastCountersDeterministicAcrossWorkers(t *testing.T) {
-	snapFor := func(workers int) obs.Snapshot {
-		reg := obs.NewRegistry()
-		in := mediumInstance(t, 9, 2e4)
-		in.Delta = 12
-		in.K = 3
-		in.Obs = reg
-		if _, err := (&Algorithm3{Workers: workers}).Plan(in); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Snapshot()
-	}
-	base := snapFor(1)
-	if base.Counters[CounterScanSkippedDrained] == 0 {
-		t.Fatal("serial fast run skipped nothing; instance too small to exercise pruning")
-	}
-	for _, w := range []int{2, 4, 8} {
-		snap := snapFor(w)
-		if !base.Equal(snap) {
-			t.Errorf("counters diverge at workers=%d:\n%s", w, base.Diff(snap))
-		}
-	}
 }
 
 // Candidate-generation micro-benchmark: one full Algorithm 2 plan under

@@ -21,17 +21,19 @@ import (
 // The index below tracks exactly that set: locations still covering at
 // least one sensor with residual > 0.
 //
-// Residuals only ever transition > 0 → == 0 exactly (acceptFull writes 0;
-// acceptPartial subtracts amt ≤ residual and clamps at 0), so the cover
+// Residuals only ever transition > 0 → == 0 exactly (acceptPartial
+// subtracts amt ≤ residual and clamps at 0; in drain mode amt is the
+// residual itself), so the cover
 // counts are maintained by pure integer decrements — no float thresholds,
 // no drift.
 //
 // Two caches then re-price only what the last acceptance changed, each
 // replaying the reference's own float expressions on unchanged inputs:
 //
-//   - ladderCache keeps Algorithm 3's level ladder per location: the
-//     sojourn, gain and hover energy of every level that survives the
-//     upgrade and zero-gain filters. A ladder is a pure function of the
+//   - ladderCache keeps the level ladder per location: the sojourn, gain
+//     and hover energy of every level that survives the upgrade and
+//     zero-gain filters (in Algorithm 2's drain mode, the one full-drain
+//     rung). A ladder is a pure function of the
 //     residuals of the location's covered sensors and of its own sojourn
 //     and ledger, so an acceptance invalidates exactly the accepted
 //     location and the locations covering a sensor it took data from
@@ -50,8 +52,8 @@ import (
 // sensor → covering-locations table plus a per-location count of covered
 // sensors that still hold data. The active list is kept in ascending
 // location-id order so fast scans visit candidates in exactly the
-// reference scan's order (total-order tie-breaks and merged trace shards
-// line up with the serial reference stream).
+// reference scan's order (total-order tie-breaks and the detail trace
+// stream line up with the reference's).
 type scanIndex struct {
 	locsOf [][]int32 // sensor id → candidate locations covering it
 	cover  []int32   // location id → covered sensors with residual > 0
@@ -204,7 +206,7 @@ func (sc *insertionScratch) edgeAt(pos int) int {
 }
 
 // memoized is cheapest for location c at p through c's memo, scanning only
-// when the memo is stale. Parallel scans call it for disjoint locations.
+// when the memo is stale.
 func (sc *insertionScratch) memoized(c int, p geom.Point) (pos int, delta float64) {
 	m := &sc.memo[c]
 	if m.gen != sc.gen {
@@ -258,8 +260,7 @@ type rung struct {
 }
 
 // ladderCache holds every location's rungs between acceptances. Location
-// c's rungs are rungs[c·k : c·k+n[c]], valid while fresh[c]; during a
-// parallel scan each entry is written only by the worker evaluating it.
+// c's rungs are rungs[c·k : c·k+n[c]], valid while fresh[c].
 type ladderCache struct {
 	fresh []bool
 	n     []int32

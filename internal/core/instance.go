@@ -37,9 +37,8 @@ type Instance struct {
 	Radio radio.Model
 	// Obs receives instrumentation counters and timers from the planners;
 	// nil disables recording (the default). Recording never changes a
-	// planner's output, and counter totals are reproducible at any
-	// Workers setting. Use an *obs.Registry to collect, or any custom
-	// Recorder (which must be concurrency-safe when Workers > 1).
+	// planner's output, and counter totals are reproducible. Use an
+	// *obs.Registry to collect, or any custom Recorder.
 	Obs obs.Recorder
 	// Reference runs every planner, and the replanner, on its retained
 	// reference path instead of the fast one: the unpruned candidate

@@ -72,7 +72,7 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 		cRounds.Inc()
 		cur := rebuildState(in, set, best, rng)
 		for {
-			cand, ok := cur.pickPartial(k, 1)
+			cand, ok := cur.pickPartial(k)
 			if !ok {
 				break
 			}

@@ -6,11 +6,7 @@ import (
 )
 
 // Instrumentation counter names recorded by the planners. All counts are
-// exactly reproducible for a fixed instance, at any Workers setting: the
-// parallel candidate scans record into per-worker shards that are merged
-// after the join (see obs.Shards), so a divergence across worker counts
-// means the scan itself evaluated a different candidate set — the counters
-// double as a correctness oracle for the parallelisation.
+// exactly reproducible for a fixed instance: the planners are serial.
 const (
 	// CounterCandidateEvals counts candidate (or candidate-location)
 	// evaluations across all greedy iterations; the benchmark's removal
@@ -22,8 +18,8 @@ const (
 	CounterPrunedOverBudget = "core.pruned_over_budget"
 	// CounterResidualRecomputes counts residual drain-time recomputations
 	// (hover.ResidualDrain calls) — the paper's Algorithm 3 line 12: one
-	// per Algorithm 2 evaluation and one per Algorithm 3 ladder rebuild,
-	// which the fast path does only for the locations the last acceptance
+	// per ladder rebuild (Algorithm 2's one-rung ladders included), which
+	// the fast path does only for the locations the last acceptance
 	// changed (every evaluation on the reference path).
 	CounterResidualRecomputes = "core.residual_recomputes"
 	// CounterAcceptedStops counts stops newly inserted into the tour.
@@ -53,9 +49,7 @@ const (
 // EventScanEval detail event is only emitted when the attached tracer
 // has Detail() on, because it scales with candidates × iterations. Like
 // the counters, the record stream (modulo wall times) is exactly
-// reproducible at any Workers setting: parallel scans record into
-// per-worker trace shards merged in worker-index order (trace.ShardObs),
-// which equals the serial candidate order.
+// reproducible.
 const (
 	SpanPlanAlg1             = "plan/alg1"
 	SpanPlanAlg1Candidates   = "plan/alg1/candidates"
@@ -87,8 +81,7 @@ func (in *Instance) obsRecorder() obs.Recorder { return obs.OrDiscard(in.Obs) }
 func (in *Instance) tracer() trace.Tracer { return trace.Of(in.obsRecorder()) }
 
 // scanObs caches the candidate-scan counter handles so the hot evaluation
-// loop pays no per-event name lookup. Each parallel worker builds its own
-// scanObs over its shard recorder.
+// loop pays no per-event name lookup.
 type scanObs struct {
 	evals  obs.Counter
 	pruned obs.Counter
@@ -109,8 +102,7 @@ func newScanObs(r obs.Recorder) scanObs {
 }
 
 // evalHit records one candidate evaluation: the counter always, plus a
-// scan/eval trace event when detail tracing is on. loc attributes are
-// deterministic, so the detail stream doubles as a shard-merge oracle.
+// scan/eval trace event when detail tracing is on.
 func (so scanObs) evalHit(loc int) {
 	so.evals.Inc()
 	if so.detail {

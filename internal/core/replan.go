@@ -27,12 +27,10 @@ type ResidualState struct {
 	// network's sensor slice. Sensors at 0 are skipped.
 	Residual []units.Bits
 	// K is the sojourn partition granularity (Algorithm 3's virtual
-	// levels); K ≤ 1 plans full drains only (Algorithm 2 behaviour).
+	// levels). K ≤ 1 plans one level per stop, the residual drain time:
+	// Algorithm 2's rule up to rounding, since the level takes rate·t′
+	// from each sensor and that can fall an ulp short of its residual.
 	K int
-	// Workers fans the per-iteration candidate scan across goroutines;
-	// results are identical at any worker count (total-order merging),
-	// matching the planners' determinism contract.
-	Workers int
 	// Exclude, when non-nil, drops candidate hovering locations at
 	// positions the executor knows to be unusable (e.g. declared no-hover
 	// fault zones). The depot and the current position are never subject
@@ -50,9 +48,11 @@ type ResidualState struct {
 // The returned plan's Depot is the instance depot; its stops are to be
 // executed in order starting from state.Pos. It runs Algorithm 3's own
 // scan, level evaluator and accept step on the open-path route shape:
-// with K ≤ 1 every accepted stop drains its still-loaded covered sensors
-// fully; with K > 1 the K-level sojourn ladder with in-place upgrades
-// (Lemma 2) is used. Candidate scans record into the instance's obs
+// with K ≤ 1 every accepted stop hovers for its residual drain time, which
+// drains its still-loaded covered sensors up to an ulp of rounding (not
+// Algorithm 2's drain mode, which takes the residuals themselves); with
+// K > 1 the K-level sojourn ladder with in-place upgrades (Lemma 2) is
+// used. Candidate scans record into the instance's obs
 // recorder under the same counters as the planners.
 func ReplanResidual(in *Instance, state ResidualState) (*Plan, error) {
 	if err := in.Validate(); err != nil {
@@ -83,7 +83,7 @@ func ReplanResidual(in *Instance, state ResidualState) (*Plan, error) {
 	st := newPathState(in, set, state)
 	for {
 		endIter := tr.Begin(SpanPlanReplanIterate)
-		best, ok := st.pickPartial(k, state.Workers)
+		best, ok := st.pickPartial(k)
 		if !ok {
 			endIter()
 			break

@@ -7,7 +7,6 @@ import (
 
 	"uavdc/internal/energy"
 	"uavdc/internal/geom"
-	"uavdc/internal/obs"
 	"uavdc/internal/units"
 )
 
@@ -159,46 +158,6 @@ func TestOpenPathImproveKeepsLength(t *testing.T) {
 	}
 	if want := sum(); math.Abs(p.length-want) > 1e-9*want {
 		t.Fatalf("kept length %v, consecutive distances sum to %v (order %v)", p.length, want, p.order)
-	}
-}
-
-func TestReplanResidualDeterministicAcrossWorkers(t *testing.T) {
-	for _, seed := range []uint64{2, 6} {
-		base := mediumInstance(t, seed, 2.5e4)
-		base.Delta = 12 // enough candidates to clear the parallel threshold
-		base.K = 2
-		residual := residualAfter(base, &Plan{}, 0)
-		state := ResidualState{
-			Pos:      geom.Pt(base.Net.Depot.X+40, base.Net.Depot.Y+25),
-			Budget:   2e4,
-			Residual: residual,
-			K:        2,
-		}
-		var want *Plan
-		var wantSnap obs.Snapshot
-		for _, workers := range []int{1, 2, 4, 8} {
-			in := *base
-			reg := obs.NewRegistry()
-			in.Obs = reg
-			st := state
-			st.Workers = workers
-			got, err := ReplanResidual(&in, st)
-			if err != nil {
-				t.Fatalf("seed=%d workers=%d: %v", seed, workers, err)
-			}
-			snap := reg.Snapshot()
-			if want == nil {
-				want, wantSnap = got, snap
-				if snap.Counters[CounterCandidateEvals] == 0 {
-					t.Fatalf("seed=%d: replan recorded no candidate evals", seed)
-				}
-				continue
-			}
-			assertPlansIdentical(t, "replan", workers, want, got)
-			if !wantSnap.Equal(snap) {
-				t.Errorf("seed=%d: counters diverge at workers=%d:\n%s", seed, workers, wantSnap.Diff(snap))
-			}
-		}
 	}
 }
 

@@ -52,7 +52,7 @@ type BenchFigure struct {
 // preset network is planned fault-free, then flown by simulate.AdaptiveRun
 // under the recorded fault schedule, and the row reports how much of the
 // promised volume survived. All fields are deterministic for a fixed
-// preset at any Workers setting.
+// preset.
 type BenchFaultScenario struct {
 	// Planner is the planner id ("algorithm3", ...).
 	Planner string `json:"planner"`
@@ -113,7 +113,6 @@ type Bench struct {
 	Preset         string               `json:"preset"`
 	Instances      int                  `json:"instances"`
 	Seed           uint64               `json:"seed"`
-	Workers        int                  `json:"workers"`
 	GOOS           string               `json:"goos"`
 	GOARCH         string               `json:"goarch"`
 	Figures        []BenchFigure        `json:"figures"`
@@ -167,7 +166,6 @@ func runBench(preset string, cfg Config, figures []string) (*Bench, error) {
 		Preset:    preset,
 		Instances: cfg.Instances,
 		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 	}
@@ -291,8 +289,8 @@ func benchFaultScenarios(cfg Config) ([]BenchFaultScenario, error) {
 	}
 	planners := []core.Planner{
 		&core.Algorithm1{},
-		&core.Algorithm2{Workers: cfg.Workers},
-		&core.Algorithm3{Workers: cfg.Workers},
+		&core.Algorithm2{},
+		&core.Algorithm3{},
 		&core.BenchmarkPlanner{},
 	}
 	rows := make([]BenchFaultScenario, 0, len(planners))
@@ -304,10 +302,7 @@ func benchFaultScenarios(cfg Config) ([]BenchFaultScenario, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: bench faults %s net %d: %w", pl.Name(), ni, err)
 			}
-			res := simulate.AdaptiveRun(in, plan, simulate.AdaptiveOptions{
-				Faults:  sched,
-				Workers: cfg.Workers,
-			})
+			res := simulate.AdaptiveRun(in, plan, simulate.AdaptiveOptions{Faults: sched})
 			row.PlannedMB += plan.Collected()
 			row.RetainedMB += res.Collected
 			row.Replans += int64(res.Replans)

@@ -40,11 +40,6 @@ type Config struct {
 	// Ks lists the Algorithm 3 sojourn partitions plotted as separate
 	// series in Figs. 4 and 5 (the paper shows K = 2 and K = 4).
 	Ks []int
-	// Workers fans the greedy planners' candidate scans across this many
-	// goroutines (0/1 = serial). Plans are identical at any setting; only
-	// wall time — and therefore the runtime panels — changes, so leave it
-	// serial when reproducing Fig. 3(b)/4(b)/5(b).
-	Workers int
 	// Reference runs every planner on its retained reference scan path
 	// instead of the spatial-index fast path: each experiment copies it
 	// into core.Instance.Reference of every instance it builds. Plans,
@@ -57,16 +52,16 @@ type Config struct {
 	// Metrics attaches an obs.Registry to every planner run and stores
 	// the per-point counter totals in each Point, enabling the figure
 	// tables' instrumentation panel (uavexp -metrics) and the bench
-	// ledger. Counter totals are deterministic at any Workers setting;
-	// recording never changes plans.
+	// ledger. Counter totals are deterministic; recording never changes
+	// plans.
 	Metrics bool
 	// Trace, when non-nil, receives a flight-recorder span stream for the
 	// whole sweep: one SpanSweepPoint per (series, x) data point and one
 	// SpanSweepPlan per planner run, with the planners' internal phase
 	// spans nested inside (uavexp -trace). Recording never changes plans
-	// or counters, and the stream strips to byte-identical output at any
-	// Workers setting. Validation simulations are not traced — a sweep
-	// trace records planner phases, not mission telemetry.
+	// or counters, and the stream strips to byte-identical output on every
+	// run. Validation simulations are not traced — a sweep trace records
+	// planner phases, not mission telemetry.
 	Trace *trace.Buffer
 }
 

@@ -196,28 +196,6 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
-func TestWorkersConfigMatchesSerial(t *testing.T) {
-	serial := Tiny()
-	par := Tiny()
-	par.Workers = 4
-	a, err := Fig5(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig5(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si := range a.Series {
-		for pi := range a.Series[si].Points {
-			if a.Series[si].Points[pi].Volume != b.Series[si].Points[pi].Volume {
-				t.Fatalf("series %s point %d: %v vs %v", a.Series[si].Name, pi,
-					a.Series[si].Points[pi].Volume, b.Series[si].Points[pi].Volume)
-			}
-		}
-	}
-}
-
 // SeriesByName returns the named series, or nil.
 func (t *Table) SeriesByName(name string) *Series {
 	for i := range t.Series {

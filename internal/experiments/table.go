@@ -28,7 +28,7 @@ type Point struct {
 	N int
 	// Counters holds the obs counter totals summed over the point's
 	// instances; nil unless the sweep ran with Config.Metrics. Totals are
-	// deterministic for a fixed configuration at any Workers setting.
+	// deterministic for a fixed configuration.
 	Counters map[string]int64
 }
 

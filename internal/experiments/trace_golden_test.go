@@ -18,10 +18,9 @@ var traceFigures = []string{"fig3", "fig4", "fig5"}
 
 // runTraced runs a figure driver at the Tiny configuration with a flight
 // recorder attached and returns the stripped (timestamp-free) JSONL export.
-func runTraced(t *testing.T, name string, workers int) []byte {
+func runTraced(t *testing.T, name string) []byte {
 	t.Helper()
 	cfg := Tiny()
-	cfg.Workers = workers
 	cfg.Trace = trace.NewBuffer()
 	if _, err := Run(name, cfg); err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func runTraced(t *testing.T, name string, workers int) []byte {
 func TestGoldenTraces(t *testing.T) {
 	for _, name := range traceFigures {
 		t.Run(name, func(t *testing.T) {
-			got := runTraced(t, name, 0)
+			got := runTraced(t, name)
 			path := filepath.Join("testdata", "trace_"+name+".jsonl")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -73,22 +72,6 @@ func TestGoldenTraces(t *testing.T) {
 					}
 				}
 				t.Fatalf("trace drifted from golden: %d lines, want %d", len(gl), len(wl))
-			}
-		})
-	}
-}
-
-// TestTraceWorkerInvariance: the acceptance property — for every figure
-// driver the stripped trace stream is byte-identical at Workers ∈ {1, 4, 8}.
-// Run race-enabled in make ci.
-func TestTraceWorkerInvariance(t *testing.T) {
-	for _, name := range traceFigures {
-		t.Run(name, func(t *testing.T) {
-			base := runTraced(t, name, 1)
-			for _, w := range []int{4, 8} {
-				if !bytes.Equal(base, runTraced(t, name, w)) {
-					t.Errorf("%s: stripped trace stream diverges at workers=%d", name, w)
-				}
 			}
 		})
 	}

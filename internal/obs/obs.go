@@ -10,13 +10,8 @@
 //   - Recording never changes planner output. The default Recorder is
 //     Discard, a no-op whose handles are shared singletons; uninstrumented
 //     runs pay one interface call per event.
-//   - Counter totals are exactly reproducible: for a fixed instance they do
-//     not depend on the number of worker goroutines. Parallel sections give
-//     each worker its own shard (see Shards) and merge them in worker-index
-//     order after the join, which both avoids data races and turns the
-//     counters into a correctness oracle for the parallel scan — any
-//     divergence across worker counts means a candidate was evaluated twice
-//     or skipped.
+//   - Counter totals are exactly reproducible: for a fixed instance every
+//     run records the same totals.
 //   - Wall-clock observations (WallSuffix histograms) and gauges are not
 //     reproducible and stay out of determinism comparisons.
 package obs
@@ -112,36 +107,4 @@ func First(recs ...Recorder) Recorder {
 		}
 	}
 	return Discard
-}
-
-// Shards returns n recorders for a parallel section with n workers. When r
-// is a *Registry every worker gets an independent shard registry; merge
-// them back with MergeShards after the join. Any other recorder (notably
-// Discard) is returned unsharded for every worker and must itself be safe
-// for concurrent use.
-func Shards(r Recorder, n int) []Recorder {
-	out := make([]Recorder, n)
-	_, isReg := r.(*Registry)
-	for i := range out {
-		if isReg {
-			out[i] = NewRegistry()
-		} else {
-			out[i] = r
-		}
-	}
-	return out
-}
-
-// MergeShards folds shard totals back into r in ascending shard order.
-// It is a no-op unless r is a *Registry and the shards came from Shards.
-func MergeShards(r Recorder, shards []Recorder) {
-	reg, ok := r.(*Registry)
-	if !ok {
-		return
-	}
-	for _, s := range shards {
-		if sr, ok := s.(*Registry); ok && sr != reg {
-			reg.Merge(sr)
-		}
-	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -26,46 +25,6 @@ func TestRegistryCountersAndSnapshot(t *testing.T) {
 	if names := snap.CounterNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("CounterNames = %v", names)
 	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("x").Add(2)
-	b.Counter("x").Add(3)
-	b.Counter("y").Inc()
-	a.Merge(b)
-	snap := a.Snapshot()
-	if snap.Counters["x"] != 5 || snap.Counters["y"] != 1 {
-		t.Errorf("merged counters = %v", snap.Counters)
-	}
-}
-
-func TestShardsAndMergeShards(t *testing.T) {
-	root := NewRegistry()
-	shards := Shards(root, 4)
-	var wg sync.WaitGroup
-	for w, s := range shards {
-		wg.Add(1)
-		go func(w int, s Recorder) {
-			defer wg.Done()
-			c := s.Counter("n")
-			for i := 0; i <= w; i++ {
-				c.Inc()
-			}
-		}(w, s)
-	}
-	wg.Wait()
-	MergeShards(root, shards)
-	if got := root.Snapshot().Counters["n"]; got != 1+2+3+4 {
-		t.Errorf("sharded total = %d, want 10", got)
-	}
-
-	// A non-Registry recorder shards to itself and merges as a no-op.
-	nop := Shards(Discard, 2)
-	if nop[0] != Discard || nop[1] != Discard {
-		t.Errorf("Discard shards = %v", nop)
-	}
-	MergeShards(Discard, nop)
 }
 
 func TestSnapshotEqualAndDiff(t *testing.T) {
@@ -131,16 +90,7 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndEqual(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Histogram("h", []float64{1}).Observe(0.5)
-	b.Histogram("h", []float64{1}).Observe(2)
-	a.Merge(b)
-	st := a.Snapshot().Hists["h"]
-	if st.Count != 2 || st.Counts[0] != 1 || st.Counts[1] != 1 {
-		t.Errorf("merged hist = %+v", st)
-	}
-
+func TestHistogramEqual(t *testing.T) {
 	// Deterministic histograms participate in Equal; WallSuffix ones do not.
 	x, y := NewRegistry(), NewRegistry()
 	x.Histogram("d", []float64{1}).Observe(0.5)

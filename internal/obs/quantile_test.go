@@ -74,53 +74,6 @@ func TestQuantileClampsRange(t *testing.T) {
 	}
 }
 
-// TestQuantileMergeOrderIndependent feeds three disjoint observation sets
-// through per-worker shards and merges them in two different orders: the
-// bucket-interpolated p50/p99 must come out bit-identical, because the
-// estimate is a pure function of the summed bucket counts.
-func TestQuantileMergeOrderIndependent(t *testing.T) {
-	buckets := []float64{1, 2, 4, 8}
-	sets := [][]float64{
-		{0.1, 0.2, 0.9},  // all in (0, 1]
-		{1.5, 3, 3.5, 7}, // middle buckets
-		{9, 20},          // overflow
-	}
-	build := func(order []int) HistStat {
-		root := NewRegistry()
-		shards := Shards(root, len(sets))
-		for i, vals := range sets {
-			h := shards[i].Histogram("exec.energy_deviation_hist", buckets)
-			for _, v := range vals {
-				h.Observe(v)
-			}
-		}
-		for _, i := range order {
-			MergeShards(root, []Recorder{shards[i]})
-		}
-		return root.Snapshot().Hists["exec.energy_deviation_hist"]
-	}
-	fwd := build([]int{0, 1, 2})
-	rev := build([]int{2, 1, 0})
-	for _, q := range []float64{0.5, 0.99} {
-		a, b := fwd.Quantile(q), rev.Quantile(q)
-		if a != b {
-			t.Errorf("Quantile(%g) depends on merge order: %g != %g", q, a, b)
-		}
-	}
-	if fwd.Count != 9 || rev.Count != 9 {
-		t.Fatalf("merged counts = %d/%d, want 9", fwd.Count, rev.Count)
-	}
-	// p50 (rank 4.5): cumulative counts are 3, 4, 6, ... so the rank lands
-	// in the (2, 4] bucket holding 2 observations (cumulative 4 before it).
-	if want := 2 + (4.5-4.0)/2.0*(4.0-2.0); fwd.Quantile(0.5) != want {
-		t.Errorf("merged p50 = %g, want %g", fwd.Quantile(0.5), want)
-	}
-	// p99 (rank 8.91) lands in the overflow bucket → largest boundary.
-	if got := fwd.Quantile(0.99); got != 8 {
-		t.Errorf("merged p99 = %g, want overflow cap 8", got)
-	}
-}
-
 func TestHistStatSub(t *testing.T) {
 	old := histFrom(t, []float64{1, 2}, 0.5, 1.5)
 	cur := histFrom(t, []float64{1, 2}, 0.5, 1.5, 1.7, 5)
@@ -158,14 +111,6 @@ func TestRegistryGauge(t *testing.T) {
 	r.Gauge("serve.queue_depth").Add(1)
 	if got := r.Snapshot().Gauges["serve.queue_depth"]; got != 4 {
 		t.Fatalf("gauge after second handle = %d, want 4", got)
-	}
-
-	// Merge folds gauge levels additively, like counters.
-	s := NewRegistry()
-	s.Gauge("serve.queue_depth").Set(6)
-	r.Merge(s)
-	if got := r.Snapshot().Gauges["serve.queue_depth"]; got != 10 {
-		t.Fatalf("merged gauge = %d, want 10", got)
 	}
 
 	// Gauges are excluded from determinism comparisons.

@@ -106,47 +106,6 @@ func (r *Registry) Histogram(name string, buckets []float64) Histogram {
 	return h
 }
 
-// Merge adds every counter, histogram and gauge total of s into r. Merging is pure
-// addition, so the final totals are independent of merge order; callers
-// still merge in worker-index order to keep the operation reproducible
-// step by step.
-func (r *Registry) Merge(s *Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, c := range s.counters {
-		if n := c.n.Load(); n != 0 {
-			//uavdc:allow nodeterminism merge is pure addition, commutative across iteration orders
-			//uavdc:allow obsnames generic plumbing; names were validated at their recording sites
-			r.Counter(name).Add(n)
-		}
-	}
-	for name, h := range s.hists {
-		h.mu.Lock()
-		if h.count != 0 {
-			//uavdc:allow nodeterminism merge is pure addition, commutative across iteration orders
-			//uavdc:allow obsnames generic plumbing; names were validated at their recording sites
-			dst := r.Histogram(name, h.bounds).(*histCell)
-			dst.mu.Lock()
-			if len(dst.counts) == len(h.counts) {
-				for i, n := range h.counts {
-					dst.counts[i] += n
-				}
-				dst.count += h.count
-				dst.sum += h.sum
-			}
-			dst.mu.Unlock()
-		}
-		h.mu.Unlock()
-	}
-	for name, g := range s.gauges {
-		if v := g.v.Load(); v != 0 {
-			//uavdc:allow nodeterminism merge is pure addition, commutative across iteration orders
-			//uavdc:allow obsnames generic plumbing; names were validated at their recording sites
-			r.Gauge(name).Add(v)
-		}
-	}
-}
-
 // HistStat is one histogram's aggregate in a Snapshot.
 type HistStat struct {
 	// Buckets is the sorted upper boundary of each bucket; Counts has one

@@ -50,8 +50,8 @@ type UAVSpec struct {
 }
 
 // OptionsSpec mirrors the output-relevant uavdc.Options in the wire
-// schema. Parallel and Trace are intentionally absent: they never change
-// the plan, so they are server policy, not request identity.
+// schema. Trace is intentionally absent: it never changes the plan, so it
+// is server policy, not request identity.
 type OptionsSpec struct {
 	Algorithm    string  `json:"algorithm,omitempty"`
 	DeltaM       float64 `json:"delta_m,omitempty"`

@@ -14,13 +14,16 @@ import (
 	"uavdc/internal/trace"
 )
 
+// DefaultWorkers is the planner pool size a zero Config.Workers selects.
+const DefaultWorkers = 4
+
 // Config tunes a Server. The zero value selects the defaults noted on
 // each field.
 type Config struct {
 	// CacheSize bounds the LRU plan cache in entries (default 1024);
 	// negative disables caching.
 	CacheSize int
-	// Workers is the planner pool size (default 4).
+	// Workers is the planner pool size (default DefaultWorkers).
 	Workers int
 	// QueueSize bounds the pending-flight queue (default 64). A full
 	// queue rejects new misses with ErrBackpressure — backpressure is
@@ -141,7 +144,7 @@ func New(cfg Config) *Server {
 		cfg.CacheSize = 1024
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = DefaultWorkers
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64

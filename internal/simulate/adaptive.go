@@ -13,9 +13,8 @@ import (
 
 // Instrumentation counter names recorded by the adaptive executor into the
 // instance's obs recorder. Totals are exactly reproducible for a fixed
-// instance, plan, and fault schedule at any Workers setting: the executor
-// itself is serial, and the replan scans use the planners' sharded
-// total-order machinery.
+// instance, plan, and fault schedule: the executor and its replan scans
+// are serial.
 const (
 	// CounterReplanTriggered counts mid-flight replans of the remaining
 	// tour.
@@ -57,9 +56,6 @@ type AdaptiveOptions struct {
 	// Margin is the replan trigger threshold as a fraction of battery
 	// capacity; 0 or negative selects DefaultMargin.
 	Margin float64
-	// Workers fans the replan candidate scans across goroutines; results
-	// are identical at any worker count.
-	Workers int
 }
 
 // AdaptiveResult extends the simulator result with the adaptive executor's
@@ -309,7 +305,6 @@ func AdaptiveRun(in *core.Instance, plan *core.Plan, opts AdaptiveOptions) Adapt
 				Budget:   budget,
 				Residual: residual,
 				K:        in.K,
-				Workers:  opts.Workers,
 			}
 			if !sched.Empty() {
 				state.Exclude = sched.NoHoverAt

@@ -222,7 +222,7 @@ func recordEqualStripped(a, b Record) bool {
 }
 
 // Diff compares two traces modulo timestamps. Two runs of the same
-// instance at different worker counts must diff Equal.
+// instance must diff Equal.
 func Diff(a, b Trace) DiffResult {
 	res := DiffResult{Equal: true, FirstDivergence: -1, CountDelta: map[string]int{}}
 	n := len(a.Records)

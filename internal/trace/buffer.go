@@ -34,9 +34,7 @@ type Record struct {
 }
 
 // Buffer is the standard Tracer: an in-memory, sequence-ordered record
-// stream. A Buffer is not safe for concurrent use; parallel sections get
-// per-worker shard buffers via Shards/ShardObs, merged in worker-index
-// order after the join.
+// stream. A Buffer is not safe for concurrent use.
 type Buffer struct {
 	epoch  time.Time
 	detail bool
@@ -51,11 +49,11 @@ func NewBuffer() *Buffer {
 }
 
 // SetDetail turns high-volume recording (per-candidate scan events) on or
-// off. Shards inherit the setting.
+// off.
 func (b *Buffer) SetDetail(on bool) { b.detail = on }
 
 // SetMeta sets header attributes exported with the stream (instance
-// seed, planner name, worker count, ...). Later calls replace earlier
+// seed, planner name, ...). Later calls replace earlier
 // values for the same key.
 func (b *Buffer) SetMeta(attrs ...Attr) {
 	for _, a := range attrs {
@@ -109,18 +107,6 @@ func (b *Buffer) Reset() {
 	b.recs = b.recs[:0]
 	b.meta = nil
 	b.depth = 0
-}
-
-// shard returns a worker-private buffer sharing b's epoch and detail
-// flag, recording at b's current depth.
-func (b *Buffer) shard() *Buffer {
-	return &Buffer{epoch: b.epoch, detail: b.detail, depth: b.depth}
-}
-
-// merge appends s's records to b. Shard records were emitted at b's
-// depth, so no re-basing is needed.
-func (b *Buffer) merge(s *Buffer) {
-	b.recs = append(b.recs, s.recs...)
 }
 
 // Trace is an immutable snapshot of a buffer: the export and analysis

@@ -50,7 +50,7 @@ func attrMap(attrs []Attr) map[string]any {
 // WriteJSONL exports the trace as line-delimited JSON under the
 // uavdc-trace/1 schema. When strip is true the wall-time field is
 // omitted from every record, yielding a byte-deterministic stream for a
-// fixed instance at any worker count.
+// fixed instance.
 func WriteJSONL(w io.Writer, tr Trace, strip bool) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

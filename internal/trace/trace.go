@@ -12,11 +12,7 @@
 //     interface call (guarded by Enabled) per potential record.
 //   - The record stream is deterministic modulo timestamps: for a fixed
 //     instance, stripping wall times yields a byte-identical exported
-//     stream at any worker count or GOMAXPROCS. Parallel sections record
-//     into per-worker shard buffers (Shards/ShardObs) that are merged in
-//     worker-index order after the join; because the planners partition
-//     candidates by index, the merged stream equals the serial one — the
-//     trace doubles as a correctness oracle for the parallel scans.
+//     stream on every run.
 //   - Wall timestamps are seconds since the buffer's epoch and are the
 //     only non-deterministic field; exporters can strip them.
 package trace
@@ -43,8 +39,7 @@ func Int(key string, v int) Attr { return Attr{Key: key, Num: float64(v)} }
 func Str(key, v string) Attr { return Attr{Key: key, Str: v, IsStr: true} }
 
 // Tracer records hierarchical spans and point events. Implementations
-// must be safe for serial use from one goroutine; parallel sections get
-// per-worker tracers via Shards/ShardObs.
+// must be safe for serial use from one goroutine.
 type Tracer interface {
 	// Begin opens a span; calling the returned function closes it, with
 	// optional result attributes attached to the end record.
@@ -97,7 +92,7 @@ func (c carrier) TraceTracer() Tracer { return c.t }
 // With attaches a tracer to an obs recorder, returning a Carrier that
 // records counters into r and spans/events into t. Attaching Discard (or
 // nil) returns r unchanged, so uninstrumented paths keep their original
-// dynamic type (notably *obs.Registry, which obs.Shards special-cases).
+// dynamic type.
 func With(r obs.Recorder, t Tracer) obs.Recorder {
 	t = OrDiscard(t)
 	if t == Discard {
@@ -114,78 +109,4 @@ func Of(r obs.Recorder) Tracer {
 		return OrDiscard(c.TraceTracer())
 	}
 	return Discard
-}
-
-// obsBase unwraps a carrier to the underlying obs recorder.
-func obsBase(r obs.Recorder) obs.Recorder {
-	if c, ok := r.(carrier); ok {
-		return c.Recorder
-	}
-	return r
-}
-
-// Shards returns n tracers for a parallel section with n workers. When t
-// is a *Buffer every worker gets an independent shard buffer (inheriting
-// the epoch and detail flag); merge them back with MergeShards after the
-// join. Any other tracer is returned unsharded for every worker and must
-// itself be safe for concurrent use.
-func Shards(t Tracer, n int) []Tracer {
-	out := make([]Tracer, n)
-	b, isBuf := t.(*Buffer)
-	for i := range out {
-		if isBuf {
-			out[i] = b.shard()
-		} else {
-			out[i] = t
-		}
-	}
-	return out
-}
-
-// MergeShards appends every shard buffer's records into t in ascending
-// shard order, at t's current depth. It is a no-op unless t is a *Buffer
-// and the shards came from Shards.
-func MergeShards(t Tracer, shards []Tracer) {
-	b, ok := t.(*Buffer)
-	if !ok {
-		return
-	}
-	for _, s := range shards {
-		if sb, ok := s.(*Buffer); ok && sb != b {
-			b.merge(sb)
-		}
-	}
-}
-
-// ShardObs shards both instrumentation layers of a (possibly
-// trace-carrying) obs recorder for a parallel section with n workers: the
-// counter layer via obs.Shards and the trace layer via Shards, recombined
-// per worker. Merge with MergeObs after the join. It replaces obs.Shards
-// at the planners' parallel scans.
-func ShardObs(r obs.Recorder, n int) []obs.Recorder {
-	t := Of(r)
-	obsShards := obs.Shards(obsBase(r), n)
-	if t == Discard {
-		return obsShards
-	}
-	tShards := Shards(t, n)
-	out := make([]obs.Recorder, n)
-	for i := range out {
-		out[i] = With(obsShards[i], tShards[i])
-	}
-	return out
-}
-
-// MergeObs folds both layers of the shard recorders back into r in
-// ascending shard order: counters via obs.MergeShards, trace records via
-// MergeShards.
-func MergeObs(r obs.Recorder, shards []obs.Recorder) {
-	obsShards := make([]obs.Recorder, len(shards))
-	tShards := make([]Tracer, len(shards))
-	for i, s := range shards {
-		obsShards[i] = obsBase(s)
-		tShards[i] = Of(s)
-	}
-	obs.MergeShards(obsBase(r), obsShards)
-	MergeShards(Of(r), tShards)
 }

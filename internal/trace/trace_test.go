@@ -69,41 +69,6 @@ func TestSetMetaReplaces(t *testing.T) {
 	}
 }
 
-func TestShardMergeEqualsSerialOrder(t *testing.T) {
-	b := NewBuffer()
-	b.SetDetail(true)
-	end := b.Begin("scan")
-	shards := Shards(b, 3)
-	for i, s := range shards {
-		if !s.Detail() {
-			t.Fatal("shard lost detail flag")
-		}
-		s.Event("scan/eval", Int("i", i))
-	}
-	MergeShards(b, shards)
-	end()
-
-	tr := b.Snapshot()
-	var names []string
-	for _, r := range tr.Records {
-		if r.Kind == KindEvent {
-			names = append(names, r.Name)
-			// Depth inside the open span.
-			if r.Depth != 1 {
-				t.Errorf("event depth = %d, want 1", r.Depth)
-			}
-		}
-	}
-	if len(names) != 3 {
-		t.Fatalf("got %d events, want 3", len(names))
-	}
-	for i, r := range tr.Records[1:4] {
-		if v, ok := attrNum(r.Attrs, "i"); !ok || int(v) != i {
-			t.Errorf("shard order broken at %d: %v", i, r.Attrs)
-		}
-	}
-}
-
 func TestCarrierWithOf(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBuffer()
@@ -124,40 +89,6 @@ func TestCarrierWithOf(t *testing.T) {
 	}
 	if Of(reg) != Discard {
 		t.Fatal("Of(plain recorder) must be Discard")
-	}
-}
-
-func TestShardObsMergeObs(t *testing.T) {
-	reg := obs.NewRegistry()
-	b := NewBuffer()
-	r := With(reg, b)
-
-	shards := ShardObs(r, 2)
-	for i, s := range shards {
-		s.Counter("evals").Add(int64(i + 1))
-		Of(s).Event("scan/eval", Int("w", i))
-	}
-	MergeObs(r, shards)
-
-	if got := reg.Snapshot().Counters["evals"]; got != 3 {
-		t.Fatalf("merged counter = %d, want 3", got)
-	}
-	tr := b.Snapshot()
-	if len(tr.Records) != 2 {
-		t.Fatalf("merged records = %d, want 2", len(tr.Records))
-	}
-	for i, r := range tr.Records {
-		if v, _ := attrNum(r.Attrs, "w"); int(v) != i {
-			t.Fatalf("worker order broken: %v", tr.Records)
-		}
-	}
-
-	// Without a trace layer, ShardObs degrades to obs.Shards.
-	plain := ShardObs(reg, 2)
-	for _, s := range plain {
-		if _, ok := s.(Carrier); ok {
-			t.Fatal("plain recorder grew a carrier")
-		}
 	}
 }
 

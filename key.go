@@ -10,9 +10,9 @@ import (
 // geometry, sensor set in order, energy model, discretisation and physics
 // knobs, and the planner selection — after resolving every unset default,
 // so a request that spells out Algorithm "partial", K 4, and the default
-// δ addresses the same cache line as one that elides them. Output-neutral
-// options (Parallel, Trace) are excluded; the repo's determinism rails
-// prove they never change the plan. cmd/uavserve uses this key for its
+// δ addresses the same cache line as one that elides them. The
+// output-neutral Trace option is excluded; the repo's determinism rails
+// prove it never changes the plan. cmd/uavserve uses this key for its
 // plan cache and in-flight request coalescing.
 func PlanKey(sc Scenario, uav UAV, opts Options) (string, error) {
 	k, err := planKey(sc, uav, opts)

@@ -2,7 +2,6 @@ package uavdc
 
 import (
 	"fmt"
-	"runtime"
 
 	"uavdc/internal/core"
 	"uavdc/internal/energy"
@@ -172,10 +171,6 @@ type Options struct {
 	// centres (within coverage) and re-ordering — a continuous polish the
 	// paper's discretisation forgoes. Never increases energy.
 	Refine bool
-	// Parallel fans the greedy planners' per-iteration candidate scan
-	// across all CPUs. Plans are identical to serial runs (deterministic
-	// total-order merging); only wall time changes.
-	Parallel bool
 	// Trace attaches a mission flight recorder (see NewTrace): planner
 	// phase spans and the verification simulation's mission event log are
 	// appended to it. Recording never changes the plan; nil disables
@@ -219,21 +214,17 @@ type Result struct {
 
 // plannerFor resolves the Algorithm name to an internal planner.
 func plannerFor(opts Options) (core.Planner, error) {
-	workers := 0
-	if opts.Parallel {
-		workers = runtime.NumCPU() //uavdc:allow pureplan worker count only partitions the deterministic scan; plans are bit-identical across worker counts (fastpath parity gate at GOMAXPROCS 1/4/8)
-	}
 	switch opts.Algorithm {
 	case AlgorithmNoOverlap:
 		return &core.Algorithm1{}, nil
 	case AlgorithmGreedy:
-		return &core.Algorithm2{Workers: workers}, nil
+		return &core.Algorithm2{}, nil
 	case AlgorithmPartial, "":
-		return &core.Algorithm3{Workers: workers}, nil
+		return &core.Algorithm3{}, nil
 	case AlgorithmBaseline:
 		return &core.BenchmarkPlanner{}, nil
 	case AlgorithmLNS:
-		return &core.LNSPlanner{Base: &core.Algorithm3{Workers: workers}}, nil
+		return &core.LNSPlanner{Base: &core.Algorithm3{}}, nil
 	default:
 		return nil, fmt.Errorf("uavdc: unknown algorithm %q", opts.Algorithm)
 	}

@@ -126,24 +126,6 @@ func TestPlanRefineNeverWorse(t *testing.T) {
 	}
 }
 
-func TestPlanParallelIdentical(t *testing.T) {
-	sc := RandomScenario(80, 400, 4)
-	uav := DefaultUAV()
-	uav.CapacityJ = 2e4
-	serial, err := Plan(sc, uav, Options{DeltaM: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Plan(sc, uav, Options{DeltaM: 10, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.CollectedMB != par.CollectedMB || len(serial.Stops) != len(par.Stops) {
-		t.Errorf("parallel differs: %v/%d vs %v/%d",
-			par.CollectedMB, len(par.Stops), serial.CollectedMB, len(serial.Stops))
-	}
-}
-
 func TestPlanMoreEnergyMoreData(t *testing.T) {
 	sc := testScenario()
 	uav := DefaultUAV()
