@@ -167,7 +167,8 @@ func TestAlgorithm3AtLeastAlgorithm2(t *testing.T) {
 
 func TestAlgorithm3K1MatchesAlgorithm2(t *testing.T) {
 	// With K = 1 the virtual ladder collapses to full drains, and the
-	// planner must coincide with Algorithm 2 exactly.
+	// planner must collect what Algorithm 2 does, up to rounding: its
+	// level takes rate·t′ from a sensor, Algorithm 2 the residual itself.
 	for _, seed := range []uint64{3, 9} {
 		in := mediumInstance(t, seed, 1.2e5)
 		in.K = 1
