@@ -116,13 +116,16 @@ fastpath:
 
 # Serving gate: race-enabled daemon and canonical-encoding tests — the
 # GOMAXPROCS 1/4/8 cold/warm/coalesced parity check, the failure-mode
-# table (backpressure, deadline, shutdown), the golden wire formats, and
-# the deterministic serve bench panel — then a 1k-request loopback load
-# smoke over real HTTP at the reduced preset: positive cache hit rate,
-# zero non-backpressure errors, every body bit-identical to a direct
-# plan.
+# table (backpressure, deadline, shutdown), the golden wire formats, the
+# body memo's parity, bounds and bad-body tests (named on their own line
+# so a renamed one fails makefile_test.go), and the deterministic serve
+# bench panel — then a 1k-request loopback load smoke over real HTTP at
+# the reduced preset: positive cache hit rate, zero non-backpressure
+# errors, every body bit-identical to a direct plan.
 serve:
-	$(GO) test -race -count=1 ./internal/canon ./internal/serve ./cmd/uavserve
+	$(GO) test -race -count=1 ./internal/canon ./cmd/uavserve
+	$(GO) test -race -count=1 -skip 'TestBodyMemo' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestBodyMemoHTTPParity|TestBodyMemoBadBodiesNeverMemoized|TestBodyMemoEvictedPlanReplans|TestBodyMemoDisabled|TestBodyMemoBounded|TestBodyMemoConcurrentRepeats|TestBodyMemoOversizeErrorText|FuzzServeRequest' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestBenchServePanel|TestServeRequestsDeterministic' ./internal/experiments
 	$(GO) run ./cmd/uavserve -smoke 1000 -preset reduced -distinct 8 -clients 16
 

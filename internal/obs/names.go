@@ -100,6 +100,7 @@ var canonicalNames = map[string]NameKind{
 	"serve.oplog.records":   KindCounter,
 	"serve.oplog.dropped":   KindCounter,
 	"serve.window.samples":  KindCounter,
+	"serve.body_memo_hits":  KindCounter,
 	"serve.queue_depth":     KindGauge,
 	"serve.latency.seconds": KindHistogram,
 	"serve/request":         KindSpan,

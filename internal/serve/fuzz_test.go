@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,7 +13,9 @@ import (
 // uses and then through Request.Key. Nothing may panic, a body with
 // anything but whitespace after its JSON value never gets a key, and a
 // keyed request re-encoded with json.Marshal decodes and keys to the
-// same key.
+// same key. Sent twice to /plan, the body gets that key both times (memo
+// then key equals decode then key): the repeat is a body-memo hit when
+// the body keyed, and a body that did not key never enters the memo.
 func FuzzServeRequest(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "request.golden"))
 	if err != nil {
@@ -40,12 +43,14 @@ func FuzzServeRequest(f *testing.F) {
 
 		req, err := decodeRequest(bytes.NewReader(body))
 		if err != nil {
+			checkMemo(t, body, "")
 			return
 		}
 		if trailing {
 			t.Fatalf("decoded a body with trailing data: %q", body)
 		}
 		key, err := req.Key()
+		checkMemo(t, body, key)
 		if err != nil {
 			return
 		}
@@ -61,4 +66,36 @@ func FuzzServeRequest(f *testing.F) {
 			t.Fatalf("re-encoded request keys to %q, %v; want %q\nbody %s\nre-encoded %s", got, err, key, body, b)
 		}
 	})
+}
+
+// checkMemo sends body to /plan twice and checks that both responses
+// carry key, the key decoding and keying the body gives ("" when either
+// fails), and that the memo served the repeat exactly when the body keyed
+// and its plan was cached.
+func checkMemo(t *testing.T, body []byte, key string) {
+	t.Helper()
+	s := stubServer(0)
+	defer s.Close(context.Background())
+	var first int
+	for i := 0; i < 2; i++ {
+		w := send(s.Handler(), bytes.NewReader(body))
+		if got := w.Header().Get("Uavdc-Key"); got != key {
+			t.Fatalf("send %d: Uavdc-Key %q, decode then Key gives %q\nbody %q", i, got, key, body)
+		}
+		if i == 0 {
+			first = w.Code
+		} else if w.Code != first {
+			t.Fatalf("repeat status %d, first %d\nbody %q", w.Code, first, body)
+		}
+	}
+	var want int64
+	if first == 200 {
+		want = 1
+	}
+	if got := counter(s, CounterBodyMemoHits); got != want {
+		t.Fatalf("serve.body_memo_hits = %d, want %d (status %d)\nbody %q", got, want, first, body)
+	}
+	if key == "" && s.memo.Len() != 0 {
+		t.Fatalf("an unkeyed body entered the memo\nbody %q", body)
+	}
 }

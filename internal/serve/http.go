@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +19,11 @@ import (
 // ~6 MB of JSON).
 const maxRequestBytes = 32 << 20
 
+// bodyPresize caps how much of a /plan body's Content-Length is allocated
+// before any of it arrives; a larger body grows the buffer as it is read,
+// so a hostile header cannot force a large allocation.
+const bodyPresize = 256 << 10
+
 // Handler returns the daemon's HTTP surface:
 //
 //	POST /plan           uavdc-serve/1 request → uavdc-serve/1 response
@@ -29,6 +36,12 @@ const maxRequestBytes = 32 << 20
 // Response bodies are a pure function of the canonical instance; the
 // request-scoped envelope rides in headers: Uavdc-Cache (hit, miss,
 // coalesced), Uavdc-Key, and Uavdc-Elapsed-Us.
+//
+// /plan reads the whole body and looks its SHA-256 digest up in the body
+// memo before decoding it. Decoding and Request.Key are pure functions of
+// the body bytes, so a byte-identical repeat whose plan is still cached is
+// served as the hit Server.Do would return, without either; anything else
+// is decoded and goes through Do, and a body that keys is memoized.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plan", s.handlePlan)
@@ -46,7 +59,25 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusMethodNotAllowed, encodeError(ErrBadRequest, "use POST"))
 		return
 	}
-	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	raw, readErr := readBody(w, r)
+	var digest string
+	if readErr == nil && s.memo.cap > 0 {
+		sum := sha256.Sum256(raw)
+		digest = string(sum[:])
+		if key, ok := s.memo.Get(digest); ok {
+			if out, ok := s.doCached(key); ok {
+				writeOutcome(w, out)
+				return
+			}
+		}
+	}
+	// A failed read is replayed to the decoder after the bytes that
+	// arrived, so it reports exactly what decoding the stream would.
+	var body io.Reader = bytes.NewReader(raw)
+	if readErr != nil {
+		body = io.MultiReader(body, errReader{readErr})
+	}
+	req, err := decodeRequest(body)
 	if err != nil {
 		writeBody(w, http.StatusBadRequest, encodeError(ErrBadRequest, fmt.Sprintf("decode request: %v", err)))
 		return
@@ -59,6 +90,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	out := s.Do(ctx, req)
+	if digest != "" && out.Key != "" {
+		s.memo.Put(digest, out.Key)
+	}
+	writeOutcome(w, out)
+}
+
+// writeOutcome sends a Server.Do outcome with its envelope headers.
+func writeOutcome(w http.ResponseWriter, out Outcome) {
 	if out.Cache != "" {
 		w.Header().Set("Uavdc-Cache", out.Cache)
 	}
@@ -68,6 +107,19 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Uavdc-Elapsed-Us", strconv.FormatInt(out.Elapsed.Microseconds(), 10))
 	writeBody(w, out.Status, out.Body)
 }
+
+// readBody reads the whole /plan body, at most maxRequestBytes of it. On
+// error it returns the bytes read before the error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), bodyPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	return buf.Bytes(), err
+}
+
+// errReader is a reader that fails with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // decodeRequest decodes exactly one JSON request from body. Whitespace
 // may follow it; anything else is an error, so a body is never half

@@ -38,6 +38,10 @@ const (
 	// CounterWindowSamples counts rolling-window samples taken, by the
 	// background sampler or manual Sample calls.
 	CounterWindowSamples = "serve.window.samples"
+	// CounterBodyMemoHits counts /plan requests served as cache hits
+	// from the body memo, without decoding or keying the body; each is
+	// also counted on serve.requests and serve.hits.
+	CounterBodyMemoHits = "serve.body_memo_hits"
 	// HistLatency is the wall-clock request latency histogram. The
 	// obs.WallSuffix name keeps it out of determinism comparisons,
 	// exactly like Timers.

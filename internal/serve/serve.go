@@ -20,8 +20,8 @@ const DefaultWorkers = 4
 // Config tunes a Server. The zero value selects the defaults noted on
 // each field.
 type Config struct {
-	// CacheSize bounds the LRU plan cache in entries (default 1024);
-	// negative disables caching.
+	// CacheSize bounds the LRU plan cache in entries (default 1024), and
+	// the /plan handler's body memo to as many; negative disables both.
 	CacheSize int
 	// Workers is the planner pool size (default DefaultWorkers).
 	Workers int
@@ -110,7 +110,10 @@ type flight struct {
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
-	cache *lruCache
+	cache *lruCache[[]byte]
+	// memo maps the SHA-256 digest of a /plan body that decoded and
+	// keyed to its cache key, so a byte-identical repeat skips both.
+	memo  *lruCache[string]
 	start time.Time
 
 	mu       sync.Mutex
@@ -133,7 +136,7 @@ type Server struct {
 	cRejected, cTimeouts, cErrors         obs.Counter
 	cPlans, cEvictions                    obs.Counter
 	cOplogRecords, cOplogDropped          obs.Counter
-	cWindowSamples                        obs.Counter
+	cWindowSamples, cBodyMemoHits         obs.Counter
 	gQueueDepth                           obs.Gauge
 	hLatency                              obs.Histogram
 }
@@ -161,7 +164,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Obs,
-		cache:    newLRU(cfg.CacheSize),
+		cache:    newLRU[[]byte](cfg.CacheSize),
+		memo:     newLRU[string](cfg.CacheSize),
 		start:    time.Now(), //uavdc:allow nodeterminism health uptime is reported wall time, excluded from determinism comparisons
 		inflight: make(map[string]*flight),
 		queue:    make(chan *flight, cfg.QueueSize),
@@ -181,6 +185,7 @@ func New(cfg Config) *Server {
 		cOplogRecords:  cfg.Obs.Counter(CounterOplogRecords),
 		cOplogDropped:  cfg.Obs.Counter(CounterOplogDropped),
 		cWindowSamples: cfg.Obs.Counter(CounterWindowSamples),
+		cBodyMemoHits:  cfg.Obs.Counter(CounterBodyMemoHits),
 		gQueueDepth:    cfg.Obs.Gauge(GaugeQueueDepth),
 		hLatency:       cfg.Obs.Histogram(HistLatency, latencyBuckets),
 	}
@@ -219,6 +224,27 @@ func (s *Server) Do(ctx context.Context, req Request) Outcome {
 	start := time.Now() //uavdc:allow nodeterminism request latency is reported wall time, excluded from determinism comparisons
 	s.cRequests.Inc()
 	out, f := s.do(ctx, req)
+	return s.finish(start, out, f)
+}
+
+// doCached is Do for a request whose key the body memo supplied: when the
+// plan cache still holds the key, it serves and accounts the hit exactly
+// as Do would. Otherwise it touches nothing and reports false, and the
+// caller decodes the body and calls Do.
+func (s *Server) doCached(key string) (Outcome, bool) {
+	start := time.Now() //uavdc:allow nodeterminism request latency is reported wall time, excluded from determinism comparisons
+	body, ok := s.cache.Get(key)
+	if !ok {
+		return Outcome{}, false
+	}
+	s.cRequests.Inc()
+	s.cBodyMemoHits.Inc()
+	return s.finish(start, s.hit(key, body), nil), true
+}
+
+// finish is the accounting every served request ends with: its sequence
+// number, latency, trace span and op-log record.
+func (s *Server) finish(start time.Time, out Outcome, f *flight) Outcome {
 	out.Seq = s.reqSeq.Add(1)
 	out.Elapsed = time.Since(start) //uavdc:allow nodeterminism request latency is reported wall time, excluded from determinism comparisons
 	s.hLatency.Observe(out.Elapsed.Seconds())
@@ -227,14 +253,19 @@ func (s *Server) Do(ctx context.Context, req Request) Outcome {
 	return out
 }
 
+// hit counts a plan-cache hit and returns its outcome.
+func (s *Server) hit(key string, body []byte) Outcome {
+	s.cHits.Inc()
+	return Outcome{Status: 200, Cache: "hit", Key: key, Body: body}
+}
+
 func (s *Server) do(ctx context.Context, req Request) (Outcome, *flight) {
 	key, err := req.Key()
 	if err != nil {
 		return Outcome{Status: 400, Body: encodeError(ErrBadRequest, err.Error())}, nil
 	}
 	if body, ok := s.cache.Get(key); ok {
-		s.cHits.Inc()
-		return Outcome{Status: 200, Cache: "hit", Key: key, Body: body}, nil
+		return s.hit(key, body), nil
 	}
 
 	s.mu.Lock()
@@ -252,8 +283,7 @@ func (s *Server) do(ctx context.Context, req Request) (Outcome, *flight) {
 	// lock; re-check so a just-cached plan is not computed twice.
 	if body, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
-		s.cHits.Inc()
-		return Outcome{Status: 200, Cache: "hit", Key: key, Body: body}, nil
+		return s.hit(key, body), nil
 	}
 	f := &flight{key: key, req: req, done: make(chan struct{}),
 		enqueued: time.Now()} //uavdc:allow nodeterminism queue-wait is reported wall time, stripped from deterministic op-logs
