@@ -169,12 +169,21 @@ func (sc *insertionScratch) delta(i int, p geom.Point) float64 {
 }
 
 // scan returns the lowest-indexed edge of least delta for a stop at p.
+// Each node's hypotenuse serves both edges it ends: p.Dist(q) is bit-equal
+// to q.Dist(p), since Hypot is sign-symmetric and a−b == −(b−a), so every
+// term, and the sum in delta's order, is delta's.
 func (sc *insertionScratch) scan(p geom.Point) (edge int, d float64) {
 	edge, d = 0, math.Inf(1)
-	for i := range sc.edge {
-		if di := sc.delta(i, p); di < d {
+	if len(sc.edge) == 0 {
+		return edge, d
+	}
+	h0 := sc.pts[0].Dist(p)
+	for i, e := range sc.edge {
+		h1 := p.Dist(sc.pts[i+1])
+		if di := h0 + h1 - e; di < d {
 			edge, d = i, di
 		}
+		h0 = h1
 	}
 	return edge, d
 }
@@ -219,23 +228,34 @@ func (sc *insertionScratch) memoized(c int, p geom.Point) (pos int, delta float6
 // split updates the memos of the locations in ids, other than those in
 // the route, after an insertion split edge j of the previous route in two;
 // the scratch must already hold the new route, whose edges j and j+1 are
-// the new ones. A memo on edge j itself is marked stale.
+// the new ones. A memo on edge j itself keeps a new edge priced strictly
+// below its old least delta: every surviving edge priced at least that, so
+// the new edge is the unique cheapest (the lower of the two on a tie
+// between them). Otherwise it is marked stale.
 func (sc *insertionScratch) split(j int, ids []int32, locs []hover.Location, inRoute []bool) {
 	for _, c := range ids {
 		m := &sc.memo[c]
 		if m.gen != sc.gen || inRoute[c] {
 			continue
 		}
+		p := locs[c].Pos
 		e := int(m.edge)
 		switch {
 		case e == j:
-			m.gen = 0
+			d0, d1 := sc.delta(j, p), sc.delta(j+1, p)
+			switch {
+			case d0 < m.d && d0 <= d1:
+				m.edge, m.d = int32(j), d0
+			case d1 < m.d && d1 < d0:
+				m.edge, m.d = int32(j+1), d1
+			default:
+				m.gen = 0
+			}
 			continue
 		case e > j:
 			e++
 		}
 		d := m.d
-		p := locs[c].Pos
 		for i := j; i <= j+1; i++ {
 			if di := sc.delta(i, p); di < d || di == d && i < e { //uavdc:allow floateq the scan's strict < keeps the lowest index among equal deltas; this replays it exactly
 				e, d = i, di

@@ -275,6 +275,44 @@ func TestDenseSolvesIdentically(t *testing.T) {
 	}
 }
 
+// TestReplayedPolishMatchesImprove: Solve and LocalSearch, whose polish
+// replays tsp.Improve from the last fixed point, return the tour, reward
+// and cost bits they return when every polish is a full tsp.Improve on
+// Dense, on random problems above ExactMax.
+func TestReplayedPolishMatchesImprove(t *testing.T) {
+	bits := func(s Solution) []uint64 {
+		return []uint64{math.Float64bits(s.Reward), math.Float64bits(s.Cost)}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		n := ExactMax + 1 + int(seed*13)%100
+		budget := []float64{100, 300, 600}[seed%3]
+		solve := func(full bool) (Solution, Solution) {
+			p, _ := randomProblem(n, budget, 500+seed)
+			p.Dense = tsp.NewMatrix(p.N, p.Cost)
+			p.fullPolish = full
+			sol, err := Solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start, err := TourSplit(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sol, LocalSearch(p, start)
+		}
+		gotSolve, gotLS := solve(false)
+		wantSolve, wantLS := solve(true)
+		for _, c := range []struct {
+			name      string
+			got, want Solution
+		}{{"Solve", gotSolve, wantSolve}, {"LocalSearch", gotLS, wantLS}} {
+			if !slices.Equal(c.got.Tour.Order, c.want.Tour.Order) || !slices.Equal(bits(c.got), bits(c.want)) {
+				t.Fatalf("seed %d n %d %s: replayed %+v, full Improve %+v", seed, n, c.name, c.got, c.want)
+			}
+		}
+	}
+}
+
 func TestTourSplitFullBudgetTakesEverything(t *testing.T) {
 	p, _ := randomProblem(25, 1e9, 77)
 	sol, err := TourSplit(p)

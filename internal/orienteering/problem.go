@@ -42,6 +42,12 @@ type Problem struct {
 	Budget float64
 	// Depot is the node every tour must contain.
 	Depot int
+
+	// pr replays polish on Dense from the last fixed point it reached;
+	// created on first use. fullPolish, set only by tests, polishes by a
+	// full tsp.Improve on Dense instead: the replay's oracle.
+	pr         *tsp.Pruner
+	fullPolish bool
 }
 
 // Validate reports whether the instance is well formed.
@@ -61,12 +67,26 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// polish re-orders t by tsp.Improve, on Dense when the problem has it.
+// polish re-orders t as tsp.Improve does, on Dense when the problem has
+// it. There, a Pruner replays the search from the fixed point the last
+// polish reached: the solvers polish tours that differ from the previous
+// one by a few edits, and a Pruner allows any edit between calls, so
+// polish only re-evaluates the moves those edits could have made
+// improving (see tsp.Pruner).
 func (p *Problem) polish(t *tsp.Tour) float64 {
-	if p.Dense != nil {
+	if p.Dense == nil {
+		return tsp.ImproveMetric(t, p.Cost)
+	}
+	if p.fullPolish {
 		return tsp.Improve(t, p.Dense)
 	}
-	return tsp.ImproveMetric(t, p.Cost)
+	if p.pr == nil {
+		p.pr = tsp.NewPruner(tsp.Tour{}, p.Dense, p.Cost)
+	}
+	p.pr.Tour = *t
+	saved := p.pr.Improve()
+	*t = p.pr.Tour
+	return saved
 }
 
 // Solution is a feasible closed tour and its collected reward.
