@@ -50,10 +50,11 @@ func FuzzServeRequest(f *testing.F) {
 			t.Fatalf("decoded a body with trailing data: %q", body)
 		}
 		key, err := req.Key()
-		checkMemo(t, body, key)
 		if err != nil {
+			checkMemo(t, body, "")
 			return
 		}
+		checkMemo(t, body, key)
 		b, err := json.Marshal(req)
 		if err != nil {
 			t.Fatalf("Marshal of a keyed request: %v", err)
