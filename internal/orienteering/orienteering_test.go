@@ -247,18 +247,43 @@ func TestSolveAutoLarge(t *testing.T) {
 	}
 }
 
-// TestDenseSolvesIdentically: a problem carrying its cost matrix solves to
-// the same tour and reward as one with the closure alone, with every
-// solver that polishes tours.
+// TestDenseSolvesIdentically: a problem carrying its cost matrix, whose
+// polish replays tsp.Improve from the last fixed point, solves to the same
+// tour, reward and cost bits as one with the closure alone, whose polish
+// is a full search each time, with every solver that polishes tours. The
+// sizes run from 40 nodes up past a hundred, above ExactMax, so Solve
+// polishes by local search.
 func TestDenseSolvesIdentically(t *testing.T) {
 	methods := map[string]func(*Problem) (Solution, error){
 		"greedy":    heuristics[0].solve,
 		"toursplit": heuristics[1].solve,
 		"auto":      func(p *Problem) (Solution, error) { return Solve(p) },
+		"localsearch": func(p *Problem) (Solution, error) {
+			start, err := TourSplit(p)
+			if err != nil {
+				return Solution{}, err
+			}
+			return LocalSearch(p, start), nil
+		},
 	}
+	type instance struct {
+		n      int
+		budget float64
+		seed   int64
+	}
+	var instances []instance
 	for seed := int64(0); seed < 4; seed++ {
+		instances = append(instances, instance{40, 150, 30 + seed})
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		instances = append(instances, instance{ExactMax + 1 + int(seed*13)%100, []float64{100, 300, 600}[seed%3], 500 + seed})
+	}
+	bits := func(s Solution) []uint64 {
+		return []uint64{math.Float64bits(s.Reward), math.Float64bits(s.Cost)}
+	}
+	for _, in := range instances {
 		for _, method := range slices.Sorted(maps.Keys(methods)) {
-			p, _ := randomProblem(40, 150, 30+seed)
+			p, _ := randomProblem(in.n, in.budget, in.seed)
 			want, err := methods[method](p)
 			if err != nil {
 				t.Fatal(err)
@@ -268,48 +293,36 @@ func TestDenseSolvesIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Tour.Order, want.Tour.Order) || got.Reward != want.Reward || got.Cost != want.Cost {
-				t.Fatalf("seed %d method %s: dense %+v, closure %+v", seed, method, got, want)
+			if !slices.Equal(got.Tour.Order, want.Tour.Order) || !slices.Equal(bits(got), bits(want)) {
+				t.Fatalf("%+v method %s: dense %+v, closure %+v", in, method, got, want)
 			}
 		}
 	}
 }
 
-// TestReplayedPolishMatchesImprove: Solve and LocalSearch, whose polish
-// replays tsp.Improve from the last fixed point, return the tour, reward
-// and cost bits they return when every polish is a full tsp.Improve on
-// Dense, on random problems above ExactMax.
-func TestReplayedPolishMatchesImprove(t *testing.T) {
-	bits := func(s Solution) []uint64 {
-		return []uint64{math.Float64bits(s.Reward), math.Float64bits(s.Cost)}
+// TestDenseReplacedRepolishes: a Problem whose Dense (and Cost) is
+// replaced after a solve polishes on the new matrix, not on the one its
+// earlier polish replayed from.
+func TestDenseReplacedRepolishes(t *testing.T) {
+	p, _ := randomProblem(60, 300, 71)
+	p.Dense = tsp.NewMatrix(p.N, p.Cost)
+	if _, err := Solve(p); err != nil {
+		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 12; seed++ {
-		n := ExactMax + 1 + int(seed*13)%100
-		budget := []float64{100, 300, 600}[seed%3]
-		solve := func(full bool) (Solution, Solution) {
-			p, _ := randomProblem(n, budget, 500+seed)
-			p.Dense = tsp.NewMatrix(p.N, p.Cost)
-			p.fullPolish = full
-			sol, err := Solve(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			start, err := TourSplit(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sol, LocalSearch(p, start)
-		}
-		gotSolve, gotLS := solve(false)
-		wantSolve, wantLS := solve(true)
-		for _, c := range []struct {
-			name      string
-			got, want Solution
-		}{{"Solve", gotSolve, wantSolve}, {"LocalSearch", gotLS, wantLS}} {
-			if !slices.Equal(c.got.Tour.Order, c.want.Tour.Order) || !slices.Equal(bits(c.got), bits(c.want)) {
-				t.Fatalf("seed %d n %d %s: replayed %+v, full Improve %+v", seed, n, c.name, c.got, c.want)
-			}
-		}
+	q, pts := randomProblem(60, 300, 72)
+	want, err := Solve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Cost = func(i, j int) float64 { return pts[i].Dist(pts[j]) }
+	p.Reward = q.Reward
+	p.Dense = tsp.NewMatrix(p.N, p.Cost)
+	got, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Tour.Order, want.Tour.Order) || got.Reward != want.Reward || got.Cost != want.Cost {
+		t.Fatalf("after replacing Dense: %+v, fresh problem %+v", got, want)
 	}
 }
 

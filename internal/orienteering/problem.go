@@ -24,6 +24,9 @@ import (
 )
 
 // Problem is a rooted cycle-orienteering instance over items 0..N-1.
+//
+// The solvers keep polish state in the Problem, so a Problem belongs to one
+// solve at a time: concurrent solves need a Problem each.
 type Problem struct {
 	// N is the number of nodes, including the depot.
 	N int
@@ -43,11 +46,10 @@ type Problem struct {
 	// Depot is the node every tour must contain.
 	Depot int
 
-	// pr replays polish on Dense from the last fixed point it reached;
-	// created on first use. fullPolish, set only by tests, polishes by a
-	// full tsp.Improve on Dense instead: the replay's oracle.
-	pr         *tsp.Pruner
-	fullPolish bool
+	// pr replays polish on prDense from the last fixed point it reached;
+	// it is rebuilt when Dense is no longer prDense.
+	pr      *tsp.Pruner
+	prDense *tsp.Matrix
 }
 
 // Validate reports whether the instance is well formed.
@@ -77,11 +79,8 @@ func (p *Problem) polish(t *tsp.Tour) float64 {
 	if p.Dense == nil {
 		return tsp.ImproveMetric(t, p.Cost)
 	}
-	if p.fullPolish {
-		return tsp.Improve(t, p.Dense)
-	}
-	if p.pr == nil {
-		p.pr = tsp.NewPruner(tsp.Tour{}, p.Dense, p.Cost)
+	if p.pr == nil || p.prDense != p.Dense {
+		p.pr, p.prDense = tsp.NewPruner(tsp.Tour{}, p.Dense, p.Cost), p.Dense
 	}
 	p.pr.Tour = *t
 	saved := p.pr.Improve()
