@@ -124,7 +124,7 @@ fastpath:
 # errors, every body bit-identical to a direct plan.
 serve:
 	$(GO) test -race -count=1 ./internal/canon ./cmd/uavserve
-	$(GO) test -race -count=1 -skip 'TestBodyMemo' ./internal/serve
+	$(GO) test -race -count=1 -skip 'TestBodyMemo|FuzzServeRequest' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestBodyMemoHTTPParity|TestBodyMemoBadBodiesNeverMemoized|TestBodyMemoEvictedPlanReplans|TestBodyMemoDisabled|TestBodyMemoBounded|TestBodyMemoConcurrentRepeats|TestBodyMemoOversizeErrorText|FuzzServeRequest' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestBenchServePanel|TestServeRequestsDeterministic' ./internal/experiments
 	$(GO) run ./cmd/uavserve -smoke 1000 -preset reduced -distinct 8 -clients 16

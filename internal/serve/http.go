@@ -38,7 +38,8 @@ const bodyPresize = 256 << 10
 // coalesced), Uavdc-Key, and Uavdc-Elapsed-Us.
 //
 // /plan reads the whole body and looks its SHA-256 digest up in the body
-// memo before decoding it. Decoding and Request.Key are pure functions of
+// memo before decoding it (with the memo disabled, CacheSize < 0, it
+// decodes the body as it streams in). Decoding and Request.Key are pure functions of
 // the body bytes, so a byte-identical repeat whose plan is still cached is
 // served as the hit Server.Do would return, without either; anything else
 // is decoded and goes through Do, and a body that keys is memoized.
@@ -59,23 +60,26 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusMethodNotAllowed, encodeError(ErrBadRequest, "use POST"))
 		return
 	}
-	raw, readErr := readBody(w, r)
+	var body io.Reader = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var digest string
-	if readErr == nil && s.memo.cap > 0 {
-		sum := sha256.Sum256(raw)
-		digest = string(sum[:])
-		if key, ok := s.memo.Get(digest); ok {
-			if out, ok := s.doCached(key); ok {
-				writeOutcome(w, out)
-				return
+	if s.memo.cap > 0 {
+		raw, readErr := readBody(body, r.ContentLength)
+		if readErr == nil {
+			sum := sha256.Sum256(raw)
+			digest = string(sum[:])
+			if key, ok := s.memo.Get(digest); ok {
+				if out, ok := s.doCached(key); ok {
+					writeOutcome(w, out)
+					return
+				}
 			}
 		}
-	}
-	// A failed read is replayed to the decoder after the bytes that
-	// arrived, so it reports exactly what decoding the stream would.
-	var body io.Reader = bytes.NewReader(raw)
-	if readErr != nil {
-		body = io.MultiReader(body, errReader{readErr})
+		// A failed read is replayed to the decoder after the bytes that
+		// arrived, so it reports exactly what decoding the stream would.
+		body = bytes.NewReader(raw)
+		if readErr != nil {
+			body = io.MultiReader(body, errReader{readErr})
+		}
 	}
 	req, err := decodeRequest(body)
 	if err != nil {
@@ -108,11 +112,12 @@ func writeOutcome(w http.ResponseWriter, out Outcome) {
 	writeBody(w, out.Status, out.Body)
 }
 
-// readBody reads the whole /plan body, at most maxRequestBytes of it. On
-// error it returns the bytes read before the error.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), bodyPresize)+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+// readBody reads the whole /plan body from body, whose declared length is
+// n (-1 when unknown). On error it returns the bytes read before the
+// error.
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(n, 0), bodyPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
 	return buf.Bytes(), err
 }
 

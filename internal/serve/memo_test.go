@@ -202,6 +202,28 @@ func TestBodyMemoDisabled(t *testing.T) {
 	if n := counter(s, CounterBodyMemoHits); n != 0 {
 		t.Fatalf("serve.body_memo_hits = %d, want 0", n)
 	}
+	// With nothing to digest, the body is decoded as it streams in, so a
+	// syntax error is rejected without reading the rest of the body.
+	var read countingReader
+	read.r = io.MultiReader(strings.NewReader(`{not json`), io.LimitReader(repeatByte('a'), maxRequestBytes))
+	if w := send(s.Handler(), &read); w.Code != http.StatusBadRequest {
+		t.Fatalf("garbage body: status %d, want 400", w.Code)
+	}
+	if read.n >= 1<<20 {
+		t.Fatalf("garbage body: %d bytes read before the 400, want under 1 MiB", read.n)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // TestBodyMemoBounded: the memo never holds more entries than the plan
@@ -277,7 +299,9 @@ func TestBodyMemoConcurrentRepeats(t *testing.T) {
 
 // TestBodyMemoOversizeErrorText: a body over maxRequestBytes, and one
 // with a syntax error early in an oversize body, get the 400 text that
-// decoding the capped stream gives.
+// decoding the capped stream gives, with the memo on (the body is read
+// whole, then replayed to the decoder) and off (it is decoded as it
+// streams in).
 func TestBodyMemoOversizeErrorText(t *testing.T) {
 	pad := func() io.Reader { return io.LimitReader(repeatByte('a'), maxRequestBytes+1) }
 	for _, c := range []struct {
@@ -286,24 +310,25 @@ func TestBodyMemoOversizeErrorText(t *testing.T) {
 		{"unterminated string", `{"schema":"`},
 		{"early syntax error", `{not json`},
 	} {
-		name := c.name
 		body := func() io.Reader { return io.MultiReader(strings.NewReader(c.prefix), pad()) }
 		rec := httptest.NewRecorder()
 		_, err := decodeRequest(http.MaxBytesReader(rec, io.NopCloser(body()), maxRequestBytes))
 		if err == nil {
-			t.Fatalf("%s: the capped stream decoded", name)
+			t.Fatalf("%s: the capped stream decoded", c.name)
 		}
 		want := encodeError(ErrBadRequest, fmt.Sprintf("decode request: %v", err))
 
-		s := stubServer(0)
-		w := send(s.Handler(), body())
-		if w.Code != http.StatusBadRequest || !bytes.Equal(w.Body.Bytes(), want) {
-			t.Fatalf("%s: status %d body %q, want 400 %q", name, w.Code, w.Body.Bytes(), want)
+		for _, size := range []int{0, -1} {
+			s := stubServer(size)
+			w := send(s.Handler(), body())
+			if w.Code != http.StatusBadRequest || !bytes.Equal(w.Body.Bytes(), want) {
+				t.Fatalf("%s, CacheSize %d: status %d body %q, want 400 %q", c.name, size, w.Code, w.Body.Bytes(), want)
+			}
+			if n := s.memo.Len(); n != 0 {
+				t.Fatalf("%s, CacheSize %d: memo holds %d entries, want 0", c.name, size, n)
+			}
+			s.Close(context.Background())
 		}
-		if n := s.memo.Len(); n != 0 {
-			t.Fatalf("%s: memo holds %d entries, want 0", name, n)
-		}
-		s.Close(context.Background())
 	}
 }
 
