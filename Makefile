@@ -25,7 +25,8 @@ vet:
 # CONTRIBUTING.md, "Static analysis".
 # lint fails fast and keeps uavlint's exit codes distinct: 1 means the
 # analyzers found violations (fix or //uavdc:allow them), 2 means the
-# lint engine itself could not load or check the module.
+# lint engine itself could not load or check the module (a parse or
+# type error, or a failed `go list -export` for the imported packages).
 lint:
 	@$(GO) run ./cmd/uavlint ./... ; code=$$?; \
 	if [ $$code -eq 1 ]; then \

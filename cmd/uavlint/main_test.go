@@ -241,6 +241,28 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunLoadErrorExits2: a module the engine cannot load (here, one
+// importing a package that does not exist, so `go list` fails) is a
+// load error, exit 2, not a lint finding.
+func TestRunLoadErrorExits2(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []struct{ name, src string }{
+		{"go.mod", "module tmp\n\ngo 1.23\n"},
+		{"a.go", "package tmp\n\nimport _ \"nosuch/pkg\"\n"},
+	} {
+		if err := os.WriteFile(filepath.Join(root, f.name), []byte(f.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-C", root}, &stdout, &stderr, loadOnce); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "nosuch/pkg") {
+		t.Errorf("stderr does not name the missing package: %s", stderr.String())
+	}
+}
+
 func TestRunBadDir(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-C", filepath.Join(fixture, "no-such-dir")}, &stdout, &stderr, loadOnce); code != 2 {

@@ -428,8 +428,8 @@ func (dv *devirt) resolve(fn *types.Func) []FuncID {
 
 // canonical maps an interface type (possibly from a re-checked unit) to
 // its pass-1 twin and a stable cache key. Standard-library interfaces
-// are already canonical — the loader shares one serialized source
-// importer, so their objects are identical across generations.
+// are already canonical — the loader shares one export-data importer
+// per load, so their objects are identical across generations.
 func (dv *devirt) canonical(recv types.Type) (*types.Interface, string) {
 	if named, ok := recv.(*types.Named); ok {
 		obj := named.Obj()

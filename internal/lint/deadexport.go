@@ -24,7 +24,7 @@ import (
 // key in a composite literal, a position in an unkeyed one, the left
 // side of an assignment or ++/--, or the operand of &. A field with a
 // json tag is exempt, since encoding/json sets it. The findings are
-// computed once per module; each package task emits its own.
+// computed once per module; each package pass emits its own.
 func DeadExport() *Analyzer {
 	a := &Analyzer{
 		Name: "deadexport",
@@ -39,8 +39,7 @@ func DeadExport() *Analyzer {
 	return a
 }
 
-// deadExports computes (once) the module's deadexport findings; safe
-// for concurrent use from parallel analyzer tasks.
+// deadExports computes (once) the module's deadexport findings.
 func (m *Module) deadExports() []unitDiag {
 	m.deadOnce.Do(func() { m.deadDiags = computeDeadExports(m) })
 	return m.deadDiags

@@ -2,19 +2,17 @@ package lint
 
 import (
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // EffectKind classifies one observable side effect of a function body.
 // The first five kinds violate the plan-purity contract (DESIGN.md
 // decision 9): a cached plan keyed by the canonical instance is only
 // sound if planning reads nothing but the instance. The remaining kinds
-// are tracked in summaries — locksafety and golifecycle care, and the
-// planners' deterministic parallel scan uses channels and WaitGroups
-// legitimately — but they are not pureplan violations.
+// are tracked in summaries, because locksafety and golifecycle care,
+// but they are not pureplan violations: a planner may use a local
+// channel or lock without reading anything beyond the instance.
 type EffectKind uint8
 
 const (
@@ -200,7 +198,7 @@ func recvLabel(fn *types.Func) string {
 // Interp is the module-wide interprocedural index: the same-module call
 // graph plus each function's transitive effect summary. It is computed
 // once per loaded Module (see Module.Interp) and shared read-only by
-// every analyzer task.
+// every analyzer.
 type Interp struct {
 	// Graph is the same-module call graph.
 	Graph *Graph
@@ -211,7 +209,6 @@ type Interp struct {
 }
 
 // Interp builds (once) and returns the module's interprocedural index.
-// Safe for concurrent use from parallel analyzer tasks.
 func (m *Module) Interp() *Interp {
 	m.interpOnce.Do(func() {
 		g := buildGraph(m)
@@ -221,90 +218,29 @@ func (m *Module) Interp() *Interp {
 }
 
 // summarize computes transitive effect summaries bottom-up: Tarjan's
-// algorithm condenses the graph into strongly connected components,
-// components are grouped into dependency waves (a component's wave is
-// one past the deepest component it calls into), and each wave is
-// summarized in parallel — the same schedule the loader uses for
-// type-checking. Within a component, mutual recursion is handled by a
-// union fixpoint: every member absorbs the whole component's effects.
+// algorithm condenses the graph into strongly connected components and
+// emits them callees first, so one forward pass settles every summary.
+// Within a component, mutual recursion is handled by a union: every
+// member absorbs the whole component's effects.
 func summarize(g *Graph) map[FuncID]EffectSet {
-	sccs := condense(g)
-
-	// Component index per node, for cross-component edge lookups.
-	compOf := make(map[FuncID]int, len(g.order))
-	for ci, members := range sccs {
-		for _, id := range members {
-			compOf[id] = ci
-		}
-	}
-
-	// Wave = longest callee-chain depth in the condensation DAG.
-	wave := make([]int, len(sccs))
-	maxWave := 0
-	for ci, members := range sccs {
-		// Tarjan emits components in reverse topological order: every
-		// callee component of ci has an index < ci, so one forward scan
-		// settles the depths.
-		w := 0
-		for _, id := range members {
-			for _, e := range g.Nodes[id].Edges {
-				cj, ok := compOf[e.Callee]
-				if !ok || cj == ci {
-					continue
-				}
-				if wave[cj]+1 > w {
-					w = wave[cj] + 1
-				}
-			}
-		}
-		wave[ci] = w
-		if w > maxWave {
-			maxWave = w
-		}
-	}
-
 	summaries := make(map[FuncID]EffectSet, len(g.order))
-	var mu sync.Mutex
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for w := 0; w <= maxWave; w++ {
-		var wg sync.WaitGroup
-		for ci := range sccs {
-			if wave[ci] != w {
-				continue
+	for _, members := range condense(g) {
+		// Callees outside the component are already settled; members of
+		// the component itself have no summary yet and contribute only
+		// their direct effects, which the union covers.
+		var acc EffectSet
+		for _, id := range members {
+			node := g.Nodes[id]
+			for _, eff := range node.Effects {
+				acc = acc.Add(eff.Kind)
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				// Union fixpoint over the component: direct effects of
-				// every member plus the (already settled) summaries of
-				// callee components. One pass suffices because the union
-				// is symmetric across members; the loop guards against
-				// future per-member refinement.
-				members := sccs[ci]
-				var acc EffectSet
-				for _, id := range members {
-					node := g.Nodes[id]
-					for _, eff := range node.Effects {
-						acc = acc.Add(eff.Kind)
-					}
-					for _, e := range node.Edges {
-						if cj, ok := compOf[e.Callee]; ok && cj != ci {
-							mu.Lock()
-							acc |= summaries[e.Callee]
-							mu.Unlock()
-						}
-					}
-				}
-				mu.Lock()
-				for _, id := range members {
-					summaries[id] = acc
-				}
-				mu.Unlock()
-			}()
+			for _, e := range node.Edges {
+				acc |= summaries[e.Callee]
+			}
 		}
-		wg.Wait()
+		for _, id := range members {
+			summaries[id] = acc
+		}
 	}
 	return summaries
 }

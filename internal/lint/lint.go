@@ -60,9 +60,7 @@ import (
 	"fmt"
 	"go/token"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"uavdc/internal/wire"
@@ -110,7 +108,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // unitDiag is one finding of a module-wide analysis, routed to the
-// analysis unit that owns its site so each per-package task emits only
+// analysis unit that owns its site so each per-package pass emits only
 // its own.
 type unitDiag struct {
 	unit *Package
@@ -177,13 +175,10 @@ const DirectiveAnalyzer = "directive"
 // RunTimed executes the analyzers over every package of the module and
 // returns all diagnostics — suppressed ones included, marked — sorted by
 // file, line, column, analyzer, plus per-analyzer wall time. Malformed
-// suppression directives are reported under DirectiveAnalyzer. Each
-// (package, analyzer) pair runs as its own task, parallel across
-// GOMAXPROCS, and the returned map accumulates every analyzer's total
-// task time by name. Because tasks overlap, the per-analyzer totals can
-// sum to more than the elapsed wall clock — they rank where the suite
-// spends its time, they do not partition it. Scheduling never reaches
-// the output.
+// suppression directives are reported under DirectiveAnalyzer. The
+// analyzers run one after another, each over every package, and the
+// returned map holds each analyzer's wall time by name, so the
+// per-analyzer times add up to the analysis time.
 func RunTimed(mod *Module, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration) {
 	// Directive validity is judged against the full registry, not the
 	// subset that happens to run: a -analyzers errdrop pass must not
@@ -214,41 +209,13 @@ func RunTimed(mod *Module, analyzers []*Analyzer) ([]Diagnostic, map[string]time
 		}
 	}
 
-	type task struct {
-		pkg *Package
-		a   *Analyzer
-	}
-	var tasks []task
-	for _, pkg := range mod.Pkgs {
-		for _, a := range analyzers {
-			tasks = append(tasks, task{pkg: pkg, a: a})
-		}
-	}
-	results := make([][]Diagnostic, len(tasks))
-	took := make([]time.Duration, len(tasks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range tasks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now() //uavdc:allow nodeterminism task wall time only feeds the summary's per-analyzer breakdown, never planner output
-			var out []Diagnostic
-			tasks[i].a.Run(&Pass{Pkg: tasks[i].pkg, Mod: mod, analyzer: tasks[i].a, out: &out})
-			took[i] = time.Since(start) //uavdc:allow nodeterminism task wall time only feeds the summary's per-analyzer breakdown, never planner output
-			results[i] = out
-		}()
-	}
-	wg.Wait()
 	timings := make(map[string]time.Duration, len(analyzers))
 	for _, a := range analyzers {
-		timings[a.Name] = 0
-	}
-	for i, t := range tasks {
-		diags = append(diags, results[i]...)
-		timings[t.a.Name] += took[i]
+		start := time.Now() //uavdc:allow nodeterminism task wall time only feeds the summary's per-analyzer breakdown, never planner output
+		for _, pkg := range mod.Pkgs {
+			a.Run(&Pass{Pkg: pkg, Mod: mod, analyzer: a, out: &diags})
+		}
+		timings[a.Name] = time.Since(start) //uavdc:allow nodeterminism task wall time only feeds the summary's per-analyzer breakdown, never planner output
 	}
 
 	for i := range diags {
@@ -372,7 +339,7 @@ func WriteJSON(w io.Writer, modPath string, diags []Diagnostic, elapsed time.Dur
 // WriteSummary renders the one-line human summary: total and active
 // finding counts, the per-analyzer breakdown in name order, the
 // load+run wall time, and — when RunTimed's timings are given — each
-// analyzer's accumulated task time in name order.
+// analyzer's wall time in name order.
 func WriteSummary(w io.Writer, diags []Diagnostic, timings map[string]time.Duration, elapsed time.Duration) error {
 	counts := Counts(diags)
 	names := make([]string, 0, len(counts))

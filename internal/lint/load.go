@@ -1,15 +1,19 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,12 +86,12 @@ type Module struct {
 	BaseTypes map[string]*types.Package
 
 	// interpOnce guards interp, the module-wide interprocedural index
-	// (call graph + effect summaries) shared by every analyzer task.
+	// (call graph + effect summaries) shared by every analyzer.
 	interpOnce sync.Once
 	interp     *Interp
 
 	// pureOnce guards pureDiags, the pureplan analyzer's module-wide
-	// violation list (each per-package task emits only its own slice).
+	// violation list (each per-package pass emits only its own slice).
 	pureOnce  sync.Once
 	pureDiags []unitDiag
 
@@ -99,21 +103,22 @@ type Module struct {
 
 // rawPkg is one package directory before type checking.
 type rawPkg struct {
-	path     string // import path
-	dir      string // slash-relative to root
-	base     []*ast.File
-	inTest   []*ast.File // _test.go files in the base package
-	extTest  []*ast.File // _test.go files in the <name>_test package
-	src      map[string][]byte
-	deps     []string // module-internal imports of the base files
-	testDeps []string // module-internal imports of the test files
+	path    string // import path
+	dir     string // slash-relative to root
+	base    []*ast.File
+	inTest  []*ast.File // _test.go files in the base package
+	extTest []*ast.File // _test.go files in the <name>_test package
+	src     map[string][]byte
+	deps    []string // module-internal imports of the base files
 }
 
 // Load parses and type-checks every package of the module rooted at
-// root, using only the standard library: module-internal imports resolve
-// against the packages loaded here, standard-library imports through the
-// stdlib source importer. Any parse or type error aborts the load — the
-// analyzers only ever see well-typed code.
+// root. Module-internal imports resolve against the packages loaded
+// here; every other import resolves through the go toolchain's export
+// data, located by one `go list -export -deps` run over the module's
+// non-module imports. Any parse or type error, and any failure to list
+// or read export data, aborts the load — the analyzers only ever see
+// well-typed code.
 func Load(root string) (*Module, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
@@ -124,16 +129,11 @@ func Load(root string) (*Module, error) {
 		return nil, err
 	}
 
-	// Discovery walk: collect the .go files first, then read and parse
-	// them in parallel — a FileSet is safe for concurrent use, and every
-	// downstream consumer sorts before emitting, so worker scheduling
-	// never reaches the output.
+	// Walk and parse in walk order, grouping files into packages and
+	// collecting every import from outside the module.
 	fset := token.NewFileSet()
-	type parseJob struct {
-		path string // absolute file path
-		rel  string // slash-relative package dir
-	}
-	var jobs []parseJob
+	raws := map[string]*rawPkg{} // by import path
+	external := map[string]bool{}
 	err = filepath.WalkDir(absRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -153,200 +153,150 @@ func Load(root string) (*Module, error) {
 		if err != nil {
 			return err
 		}
-		jobs = append(jobs, parseJob{path: path, rel: filepath.ToSlash(rel)})
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		importPath := modPath
+		if rel != "." {
+			importPath = modPath + "/" + rel
+		}
+		rp := raws[importPath]
+		if rp == nil {
+			rp = &rawPkg{path: importPath, dir: rel, src: map[string][]byte{}}
+			raws[importPath] = rp
+		}
+		rp.src[filepath.Base(path)] = src
+		switch {
+		case strings.HasSuffix(path, "_test.go") && strings.HasSuffix(file.Name.Name, "_test"):
+			rp.extTest = append(rp.extTest, file)
+		case strings.HasSuffix(path, "_test.go"):
+			rp.inTest = append(rp.inTest, file)
+		default:
+			rp.base = append(rp.base, file)
+		}
+		for _, spec := range file.Imports {
+			if p, err := strconv.Unquote(spec.Path.Value); err == nil && !inModule(modPath, p) {
+				external[p] = true
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	type parseResult struct {
-		src  []byte
-		file *ast.File
-		err  error
-	}
-	parsed := make([]parseResult, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range jobs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := &parsed[i]
-			r.src, r.err = os.ReadFile(jobs[i].path)
-			if r.err != nil {
-				return
-			}
-			r.file, r.err = parser.ParseFile(fset, jobs[i].path, r.src, parser.ParseComments|parser.SkipObjectResolution)
-		}()
-	}
-	wg.Wait()
-
-	// Assemble packages in the deterministic walk order, failing on the
-	// first (walk-ordered) parse error.
-	raws := map[string]*rawPkg{} // by import path
-	for i, job := range jobs {
-		if parsed[i].err != nil {
-			return nil, parsed[i].err
-		}
-		importPath := modPath
-		if job.rel != "." {
-			importPath = modPath + "/" + job.rel
-		}
-		rp := raws[importPath]
-		if rp == nil {
-			rp = &rawPkg{path: importPath, dir: job.rel, src: map[string][]byte{}}
-			raws[importPath] = rp
-		}
-		file := parsed[i].file
-		rp.src[filepath.Base(job.path)] = parsed[i].src
-		switch {
-		case strings.HasSuffix(job.path, "_test.go") && strings.HasSuffix(file.Name.Name, "_test"):
-			rp.extTest = append(rp.extTest, file)
-		case strings.HasSuffix(job.path, "_test.go"):
-			rp.inTest = append(rp.inTest, file)
-		default:
-			rp.base = append(rp.base, file)
-		}
-	}
-
 	// Record module-internal dependencies for topological checking.
 	for _, rp := range raws {
 		rp.deps = internalImports(modPath, rp.base)
-		rp.testDeps = internalImports(modPath, append(append([]*ast.File{}, rp.inTest...), rp.extTest...))
 		sortFilesByName(fset, rp.base)
 		sortFilesByName(fset, rp.inTest)
 		sortFilesByName(fset, rp.extTest)
 	}
 
-	std := importer.ForCompiler(fset, "source", nil)
+	exports, err := listExports(absRoot, external)
+	if err != nil {
+		return nil, err
+	}
 	checked := map[string]*types.Package{}
-	imp := &moduleImporter{modPath: modPath, checked: checked, std: std}
+	imp := &moduleImporter{
+		modPath: modPath,
+		checked: checked,
+		// One importer per load: every unit then shares one copy of each
+		// imported package, so e.g. sync.Mutex is a single types.Type.
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file := exports[path]
+			if file == "" {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
+	}
 
-	// Pass 1: base packages, wave-parallel. Packages are grouped into
-	// dependency levels (a package's level is one past its deepest
-	// module-internal dependency); every package within a level can
-	// type-check concurrently because its imports all resolved in earlier
-	// levels. The shared source importer is serialized inside
-	// moduleImporter, and results land in the coordinator between waves,
-	// so checked/baseInfo never see concurrent writes. Errors surface in
-	// import-path order for deterministic output.
+	// Pass 1: base packages in dependency order, so every
+	// module-internal import resolves to an already checked package.
 	order, err := topoOrder(raws)
 	if err != nil {
 		return nil, err
 	}
 	baseInfo := map[string]*types.Info{}
-	level := map[string]int{}
-	maxLevel := 0
-	for _, path := range order { // topological: dependencies come first
-		lvl := 0
-		for _, dep := range raws[path].deps {
-			if _, ok := raws[dep]; ok && level[dep]+1 > lvl {
-				lvl = level[dep] + 1
-			}
+	for _, path := range order {
+		if len(raws[path].base) == 0 {
+			continue
 		}
-		level[path] = lvl
-		if lvl > maxLevel {
-			maxLevel = lvl
+		pkg, info, err := check(fset, imp, path, raws[path].base)
+		if err != nil {
+			return nil, err
 		}
-	}
-	type checkResult struct {
-		pkg  *types.Package
-		info *types.Info
-		err  error
-	}
-	for lvl := 0; lvl <= maxLevel; lvl++ {
-		var wave []string
-		for _, path := range order {
-			if level[path] == lvl && len(raws[path].base) > 0 {
-				wave = append(wave, path)
-			}
-		}
-		sort.Strings(wave) // errors below surface in import-path order
-		results := make([]checkResult, len(wave))
-		var cwg sync.WaitGroup
-		for i := range wave {
-			cwg.Add(1)
-			go func() {
-				defer cwg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				r := &results[i]
-				r.pkg, r.info, r.err = check(fset, imp, wave[i], raws[wave[i]].base)
-			}()
-		}
-		cwg.Wait()
-		for i := range results {
-			if results[i].err != nil {
-				return nil, results[i].err
-			}
-		}
-		for i, path := range wave {
-			checked[path] = results[i].pkg
-			baseInfo[path] = results[i].info
-		}
+		checked[path] = pkg
+		baseInfo[path] = info
 	}
 
-	// Pass 2: analysis units, fully parallel — every unit's imports
-	// resolve to the pass-1 objects (so import cycles through test files
-	// cannot occur), making the units independent of each other. A package
-	// with in-package test files is re-checked with them included;
-	// external test packages become their own units.
-	type unitJob struct {
-		path    string
-		rp      *rawPkg
-		files   []*ast.File
-		recheck bool // needs its own type-check (merged or external unit)
+	// Pass 2: analysis units. Every unit's imports resolve to the pass-1
+	// objects, so import cycles through test files cannot occur. A
+	// package with in-package test files is re-checked with them
+	// included; external test packages become their own units.
+	mod := &Module{Root: absRoot, Path: modPath, Fset: fset, BaseTypes: checked}
+	addUnit := func(path string, rp *rawPkg, files []*ast.File, pkg *types.Package, info *types.Info) {
+		mod.Pkgs = append(mod.Pkgs, &Package{
+			Path: path, ModPath: modPath, Dir: rp.dir, Fset: fset,
+			Files: files, Src: rp.src, Info: info, Types: pkg,
+		})
 	}
-	var units []unitJob
 	for _, path := range order {
 		rp := raws[path]
-		if len(rp.base) > 0 {
-			u := unitJob{path: path, rp: rp, files: rp.base}
-			if len(rp.inTest) > 0 {
-				u.files = append(append([]*ast.File{}, rp.base...), rp.inTest...)
-				sortFilesByName(fset, u.files)
-				u.recheck = true
+		switch {
+		case len(rp.base) > 0 && len(rp.inTest) > 0:
+			files := append(append([]*ast.File{}, rp.base...), rp.inTest...)
+			sortFilesByName(fset, files)
+			pkg, info, err := check(fset, imp, path, files)
+			if err != nil {
+				return nil, err
 			}
-			units = append(units, u)
+			addUnit(path, rp, files, pkg, info)
+		case len(rp.base) > 0:
+			addUnit(path, rp, rp.base, checked[path], baseInfo[path])
 		}
 		if len(rp.extTest) > 0 {
-			units = append(units, unitJob{path: path + "_test", rp: rp, files: rp.extTest, recheck: true})
-		}
-	}
-	unitResults := make([]checkResult, len(units))
-	var uwg sync.WaitGroup
-	for i := range units {
-		uwg.Add(1)
-		go func() {
-			defer uwg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := &unitResults[i]
-			u := units[i]
-			if !u.recheck {
-				r.pkg, r.info = checked[u.path], baseInfo[u.path]
-				return
+			pkg, info, err := check(fset, imp, path+"_test", rp.extTest)
+			if err != nil {
+				return nil, err
 			}
-			r.pkg, r.info, r.err = check(fset, imp, u.path, u.files)
-		}()
-	}
-	uwg.Wait()
-
-	mod := &Module{Root: absRoot, Path: modPath, Fset: fset, BaseTypes: checked}
-	for i, u := range units {
-		if unitResults[i].err != nil {
-			return nil, unitResults[i].err
+			addUnit(path+"_test", rp, rp.extTest, pkg, info)
 		}
-		mod.Pkgs = append(mod.Pkgs, &Package{
-			Path: u.path, ModPath: modPath, Dir: u.rp.dir, Fset: fset,
-			Files: u.files, Src: u.rp.src, Info: unitResults[i].info, Types: unitResults[i].pkg,
-		})
 	}
 	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].Path < mod.Pkgs[j].Path })
 	return mod, nil
+}
+
+// listExports runs one `go list -export -deps` in dir over the given
+// import paths and maps each listed package to its export-data file.
+// The paths come from outside the module, so the module itself is never
+// built.
+func listExports(dir string, paths map[string]bool) (map[string]string, error) {
+	exports := map[string]string{}
+	if len(paths) == 0 {
+		return exports, nil // a bare `go list` would list the module instead
+	}
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}
+	cmd := exec.Command("go", append(args, slices.Sorted(maps.Keys(paths))...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v\n%s", err, strings.TrimSpace(stderr.String()))
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, " ")
+		exports[path] = file
+	}
+	return exports, nil
 }
 
 // check type-checks one file list as the package at path.
@@ -378,23 +328,15 @@ func check(fset *token.FileSet, imp types.Importer, path string, files []*ast.Fi
 }
 
 // moduleImporter resolves module-internal imports from the loaded set
-// and everything else through the stdlib source importer. Import is
-// safe for concurrent use: the stdlib source importer type-checks
-// standard-library source on demand and is not itself concurrency-safe,
-// so the whole lookup is serialized under mu. (Per-worker importers
-// would be faster but would break type identity — two copies of
-// sync.Mutex would no longer be the same types.Type.)
+// and everything else through the export-data importer.
 type moduleImporter struct {
 	modPath string
-	mu      sync.Mutex
 	checked map[string]*types.Package
 	std     types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if path == m.modPath || strings.HasPrefix(path, m.modPath+"/") {
+	if inModule(m.modPath, path) {
 		pkg, ok := m.checked[path]
 		if !ok {
 			return nil, fmt.Errorf("module package %q not loaded (import cycle or missing directory?)", path)
@@ -402,6 +344,11 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	return m.std.Import(path)
+}
+
+// inModule reports whether the import path p lies inside the module.
+func inModule(modPath, p string) bool {
+	return p == modPath || strings.HasPrefix(p, modPath+"/")
 }
 
 // internalImports returns the module-internal import paths of files.
@@ -414,7 +361,7 @@ func internalImports(modPath string, files []*ast.File) []string {
 			if err != nil {
 				continue
 			}
-			if (p == modPath || strings.HasPrefix(p, modPath+"/")) && !seen[p] {
+			if inModule(modPath, p) && !seen[p] {
 				seen[p] = true
 				out = append(out, p)
 			}

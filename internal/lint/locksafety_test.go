@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,14 +11,7 @@ import (
 // (and so without perturbing the goldens).
 func runOnSnippet(t *testing.T, src string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
-	root := t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module tmp\n\ngo 1.23\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "snippet.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mod, err := Load(root)
+	mod, err := Load(writeModule(t, map[string]string{"snippet.go": src}))
 	if err != nil {
 		t.Fatalf("Load(snippet module): %v", err)
 	}

@@ -47,8 +47,8 @@ var purePlanSinks = []string{
 // full call chain from entry point to offending effect and anchor at
 // the effect site, so the usual //uavdc:allow pureplan grammar
 // suppresses one effect edge at a time. Channel, lock, and panic
-// operations are tracked in summaries but are not violations: the
-// planners' deterministic parallel scan uses them legitimately.
+// operations are tracked in summaries but are not violations: none of
+// them reads anything beyond the instance.
 func PurePlan() *Analyzer {
 	a := &Analyzer{
 		Name: "pureplan",
@@ -63,8 +63,7 @@ func PurePlan() *Analyzer {
 	return a
 }
 
-// purePlan computes (once) the module's pureplan violations; safe for
-// concurrent use from parallel analyzer tasks.
+// purePlan computes (once) the module's pureplan violations.
 func (m *Module) purePlan() []unitDiag {
 	m.pureOnce.Do(func() { m.pureDiags = computePurePlan(m) })
 	return m.pureDiags

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -164,7 +165,9 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 			writeBody(w, http.StatusBadRequest, encodeError(ErrBadRequest, "s must be a positive integer of seconds"))
 			return
 		}
-		window = time.Duration(secs) * time.Second
+		// A span past what a Duration holds reads the whole ring, as any
+		// span beyond the ring's does; unclamped, it would wrap negative.
+		window = time.Duration(min(int64(secs), math.MaxInt64/int64(time.Second))) * time.Second
 	}
 	writeJSON(w, s.WindowStats(window))
 }

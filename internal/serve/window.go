@@ -36,13 +36,33 @@ type windowSample struct {
 	latency  obs.HistStat
 }
 
-// windowRing is a fixed-size ring buffer of samples taken at a nominal
-// interval. Statistics over "the last s seconds" subtract the sample
-// s/interval slots back from the newest one.
+// ring is a fixed-size buffer of the most recently added values, safe
+// for concurrent use. Readers lock mu and read through held and back.
+type ring[T any] struct {
+	mu    sync.Mutex
+	buf   []T
+	total int // values ever added
+}
+
+func (r *ring[T]) add(v T) {
+	r.mu.Lock()
+	r.buf[r.total%len(r.buf)] = v
+	r.total++
+	r.mu.Unlock()
+}
+
+// held returns the number of retained values. The caller holds mu.
+func (r *ring[T]) held() int { return min(r.total, len(r.buf)) }
+
+// back returns the value i slots before the newest (0 is the newest),
+// for 0 <= i < held(). The caller holds mu.
+func (r *ring[T]) back(i int) T { return r.buf[(r.total-1-i)%len(r.buf)] }
+
+// windowRing is a ring of samples taken at a nominal interval.
+// Statistics over "the last s seconds" subtract the sample s/interval
+// slots back from the newest one.
 type windowRing struct {
-	mu       sync.Mutex
-	buf      []windowSample
-	total    int
+	ring[windowSample]
 	interval time.Duration
 }
 
@@ -50,14 +70,7 @@ func newWindowRing(size int, interval time.Duration) *windowRing {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &windowRing{buf: make([]windowSample, size), interval: interval}
-}
-
-func (r *windowRing) add(s windowSample) {
-	r.mu.Lock()
-	r.buf[r.total%len(r.buf)] = s
-	r.total++
-	r.mu.Unlock()
+	return &windowRing{ring: ring[windowSample]{buf: make([]windowSample, size)}, interval: interval}
 }
 
 // last returns the newest sample and the sample n slots earlier (clamped
@@ -65,22 +78,12 @@ func (r *windowRing) add(s windowSample) {
 func (r *windowRing) last(n int) (newest, oldest windowSample, span, have int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	have = r.total
-	if have > len(r.buf) {
-		have = len(r.buf)
-	}
+	have = r.held()
 	if have == 0 {
 		return windowSample{}, windowSample{}, 0, 0
 	}
-	if n > have-1 {
-		n = have - 1
-	}
-	if n < 0 {
-		n = 0
-	}
-	newest = r.buf[(r.total-1)%len(r.buf)]
-	oldest = r.buf[(r.total-1-n)%len(r.buf)]
-	return newest, oldest, n, have
+	n = max(0, min(n, have-1))
+	return r.back(0), r.back(n), n, have
 }
 
 // WindowStats is the /debug/window JSON body: load, cache behaviour, and
@@ -248,20 +251,11 @@ func (s *Server) Health() Health {
 // /debug/oplog endpoint, independent of whether a durable op-log sink is
 // configured — a live tail needs no restart.
 type oplogRing struct {
-	mu    sync.Mutex
-	buf   []oplog.Record
-	total int
+	ring[oplog.Record]
 }
 
 func newOplogRing(size int) *oplogRing {
-	return &oplogRing{buf: make([]oplog.Record, size)}
-}
-
-func (r *oplogRing) add(rec oplog.Record) {
-	r.mu.Lock()
-	r.buf[r.total%len(r.buf)] = rec
-	r.total++
-	r.mu.Unlock()
+	return &oplogRing{ring[oplog.Record]{buf: make([]oplog.Record, size)}}
 }
 
 // since returns the retained records with sequence numbers greater than
@@ -269,13 +263,10 @@ func (r *oplogRing) add(rec oplog.Record) {
 // ring) out of sequence order, so the slice is sorted before returning.
 func (r *oplogRing) since(after int64) []oplog.Record {
 	r.mu.Lock()
-	have := r.total
-	if have > len(r.buf) {
-		have = len(r.buf)
-	}
+	have := r.held()
 	out := make([]oplog.Record, 0, have)
-	for i := r.total - have; i < r.total; i++ {
-		if rec := r.buf[i%len(r.buf)]; rec.Seq > after {
+	for i := have - 1; i >= 0; i-- {
+		if rec := r.back(i); rec.Seq > after {
 			out = append(out, rec)
 		}
 	}

@@ -151,6 +151,23 @@ func TestGoldenWindow(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad ?s= accepted: %d", resp.StatusCode)
 	}
+
+	// A span too long for a time.Duration reads the whole ring (two
+	// intervals after a third sample), like any span past the ring's.
+	s.Sample()
+	resp, err = http.Get(ts.URL + "/debug/window?s=10000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st WindowStats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("?s=10000000000: status %d, decode %v", resp.StatusCode, err)
+	}
+	if st.Samples != 3 || st.WindowS != 2 {
+		t.Errorf("?s=10000000000: window_s %v over %d samples, want the retained span 2 over 3", st.WindowS, st.Samples)
+	}
 }
 
 // TestGoldenRuntime locks the uavdc-runtime/1 wire format: every value
