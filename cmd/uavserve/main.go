@@ -283,6 +283,10 @@ func runSmoke(cfg serve.Config, pcfg experiments.Config, total, distinct, client
 	wg.Wait()
 	wall := time.Since(start) //uavdc:allow nodeterminism smoke throughput is reported wall time
 
+	// Close the clients' idle keep-alive connections first: the server
+	// counts a connection that has not yet carried a request as active for
+	// its first 5 s, so Shutdown would wait out any such spare connection.
+	client.CloseIdleConnections()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {

@@ -121,16 +121,3 @@ func ClosestPointOnSegment(p, a, b Point) Point {
 	}
 	return a.Lerp(b, t)
 }
-
-// Centroid returns the arithmetic mean of the points; the zero Point for an
-// empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var s Point
-	for _, p := range pts {
-		s = s.Add(p)
-	}
-	return s.Scale(1 / float64(len(pts)))
-}

@@ -121,13 +121,3 @@ func TestClosestPointOnSegment(t *testing.T) {
 		t.Errorf("degenerate = %v", got)
 	}
 }
-
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("Centroid(nil) = %v", got)
-	}
-	got := Centroid([]Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)})
-	if got != Pt(1, 1) {
-		t.Errorf("Centroid = %v", got)
-	}
-}

@@ -4,7 +4,7 @@ import "fmt"
 
 // Multigraph is an adjacency-list multigraph used for the Euler-circuit step
 // of Christofides: the union of MST and matching edges can contain parallel
-// edges, which Dense cannot represent.
+// edges, which a weight matrix cannot represent.
 type Multigraph struct {
 	n   int
 	adj [][]halfEdge

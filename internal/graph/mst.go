@@ -4,36 +4,30 @@ import (
 	"math"
 )
 
-// MSTPrim returns the edges of a minimum spanning tree of g restricted to
-// the vertex subset sub (all vertices when sub is nil), using Prim's
-// algorithm with O(k²) scans — the right trade-off for the dense complete
-// graphs the planners build. It returns nil when the subset has fewer than
-// two vertices, and (nil, false) when the subset is not connected.
-func MSTPrim(g *Dense, sub []int) ([]Edge, bool) {
-	verts := sub
-	if verts == nil {
-		verts = make([]int, g.N())
-		for i := range verts {
-			verts[i] = i
-		}
-	}
-	k := len(verts)
-	if k == 0 {
+// Prim returns the edges of a minimum spanning tree of the complete graph
+// on vertices 0..n-1 whose edge weights come from w, using Prim's
+// algorithm with O(n²) scans — the right trade-off for the complete metric
+// graphs the planners build. w is read only as w(i, j) with i < j, so it
+// need hold only the upper triangle; a weight of +Inf marks an absent
+// edge. It returns no edges when n < 2, and (nil, false) when the graph
+// is not connected.
+func Prim(n int, w func(i, j int) float64) ([]Edge, bool) {
+	if n == 0 {
 		return nil, true
 	}
-	inTree := make([]bool, k)
-	bestW := make([]float64, k)
-	bestTo := make([]int, k)
+	inTree := make([]bool, n)
+	bestW := make([]float64, n)
+	bestTo := make([]int, n)
 	for i := range bestW {
 		bestW[i] = math.Inf(1)
 		bestTo[i] = -1
 	}
 	bestW[0] = 0
-	edges := make([]Edge, 0, k-1)
-	for iter := 0; iter < k; iter++ {
+	edges := make([]Edge, 0, n-1)
+	for iter := 0; iter < n; iter++ {
 		// Pick the cheapest fringe vertex.
 		sel := -1
-		for i := range verts {
+		for i := 0; i < n; i++ {
 			if !inTree[i] && (sel < 0 || bestW[i] < bestW[sel]) {
 				sel = i
 			}
@@ -42,17 +36,13 @@ func MSTPrim(g *Dense, sub []int) ([]Edge, bool) {
 			return nil, false // disconnected
 		}
 		inTree[sel] = true
-		if bestTo[sel] >= 0 {
-			u, v := verts[bestTo[sel]], verts[sel]
-			if u > v {
-				u, v = v, u
-			}
-			edges = append(edges, Edge{U: u, V: v, W: bestW[sel]})
+		if to := bestTo[sel]; to >= 0 {
+			edges = append(edges, Edge{U: min(to, sel), V: max(to, sel), W: bestW[sel]})
 		}
-		for i := range verts {
+		for i := 0; i < n; i++ {
 			if !inTree[i] {
-				if w := g.Weight(verts[sel], verts[i]); w < bestW[i] {
-					bestW[i] = w
+				if d := w(min(sel, i), max(sel, i)); d < bestW[i] {
+					bestW[i] = d
 					bestTo[i] = sel
 				}
 			}

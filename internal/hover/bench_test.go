@@ -15,6 +15,7 @@ func BenchmarkBuildPaperScale(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Build(net, energy.Default(), 10, Options{})

@@ -13,6 +13,7 @@
 package hover
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -32,7 +33,9 @@ type Location struct {
 	// hovers at altitude H above it; all geometry is projected).
 	Pos geom.Point
 	// Covered lists the sensor indices within the coverage radius,
-	// ascending. Empty for the depot.
+	// ascending. Empty for the depot. The Covered (and Rates) slices of
+	// one Set share a backing array, capped at their own length; they are
+	// read-only.
 	Covered []int
 	// Rates holds the per-sensor uplink rate in MB/s, parallel to
 	// Covered. Nil means every covered sensor uploads at the network
@@ -151,15 +154,26 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 		Altitude:    opts.Altitude,
 		Radio:       opts.Radio,
 		Grid:        grid,
-		Locs: []Location{{
-			Pos:       net.Depot,
-			SquareIdx: -1,
-		}},
 	}
 
-	seen := make(map[dupKeyString]int) // coverage signature → Locs index
+	// The scan keeps one candidate per coverage set and copies a square's
+	// covered sensors (and rates) into the arenas only when its set is new;
+	// Locs is sized once from the survivors after the scan.
+	type candidate struct {
+		pos    geom.Point
+		sq     int
+		lo, hi int // covered[lo:hi], rateArena[lo:hi]
+	}
+	var (
+		cands     []candidate
+		covered   []int
+		rateArena []units.BitsPerSecond
+		buf       []int                 // the current square's covered sensors
+		rates     []units.BitsPerSecond // their uplink rates (radio model only)
+		key       []byte                // their coverage key
+	)
+	seen := make(map[string]int) // coverage key → cands index
 	idx := net.Index()
-	var buf []int
 	for sq := 0; sq < grid.NumSquares(); sq++ {
 		// The last grid row/column may overhang the region when its
 		// extent is not a multiple of δ; clamp those centres back onto
@@ -170,31 +184,50 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 			s.PrunedEmpty++
 			continue
 		}
-		covered := append([]int(nil), buf...)
-		loc := Location{Pos: center, Covered: covered, SquareIdx: sq}
 		if opts.Radio != nil {
-			loc.Rates = make([]units.BitsPerSecond, len(covered))
-			for i, v := range covered {
+			// Every non-empty square is checked, duplicates included.
+			rates = rates[:0]
+			for _, v := range buf {
 				slant := radio.SlantDist(units.Meters(net.Sensors[v].Pos.Dist(center)), opts.Altitude)
-				loc.Rates[i] = opts.Radio.Rate(slant)
-				if !(loc.Rates[i] > 0) {
-					return nil, fmt.Errorf("hover: radio model yields non-positive rate %v at slant %v", loc.Rates[i], slant)
+				r := opts.Radio.Rate(slant)
+				if !(r > 0) {
+					return nil, fmt.Errorf("hover: radio model yields non-positive rate %v at slant %v", r, slant)
 				}
+				rates = append(rates, r)
 			}
 		}
-		loc.Sojourn, loc.Award = DrainRates(net, covered, loc.Rates)
-		loc.HoverEnergy = em.HoverEnergy(loc.Sojourn)
-
-		key := coverageKey(covered)
-		if prev, ok := seen[key]; ok {
+		key = appendCoverageKey(key[:0], buf)
+		if i, ok := seen[string(key)]; ok {
 			// Keep whichever centre is closer to the coverage centroid.
-			if centroidDist(net, covered, center) < centroidDist(net, covered, s.Locs[prev].Pos) {
-				s.Locs[prev] = loc
+			// The set is the same, so a winner replaces only the centre
+			// and the rates it sees.
+			c := &cands[i]
+			mid := centroid(net, buf)
+			if mid.Dist(center) < mid.Dist(c.pos) {
+				c.pos, c.sq = center, sq
+				if opts.Radio != nil {
+					copy(rateArena[c.lo:c.hi], rates)
+				}
 			}
 			s.PrunedDup++
 			continue
 		}
-		seen[key] = len(s.Locs)
+		seen[string(key)] = len(cands)
+		lo := len(covered)
+		covered = append(covered, buf...)
+		rateArena = append(rateArena, rates...)
+		cands = append(cands, candidate{pos: center, sq: sq, lo: lo, hi: len(covered)})
+	}
+
+	s.Locs = make([]Location, 1, 1+len(cands))
+	s.Locs[0] = Location{Pos: net.Depot, SquareIdx: -1}
+	for _, c := range cands {
+		loc := Location{Pos: c.pos, Covered: covered[c.lo:c.hi:c.hi], SquareIdx: c.sq}
+		if opts.Radio != nil {
+			loc.Rates = rateArena[c.lo:c.hi:c.hi]
+		}
+		loc.Sojourn, loc.Award = DrainRates(net, loc.Covered, loc.Rates)
+		loc.HoverEnergy = em.HoverEnergy(loc.Sojourn)
 		s.Locs = append(s.Locs, loc)
 	}
 	return s, nil
@@ -218,23 +251,26 @@ func DrainRates(net *sensornet.Network, covered []int, rates []units.BitsPerSeco
 	return sojourn, award
 }
 
-func coverageKey(covered []int) dupKeyString {
-	// Compact signature; sets are sorted, so a delimited join is unique.
-	b := make([]byte, 0, len(covered)*3)
+// appendCoverageKey appends the coverage key of covered to dst: every
+// sensor index as four little-endian bytes. The sets are sorted and every
+// index has the same width, so distinct sets of indices below 2³² have
+// distinct keys.
+func appendCoverageKey(dst []byte, covered []int) []byte {
 	for _, v := range covered {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	return dupKeyString(b)
+	return dst
 }
 
-type dupKeyString string
-
-func centroidDist(net *sensornet.Network, covered []int, p geom.Point) float64 {
-	pts := make([]geom.Point, len(covered))
-	for i, v := range covered {
-		pts[i] = net.Sensors[v].Pos
+// centroid returns the mean position of the covered sensors (at least
+// one), summed in order and then scaled by 1/n, so its bits are those of
+// the mean of the positions taken as a slice.
+func centroid(net *sensornet.Network, covered []int) geom.Point {
+	var sum geom.Point
+	for _, v := range covered {
+		sum = sum.Add(net.Sensors[v].Pos)
 	}
-	return geom.Centroid(pts).Dist(p)
+	return sum.Scale(1 / float64(len(covered)))
 }
 
 // Len returns the number of candidate locations including the depot.

@@ -2,6 +2,7 @@ package hover
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -263,4 +264,53 @@ func (s *Set) CoverageUnion(locs []int) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// TestCoverageKeyWidth checks that indices differing only above bit 24
+// get distinct keys, which three bytes per index could not give.
+func TestCoverageKeyWidth(t *testing.T) {
+	a := string(appendCoverageKey(nil, []int{1}))
+	b := string(appendCoverageKey(nil, []int{1 + 1<<24}))
+	if a == b {
+		t.Errorf("coverage keys of {1} and {1+2^24} collide: %x", a)
+	}
+}
+
+// sliceCentroid is the mean of the positions taken as a slice: their sum
+// by Add, then Scale by 1/n.
+func sliceCentroid(pts []geom.Point) geom.Point {
+	var s geom.Point
+	for _, p := range pts {
+		s = s.Add(p)
+	}
+	return s.Scale(1 / float64(len(pts)))
+}
+
+// TestCentroidMatchesSliceMean holds Build's allocation-free centroid to
+// the slice mean bit for bit, so the duplicate tie-break compares the
+// same float64s.
+func TestCentroidMatchesSliceMean(t *testing.T) {
+	net, err := sensornet.Generate(sensornet.DefaultGenParams(), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		covered := r.Perm(len(net.Sensors))[:1+r.Intn(12)]
+		pts := make([]geom.Point, len(covered))
+		for i, v := range covered {
+			pts[i] = net.Sensors[v].Pos
+		}
+		if got, want := centroid(net, covered), sliceCentroid(pts); got != want {
+			t.Fatalf("trial %d: centroid %v, slice mean %v", trial, got, want)
+		}
+	}
+	square := []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}
+	sq := &sensornet.Network{Sensors: make([]sensornet.Sensor, len(square))}
+	for i, p := range square {
+		sq.Sensors[i].Pos = p
+	}
+	if got := centroid(sq, []int{0, 1, 2, 3}); got != geom.Pt(1, 1) {
+		t.Errorf("centroid of the unit square's corners = %v", got)
+	}
 }

@@ -2,10 +2,13 @@ package hover
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"uavdc/internal/energy"
+	"uavdc/internal/geom"
 	"uavdc/internal/radio"
+	"uavdc/internal/sensornet"
 	"uavdc/internal/units"
 )
 
@@ -104,5 +107,48 @@ func TestResidualDrainWithRates(t *testing.T) {
 	}
 	if sojourn != 20 { // 100 MB at 5 MB/s dominates
 		t.Errorf("sojourn = %v, want 20", sojourn)
+	}
+}
+
+// cutoffRadio uploads at a fixed rate up to a slant distance and at zero
+// rate beyond it: an invalid model, so Build must refuse it.
+type cutoffRadio struct{ max units.Meters }
+
+func (c cutoffRadio) Rate(d units.Meters) units.BitsPerSecond {
+	if d > c.max {
+		return 0
+	}
+	return 10
+}
+
+// TestBuildRadioErrorOnLosingDuplicate builds a field whose only square
+// with a non-positive rate duplicates an earlier square's coverage and
+// loses the centroid tie-break. Build must still fail there: the rate
+// check runs on every non-empty square, not only on the kept ones.
+func TestBuildRadioErrorOnLosingDuplicate(t *testing.T) {
+	// One sensor at (12, 5) and R0 = 14 on a 30 m square at δ = 10: the
+	// squares centred at (5,5), (15,5), (25,5), (5,15) and (15,15) cover
+	// it, at 7, 3, 13, 12.2 and 10.4 m. (15,5) wins the tie-break, and
+	// only (25,5), a losing duplicate, is beyond the 12.5 m cut-off.
+	net := &sensornet.Network{
+		Region:    geom.Square(30),
+		Depot:     geom.Pt(0, 0),
+		Bandwidth: 10,
+		CommRange: 14,
+		Sensors:   []sensornet.Sensor{{Pos: geom.Pt(12, 5), Data: 100}},
+	}
+	opts := Options{CoverRadius: 14, Radio: cutoffRadio{max: 20}}
+	s, err := Build(net, energy.Default(), 10, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 2 || s.PrunedDup != 4 || s.Locs[1].Pos != geom.Pt(15, 5) {
+		t.Fatalf("want one kept square at (15,5) and 4 duplicates, got %d locations, %d duplicates, kept %v",
+			s.Len()-1, s.PrunedDup, s.Locs[s.Len()-1].Pos)
+	}
+	opts.Radio = cutoffRadio{max: 12.5}
+	_, err = Build(net, energy.Default(), 10, opts)
+	if err == nil || !strings.Contains(err.Error(), "non-positive rate") || !strings.Contains(err.Error(), "slant 13") {
+		t.Fatalf("want a non-positive rate error at slant 13, got %v", err)
 	}
 }

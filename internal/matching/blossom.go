@@ -13,79 +13,93 @@
 // forests, odd cycles are shrunk into blossom pseudo-vertices, and dual
 // adjustments are chosen as the minimum slack across the forest. Weights
 // are integers internally; MinWeightPerfect scales float64 costs to int64.
+//
+// Every n²-sized table is one flat row-major slice, allocated once per
+// solve: the callers' n×n cost and weight matrices (entry (i, j) at
+// i*n+j), the solver's (2n+1)² edge table of 16-byte entries with int32
+// endpoints, and its (2n+1)×(n+1) blossom-membership table.
 package matching
 
-// maxBlossom computes a maximum-weight matching on the complete graph over
-// n vertices with non-negative integer edge weights w (n×n, symmetric,
-// zero diagonal). It returns mate[u] = v (or -1) for the matched partner of
-// each vertex. With all weights strictly positive and n even, the matching
-// is perfect.
+import "slices"
+
+// blossomSolver computes a maximum-weight matching on the complete graph
+// over n vertices with non-negative integer edge weights. With all weights
+// strictly positive and n even, the matching is perfect.
 //
 // Internally vertices are 1-based; ids n+1..2n denote blossoms.
 type blossomSolver struct {
 	n  int // number of real vertices
+	m  int // ids 0..2n: the row stride of g
 	nx int // current max id in use (vertices + blossoms)
 
-	// g[u][v] is the edge currently representing the connection between
+	// g[u*m+v] is the edge currently representing the connection between
 	// (pseudo-)vertices u and v: endpoints are real vertices, w>0 marks
-	// presence.
-	g [][]edgeUV
+	// presence. The real-vertex block (u, v ≤ n) is never written after
+	// construction.
+	g []edge
 
-	lab        []int64 // dual variables (doubled duals for blossoms)
-	match      []int   // matched partner (by representing edge head), 0 = unmatched
-	slack      []int   // slack[x]: real vertex u minimising delta(g[u][x])
-	st         []int   // st[x]: the top-level blossom containing x
-	pa         []int   // parent edge tail in the alternating forest
-	flowerFrom [][]int // flowerFrom[b][x]: child of b containing real vertex x
-	s          []int   // forest label: -1 free, 0 even (outer), 1 odd (inner)
+	lab   []int64 // dual variables (doubled duals for blossoms)
+	match []int   // matched partner (by representing edge head), 0 = unmatched
+	slack []int   // slack[x]: real vertex u minimising delta(g[u*m+x])
+	st    []int   // st[x]: the top-level blossom containing x
+	pa    []int   // parent edge tail in the alternating forest
+	// flowerFrom[b*(n+1)+x]: child of b containing real vertex x.
+	flowerFrom []int32
+	s          []int // forest label: -1 free, 0 even (outer), 1 odd (inner)
 	vis        []int
 	visGen     int
 	flower     [][]int // cyclic child list of each blossom
-	queue      []int
+	queue      []int   // FIFO of vertices to scan; queue[:qHead] are done
+	qHead      int
 }
 
-type edgeUV struct {
-	u, v int
+type edge struct {
+	u, v int32
 	w    int64
 }
 
-func newBlossomSolver(n int, w [][]int64) *blossomSolver {
+// newBlossomSolver builds the solver over the n×n weight matrix w
+// (row-major, symmetric, zero diagonal).
+func newBlossomSolver(n int, w []int64) *blossomSolver {
 	m := 2*n + 1
 	b := &blossomSolver{
 		n:          n,
+		m:          m,
 		nx:         n,
-		g:          make([][]edgeUV, m),
+		g:          make([]edge, m*m),
 		lab:        make([]int64, m),
 		match:      make([]int, m),
 		slack:      make([]int, m),
 		st:         make([]int, m),
 		pa:         make([]int, m),
-		flowerFrom: make([][]int, m),
+		flowerFrom: make([]int32, m*(n+1)),
 		s:          make([]int, m),
 		vis:        make([]int, m),
 		flower:     make([][]int, m),
 	}
-	for i := 0; i < m; i++ {
-		b.g[i] = make([]edgeUV, m)
-		b.flowerFrom[i] = make([]int, n+1)
-	}
 	for u := 1; u <= n; u++ {
 		for v := 1; v <= n; v++ {
-			b.g[u][v] = edgeUV{u: u, v: v, w: 0}
+			e := edge{u: int32(u), v: int32(v)}
 			if u != v {
-				b.g[u][v].w = w[u-1][v-1]
+				e.w = w[(u-1)*n+v-1]
 			}
+			b.g[u*m+v] = e
 		}
 	}
 	return b
 }
 
-func (b *blossomSolver) eDelta(e edgeUV) int64 {
-	return b.lab[e.u] + b.lab[e.v] - b.g[e.u][e.v].w*2
+func (b *blossomSolver) eDelta(e edge) int64 {
+	return b.lab[e.u] + b.lab[e.v] - b.g[int(e.u)*b.m+int(e.v)].w*2
+}
+
+// from returns the flowerFrom row of blossom bl, indexed by real vertex.
+func (b *blossomSolver) from(bl int) []int32 {
+	return b.flowerFrom[bl*(b.n+1) : (bl+1)*(b.n+1)]
 }
 
 func (b *blossomSolver) updateSlack(u, x int) {
-	if b.slack[x] == 0 || b.eDelta(b.g[u][x]) < b.eDelta(b.g[b.slack[x]][x]) {
+	if b.slack[x] == 0 || b.eDelta(b.g[u*b.m+x]) < b.eDelta(b.g[b.slack[x]*b.m+x]) {
 		b.slack[x] = u
 	}
 }
@@ -93,7 +107,7 @@ func (b *blossomSolver) updateSlack(u, x int) {
 func (b *blossomSolver) setSlack(x int) {
 	b.slack[x] = 0
 	for u := 1; u <= b.n; u++ {
-		if b.g[u][x].w > 0 && b.st[u] != x && b.s[b.st[u]] == 0 {
+		if b.g[u*b.m+x].w > 0 && b.st[u] != x && b.s[b.st[u]] == 0 {
 			b.updateSlack(u, x)
 		}
 	}
@@ -107,6 +121,11 @@ func (b *blossomSolver) qPush(x int) {
 	for _, p := range b.flower[x] {
 		b.qPush(p)
 	}
+}
+
+func (b *blossomSolver) qReset() {
+	b.queue = b.queue[:0]
+	b.qHead = 0
 }
 
 func (b *blossomSolver) setSt(x, v int) {
@@ -129,32 +148,29 @@ func (b *blossomSolver) getPr(bl, xr int) int {
 		}
 	}
 	if pr%2 == 1 {
-		// reverse flower[bl][1:]
-		fl := b.flower[bl]
-		for i, j := 1, len(fl)-1; i < j; i, j = i+1, j-1 {
-			fl[i], fl[j] = fl[j], fl[i]
-		}
-		return len(fl) - pr
+		slices.Reverse(b.flower[bl][1:])
+		return len(b.flower[bl]) - pr
 	}
 	return pr
 }
 
 func (b *blossomSolver) setMatch(u, v int) {
-	b.match[u] = b.g[u][v].v
+	e := b.g[u*b.m+v]
+	b.match[u] = int(e.v)
 	if u <= b.n {
 		return
 	}
-	e := b.g[u][v]
-	xr := b.flowerFrom[u][e.u]
+	xr := int(b.from(u)[e.u])
 	pr := b.getPr(u, xr)
 	for i := 0; i < pr; i++ {
 		b.setMatch(b.flower[u][i], b.flower[u][i^1])
 	}
 	b.setMatch(xr, v)
-	// rotate flower[u] left by pr
+	// Rotate flower[u] left by pr, in place.
 	fl := b.flower[u]
-	rot := append(append([]int{}, fl[pr:]...), fl[:pr]...)
-	copy(fl, rot)
+	slices.Reverse(fl[:pr])
+	slices.Reverse(fl[pr:])
+	slices.Reverse(fl)
 }
 
 func (b *blossomSolver) augment(u, v int) {
@@ -207,11 +223,7 @@ func (b *blossomSolver) addBlossom(u, lca, v int) {
 		b.qPush(y)
 		x = b.st[b.pa[y]]
 	}
-	// reverse flower[bl][1:]
-	fl := b.flower[bl]
-	for i, j := 1, len(fl)-1; i < j; i, j = i+1, j-1 {
-		fl[i], fl[j] = fl[j], fl[i]
-	}
+	slices.Reverse(b.flower[bl][1:])
 	for x := v; x != lca; {
 		y := b.st[b.match[x]]
 		b.flower[bl] = append(b.flower[bl], x, y)
@@ -219,23 +231,26 @@ func (b *blossomSolver) addBlossom(u, lca, v int) {
 		x = b.st[b.pa[y]]
 	}
 	b.setSt(bl, bl)
+	m := b.m
 	for x := 1; x <= b.nx; x++ {
-		b.g[bl][x].w = 0
-		b.g[x][bl].w = 0
+		b.g[bl*m+x].w = 0
+		b.g[x*m+bl].w = 0
 	}
+	ff := b.from(bl)
 	for x := 1; x <= b.n; x++ {
-		b.flowerFrom[bl][x] = 0
+		ff[x] = 0
 	}
 	for _, xs := range b.flower[bl] {
 		for x := 1; x <= b.nx; x++ {
-			if b.g[bl][x].w == 0 || b.eDelta(b.g[xs][x]) < b.eDelta(b.g[bl][x]) {
-				b.g[bl][x] = b.g[xs][x]
-				b.g[x][bl] = b.g[x][xs]
+			if b.g[bl*m+x].w == 0 || b.eDelta(b.g[xs*m+x]) < b.eDelta(b.g[bl*m+x]) {
+				b.g[bl*m+x] = b.g[xs*m+x]
+				b.g[x*m+bl] = b.g[x*m+xs]
 			}
 		}
+		fs := b.from(xs)
 		for x := 1; x <= b.n; x++ {
-			if b.flowerFrom[xs][x] != 0 {
-				b.flowerFrom[bl][x] = xs
+			if fs[x] != 0 {
+				ff[x] = int32(xs)
 			}
 		}
 	}
@@ -246,12 +261,12 @@ func (b *blossomSolver) expandBlossom(bl int) {
 	for _, f := range b.flower[bl] {
 		b.setSt(f, f)
 	}
-	xr := b.flowerFrom[bl][b.g[bl][b.pa[bl]].u]
+	xr := int(b.from(bl)[b.g[bl*b.m+b.pa[bl]].u])
 	pr := b.getPr(bl, xr)
 	for i := 0; i < pr; i += 2 {
 		xs := b.flower[bl][i]
 		xns := b.flower[bl][i+1]
-		b.pa[xs] = b.g[xns][xs].u
+		b.pa[xs] = int(b.g[xns*b.m+xs].u)
 		b.s[xs] = 1
 		b.s[xns] = 0
 		b.slack[xs] = 0
@@ -268,11 +283,11 @@ func (b *blossomSolver) expandBlossom(bl int) {
 	b.st[bl] = 0
 }
 
-func (b *blossomSolver) onFoundEdge(e edgeUV) bool {
+func (b *blossomSolver) onFoundEdge(e edge) bool {
 	u, v := b.st[e.u], b.st[e.v]
 	switch b.s[v] {
 	case -1:
-		b.pa[v] = e.u
+		b.pa[v] = int(e.u)
 		b.s[v] = 1
 		nu := b.st[b.match[v]]
 		b.slack[v] = 0
@@ -296,11 +311,12 @@ const infWeight = int64(1) << 62
 // matchRound grows alternating forests from all free vertices and returns
 // true if an augmenting path was found and applied.
 func (b *blossomSolver) matchRound() bool {
+	m := b.m
 	for i := 1; i <= b.nx; i++ {
 		b.s[i] = -1
 		b.slack[i] = 0
 	}
-	b.queue = b.queue[:0]
+	b.qReset()
 	for x := 1; x <= b.nx; x++ {
 		if b.st[x] == x && b.match[x] == 0 {
 			b.pa[x] = 0
@@ -312,16 +328,16 @@ func (b *blossomSolver) matchRound() bool {
 		return false
 	}
 	for {
-		for len(b.queue) > 0 {
-			u := b.queue[0]
-			b.queue = b.queue[1:]
+		for b.qHead < len(b.queue) {
+			u := b.queue[b.qHead]
+			b.qHead++
 			if b.s[b.st[u]] == 1 {
 				continue
 			}
 			for v := 1; v <= b.n; v++ {
-				if b.g[u][v].w > 0 && b.st[u] != b.st[v] {
-					if b.eDelta(b.g[u][v]) == 0 {
-						if b.onFoundEdge(b.g[u][v]) {
+				if e := b.g[u*m+v]; e.w > 0 && b.st[u] != b.st[v] {
+					if b.eDelta(e) == 0 {
+						if b.onFoundEdge(e) {
 							return true
 						}
 					} else {
@@ -342,11 +358,11 @@ func (b *blossomSolver) matchRound() bool {
 			if b.st[x] == x && b.slack[x] != 0 {
 				switch b.s[x] {
 				case -1:
-					if v := b.eDelta(b.g[b.slack[x]][x]); v < d {
+					if v := b.eDelta(b.g[b.slack[x]*m+x]); v < d {
 						d = v
 					}
 				case 0:
-					if v := b.eDelta(b.g[b.slack[x]][x]) / 2; v < d {
+					if v := b.eDelta(b.g[b.slack[x]*m+x]) / 2; v < d {
 						d = v
 					}
 				}
@@ -373,10 +389,10 @@ func (b *blossomSolver) matchRound() bool {
 				}
 			}
 		}
-		b.queue = b.queue[:0]
+		b.qReset()
 		for x := 1; x <= b.nx; x++ {
-			if b.st[x] == x && b.slack[x] != 0 && b.st[b.slack[x]] != x && b.eDelta(b.g[b.slack[x]][x]) == 0 {
-				if b.onFoundEdge(b.g[b.slack[x]][x]) {
+			if b.st[x] == x && b.slack[x] != 0 && b.st[b.slack[x]] != x && b.eDelta(b.g[b.slack[x]*m+x]) == 0 {
+				if b.onFoundEdge(b.g[b.slack[x]*m+x]) {
 					return true
 				}
 			}
@@ -398,14 +414,15 @@ func (b *blossomSolver) solve() []int {
 	}
 	var wMax int64
 	for u := 1; u <= b.n; u++ {
+		fu := b.from(u)
 		for v := 1; v <= b.n; v++ {
 			if u == v {
-				b.flowerFrom[u][v] = u
+				fu[v] = int32(u)
 			} else {
-				b.flowerFrom[u][v] = 0
+				fu[v] = 0
 			}
-			if b.g[u][v].w > wMax {
-				wMax = b.g[u][v].w
+			if w := b.g[u*b.m+v].w; w > wMax {
+				wMax = w
 			}
 		}
 	}
@@ -425,11 +442,10 @@ func (b *blossomSolver) solve() []int {
 	return mate
 }
 
-// MaxWeight computes a maximum-weight matching over the integer weight
-// matrix w (n×n, symmetric, zero diagonal, non-negative entries; zero means
-// "no edge"). It returns mate with mate[u] = v or -1.
-func MaxWeight(w [][]int64) []int {
-	n := len(w)
+// maxWeight computes a maximum-weight matching over the n×n integer weight
+// matrix w (row-major, symmetric, zero diagonal, non-negative entries;
+// zero means "no edge"). It returns mate with mate[u] = v or -1.
+func maxWeight(n int, w []int64) []int {
 	if n == 0 {
 		return nil
 	}

@@ -16,16 +16,19 @@ import (
 const scaleBits = 20
 
 // MinWeightPerfect computes an exact minimum-weight perfect matching on the
-// complete graph whose symmetric cost matrix is cost (n×n, zero diagonal,
-// non-negative finite entries). n must be even and positive. It returns the
-// mate array and the total cost of the matching.
+// complete graph on n vertices whose symmetric cost matrix is cost (n×n,
+// row-major: the cost of (i, j) is cost[i*n+j]; zero diagonal,
+// non-negative finite entries). n must be even and non-negative. It
+// returns the mate array and the total cost of the matching.
 //
 // Costs are converted to fixed-point integers; the reduction to
 // maximum-weight matching sets w'(u,v) = C - cost(u,v) with C above every
 // cost, which makes every edge profitable and therefore forces perfection
 // on a complete even-order graph while inverting the objective.
-func MinWeightPerfect(cost [][]float64) ([]int, float64, error) {
-	n := len(cost)
+func MinWeightPerfect(n int, cost []float64) ([]int, float64, error) {
+	if err := checkCost(n, cost); err != nil {
+		return nil, 0, err
+	}
 	if n == 0 {
 		return nil, 0, nil
 	}
@@ -33,17 +36,12 @@ func MinWeightPerfect(cost [][]float64) ([]int, float64, error) {
 		return nil, 0, fmt.Errorf("matching: odd number of vertices %d", n)
 	}
 	var maxC float64
-	for i := range cost {
-		if len(cost[i]) != n {
-			return nil, 0, fmt.Errorf("matching: cost matrix row %d has length %d, want %d", i, len(cost[i]), n)
+	for i, c := range cost {
+		if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+			return nil, 0, fmt.Errorf("matching: invalid cost %v at (%d,%d)", c, i/n, i%n)
 		}
-		for j, c := range cost[i] {
-			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-				return nil, 0, fmt.Errorf("matching: invalid cost %v at (%d,%d)", c, i, j)
-			}
-			if c > maxC {
-				maxC = c
-			}
+		if c > maxC {
+			maxC = c
 		}
 	}
 	scale := float64(int64(1) << scaleBits)
@@ -55,18 +53,17 @@ func MinWeightPerfect(cost [][]float64) ([]int, float64, error) {
 		}
 	}
 	ceilC := int64(maxC*scale) + 2
-	w := make([][]int64, n)
-	for i := range w {
-		w[i] = make([]int64, n)
-		for j := range w[i] {
+	w := make([]int64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
 			// ×2 keeps the solver's half-integral duals integral.
-			w[i][j] = 2 * (ceilC - int64(math.Round(cost[i][j]*scale)))
+			w[i*n+j] = 2 * (ceilC - int64(math.Round(cost[i*n+j]*scale)))
 		}
 	}
-	mate := MaxWeight(w)
+	mate := maxWeight(n, w)
 	total := 0.0
 	for u, v := range mate {
 		if v < 0 {
@@ -76,32 +73,43 @@ func MinWeightPerfect(cost [][]float64) ([]int, float64, error) {
 			return nil, 0, fmt.Errorf("matching: inconsistent mates %d↔%d", u, v)
 		}
 		if u < v {
-			total += cost[u][v]
+			total += cost[u*n+v]
 		}
 	}
 	return mate, total, nil
 }
 
-// GreedyPerfect computes a perfect matching by repeatedly taking the
-// globally cheapest remaining edge. It is a fast O(n² log n) fallback with
-// no optimality guarantee (worst case Θ(n) times optimum, typically within
-// a few percent on random Euclidean inputs). n must be even.
-func GreedyPerfect(cost [][]float64) ([]int, float64, error) {
-	n := len(cost)
+// checkCost reports a cost slice that is not an n×n matrix.
+func checkCost(n int, cost []float64) error {
+	if n < 0 || len(cost) != n*n {
+		return fmt.Errorf("matching: cost matrix has %d entries, want %d×%d", len(cost), n, n)
+	}
+	return nil
+}
+
+// GreedyPerfect computes a perfect matching on the n×n row-major cost
+// matrix cost by repeatedly taking the globally cheapest remaining edge.
+// It is a fast O(n² log n) fallback with no optimality guarantee (worst
+// case Θ(n) times optimum, typically within a few percent on random
+// Euclidean inputs). n must be even.
+func GreedyPerfect(n int, cost []float64) ([]int, float64, error) {
+	if err := checkCost(n, cost); err != nil {
+		return nil, 0, err
+	}
 	if n == 0 {
 		return nil, 0, nil
 	}
 	if n%2 != 0 {
 		return nil, 0, fmt.Errorf("matching: odd number of vertices %d", n)
 	}
-	type edge struct {
+	type pair struct {
 		u, v int
 		c    float64
 	}
-	edges := make([]edge, 0, n*(n-1)/2)
+	edges := make([]pair, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			edges = append(edges, edge{i, j, cost[i][j]})
+			edges = append(edges, pair{i, j, cost[i*n+j]})
 		}
 	}
 	sort.Slice(edges, func(a, b int) bool { return edges[a].c < edges[b].c })
@@ -146,21 +154,22 @@ const (
 )
 
 // PerfectAuto picks the exact solver for n ≤ ExactThreshold and the greedy
-// heuristic above, returning the matching, its cost, and whether it is
-// provably optimal. An optional obs.Recorder counts which solver ran.
-func PerfectAuto(cost [][]float64, rec ...obs.Recorder) (mate []int, total float64, exact bool, err error) {
+// heuristic above, on the n×n row-major cost matrix cost, returning the
+// matching, its cost, and whether it is provably optimal. An optional
+// obs.Recorder counts which solver ran.
+func PerfectAuto(n int, cost []float64, rec ...obs.Recorder) (mate []int, total float64, exact bool, err error) {
 	r := obs.First(rec...)
 	tr := trace.Of(r)
-	if len(cost) <= ExactThreshold {
+	if n <= ExactThreshold {
 		r.Counter(CounterBlossomRuns).Inc()
-		end := tr.Begin(SpanBlossom, trace.Int("n", len(cost)))
-		mate, total, err = MinWeightPerfect(cost)
+		end := tr.Begin(SpanBlossom, trace.Int("n", n))
+		mate, total, err = MinWeightPerfect(n, cost)
 		end()
 		return mate, total, true, err
 	}
 	r.Counter(CounterGreedyRuns).Inc()
-	end := tr.Begin(SpanGreedy, trace.Int("n", len(cost)))
-	mate, total, err = GreedyPerfect(cost)
+	end := tr.Begin(SpanGreedy, trace.Int("n", n))
+	mate, total, err = GreedyPerfect(n, cost)
 	end()
 	return mate, total, false, err
 }

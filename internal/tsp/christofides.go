@@ -57,8 +57,7 @@ func Christofides(items []int, m Metric, rec ...obs.Recorder) (Tour, error) {
 	// Work in local indices 0..k-1.
 	local := func(i, j int) float64 { return m(items[i], items[j]) }
 	endMST := tr.Begin(SpanChristofidesMST)
-	g := graph.NewComplete(k, local)
-	mstEdges, ok := graph.MSTPrim(g, nil)
+	mstEdges, ok := graph.Prim(k, local)
 	endMST()
 	if !ok {
 		return Tour{}, fmt.Errorf("tsp: metric yields disconnected graph")
@@ -82,16 +81,16 @@ func Christofides(items []int, m Metric, rec ...obs.Recorder) (Tour, error) {
 	}
 	if len(odd) > 0 {
 		endMatch := tr.Begin(SpanChristofidesMatching, trace.Int("odd", len(odd)))
-		cost := make([][]float64, len(odd))
-		for i := range cost {
-			cost[i] = make([]float64, len(odd))
-			for j := range cost[i] {
+		n := len(odd)
+		cost := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
 				if i != j {
-					cost[i][j] = local(odd[i], odd[j])
+					cost[i*n+j] = local(odd[i], odd[j])
 				}
 			}
 		}
-		mate, _, _, err := matching.PerfectAuto(cost, r)
+		mate, _, _, err := matching.PerfectAuto(n, cost, r)
 		if err != nil {
 			endMatch()
 			return Tour{}, fmt.Errorf("tsp: matching odd vertices: %w", err)

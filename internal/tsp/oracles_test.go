@@ -76,8 +76,7 @@ func MSTLowerBound(items []int, m Metric) (float64, error) {
 	if k < 2 {
 		return 0, nil
 	}
-	g := graph.NewComplete(k, func(i, j int) float64 { return m(items[i], items[j]) })
-	edges, ok := graph.MSTPrim(g, nil)
+	edges, ok := graph.Prim(k, func(i, j int) float64 { return m(items[i], items[j]) })
 	if !ok {
 		return 0, fmt.Errorf("tsp: disconnected")
 	}

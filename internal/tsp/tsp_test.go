@@ -390,6 +390,21 @@ func BenchmarkChristofides100(b *testing.B) {
 	}
 }
 
+// BenchmarkChristofidesPaperScale measures one Christofides construction
+// over 501 uniform points, the baseline's tour at the paper's setting.
+func BenchmarkChristofidesPaperScale(b *testing.B) {
+	pts := randPts(501, 1)
+	m := NewMatrix(len(pts), euclid(pts)).Metric()
+	items := allItems(len(pts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Christofides(items, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTwoOpt100(b *testing.B) {
 	pts := randPts(100, 5)
 	m := euclid(pts)
