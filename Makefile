@@ -156,12 +156,14 @@ bench:
 # Micro-benchmarks: candidate generation fast vs reference (behind the
 # speedup panel) and one PaperTight-size baseline plan (internal/core),
 # one 500-item Improve on a matrix and one 501-point Christofides
-# construction (internal/tsp), and one paper-scale candidate build
-# (internal/hover). The last two report B/op and allocs/op.
+# construction (internal/tsp), one paper-scale candidate build
+# (internal/hover), and one 100-vertex exact matching (internal/matching).
+# Every line reports B/op and allocs/op.
 bench-micro:
-	$(GO) test -run XXX -bench 'BenchmarkAlg2|BenchmarkBaselinePlan' -benchtime 3x ./internal/core
-	$(GO) test -run XXX -bench 'BenchmarkImprove|BenchmarkChristofidesPaperScale' -benchtime 3x ./internal/tsp
-	$(GO) test -run XXX -bench 'BenchmarkBuildPaperScale' -benchtime 3x ./internal/hover
+	$(GO) test -run XXX -bench 'BenchmarkAlg2|BenchmarkBaselinePlan' -benchmem -benchtime 3x ./internal/core
+	$(GO) test -run XXX -bench 'BenchmarkImprove|BenchmarkChristofidesPaperScale' -benchmem -benchtime 3x ./internal/tsp
+	$(GO) test -run XXX -bench 'BenchmarkBuildPaperScale' -benchmem -benchtime 3x ./internal/hover
+	$(GO) test -run XXX -bench 'BenchmarkMinWeightPerfect100' -benchmem -benchtime 3x ./internal/matching
 
 # Rewrite the deterministic bench ledger (see EXPERIMENTS.md, "The
 # deterministic ledger") after a deliberate behaviour change. Review the

@@ -54,7 +54,7 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 		for si := range plan.Stops {
 			so.evals.Inc()
 			stop := &plan.Stops[si]
-			_, travelD := tsp.Remove(tour, tour.Order[si+1], dist)
+			travelD := tsp.RemovalDelta(tour, si+1, dist)
 			saved := in.Model.TravelEnergy(units.Meters(travelD)) + in.Model.HoverEnergy(units.Seconds(stop.Sojourn))
 			if saved <= 1e-12 {
 				bestIdx = si

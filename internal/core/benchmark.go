@@ -61,12 +61,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 			}
 			so.evals.Inc()
 			v := it - 1
-			var travelD float64
-			if in.Reference {
-				_, travelD = tsp.Remove(tour, it, dist)
-			} else {
-				travelD = removalDelta(tour, ti, dist)
-			}
+			travelD := tsp.RemovalDelta(tour, ti, dist)
 			saved := in.Model.TravelEnergy(units.Meters(travelD)) + in.Model.HoverEnergy(units.Seconds(net.UploadTime(v)))
 			if saved <= 1e-12 {
 				// Removing frees no energy (duplicate position); always take it.
@@ -145,19 +140,4 @@ func baselineTour(in *Instance, rec obs.Recorder) (*tsp.Pruner, tsp.Metric, erro
 	pr := tsp.NewPruner(tour, x, dist)
 	pr.Improve(rec)
 	return pr, dist, nil
-}
-
-// removalDelta is tsp.Remove's cost decrease for the item at position ti
-// of t, without its index scan or the pruned-tour copy it allocates.
-func removalDelta(t tsp.Tour, ti int, dist tsp.Metric) float64 {
-	n := t.Len()
-	switch {
-	case n >= 3:
-		a := t.Order[(ti-1+n)%n]
-		b := t.Order[(ti+1)%n]
-		return dist(a, t.Order[ti]) + dist(t.Order[ti], b) - dist(a, b)
-	case n == 2:
-		return 2 * dist(t.Order[0], t.Order[1])
-	}
-	return 0
 }

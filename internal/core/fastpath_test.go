@@ -134,9 +134,9 @@ func paperDensityInstance(t testing.TB, seed uint64, sensors int, capacity units
 }
 
 // TestFastPathMatchesReferenceBenchmark holds both baselines' prune loops
-// (matrix, in-place pricing and the re-tour replay) to the reference
-// path (closure metric, tsp.Remove pricing, a full Improve after every
-// removal): bit-equal plans and equal counters, on fields tight enough
+// (matrix and the re-tour replay) to the reference path (closure metric,
+// a full Improve after every removal): bit-equal plans and equal
+// counters, on fields tight enough
 // that hundreds of sensors are pruned.
 func TestFastPathMatchesReferenceBenchmark(t *testing.T) {
 	cases := []struct {

@@ -101,8 +101,8 @@ func (r Rect) Center() Point {
 // Clamp returns the point of r closest to p.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
+		X: min(max(p.X, r.Min.X), r.Max.X),
+		Y: min(max(p.Y, r.Min.Y), r.Max.Y),
 	}
 }
 

@@ -42,3 +42,22 @@ func BenchmarkBuildFine(b *testing.B) {
 		}
 	}
 }
+
+// TestBuildPaperScaleAllocs bounds the allocations of a paper-scale build:
+// the set, its Locs, a few chunks of arena, candidates and buckets. A
+// per-square or per-candidate allocation (a key string, a copied set)
+// would put it in the thousands.
+func TestBuildPaperScaleAllocs(t *testing.T) {
+	net, err := sensornet.Generate(sensornet.DefaultGenParams(), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(net, energy.Default(), 10, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("paper-scale Build allocates %v times, want at most 100", allocs)
+	}
+}

@@ -13,7 +13,6 @@
 package hover
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -33,9 +32,9 @@ type Location struct {
 	// hovers at altitude H above it; all geometry is projected).
 	Pos geom.Point
 	// Covered lists the sensor indices within the coverage radius,
-	// ascending. Empty for the depot. The Covered (and Rates) slices of
-	// one Set share a backing array, capped at their own length; they are
-	// read-only.
+	// ascending. Empty for the depot. Each Covered (and Rates) slice is a
+	// contiguous piece of one of a few arena chunks the Set's locations
+	// share, capped at its own length; they are read-only.
 	Covered []int
 	// Rates holds the per-sensor uplink rate in MB/s, parallel to
 	// Covered. Nil means every covered sensor uploads at the network
@@ -159,26 +158,18 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 	// The scan keeps one candidate per coverage set and copies a square's
 	// covered sensors (and rates) into the arenas only when its set is new;
 	// Locs is sized once from the survivors after the scan.
-	type candidate struct {
-		pos    geom.Point
-		sq     int
-		lo, hi int // covered[lo:hi], rateArena[lo:hi]
-	}
 	var (
-		cands     []candidate
-		covered   []int
-		rateArena []units.BitsPerSecond
-		buf       []int                 // the current square's covered sensors
-		rates     []units.BitsPerSecond // their uplink rates (radio model only)
-		key       []byte                // their coverage key
+		sets  coverSets
+		buf   []int                 // the current square's covered sensors
+		rates []units.BitsPerSecond // their uplink rates (radio model only)
 	)
-	seen := make(map[string]int) // coverage key → cands index
+	// The last grid row/column may overhang the region when its extent is
+	// not a multiple of δ; clamp those centres back onto the boundary so
+	// every candidate is a legal hovering position.
+	centre := func(sq int) geom.Point { return net.Region.Clamp(grid.Center(sq)) }
 	idx := net.Index()
 	for sq := 0; sq < grid.NumSquares(); sq++ {
-		// The last grid row/column may overhang the region when its
-		// extent is not a multiple of δ; clamp those centres back onto
-		// the boundary so every candidate is a legal hovering position.
-		center := net.Region.Clamp(grid.Center(sq))
+		center := centre(sq)
 		buf = idx.WithinAppend(buf[:0], center, r0.F())
 		if len(buf) == 0 {
 			s.PrunedEmpty++
@@ -196,39 +187,37 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 				rates = append(rates, r)
 			}
 		}
-		key = appendCoverageKey(key[:0], buf)
-		if i, ok := seen[string(key)]; ok {
+		h := coverHash(buf)
+		if c := sets.find(h, buf); c != nil {
 			// Keep whichever centre is closer to the coverage centroid.
-			// The set is the same, so a winner replaces only the centre
+			// The set is the same, so a winner replaces only the square
 			// and the rates it sees.
-			c := &cands[i]
 			mid := centroid(net, buf)
-			if mid.Dist(center) < mid.Dist(c.pos) {
-				c.pos, c.sq = center, sq
+			if mid.Dist(center) < mid.Dist(centre(c.sq)) {
+				c.sq = sq
 				if opts.Radio != nil {
-					copy(rateArena[c.lo:c.hi], rates)
+					copy(sets.ratesOf(c), rates)
 				}
 			}
 			s.PrunedDup++
 			continue
 		}
-		seen[string(key)] = len(cands)
-		lo := len(covered)
-		covered = append(covered, buf...)
-		rateArena = append(rateArena, rates...)
-		cands = append(cands, candidate{pos: center, sq: sq, lo: lo, hi: len(covered)})
+		sets.add(h, sq, buf, rates)
 	}
 
-	s.Locs = make([]Location, 1, 1+len(cands))
+	s.Locs = make([]Location, 1, 1+sets.n)
 	s.Locs[0] = Location{Pos: net.Depot, SquareIdx: -1}
-	for _, c := range cands {
-		loc := Location{Pos: c.pos, Covered: covered[c.lo:c.hi:c.hi], SquareIdx: c.sq}
-		if opts.Radio != nil {
-			loc.Rates = rateArena[c.lo:c.hi:c.hi]
+	for _, chunk := range sets.cands {
+		for i := range chunk {
+			c := &chunk[i]
+			loc := Location{Pos: centre(c.sq), Covered: sets.set(c), SquareIdx: c.sq}
+			if opts.Radio != nil {
+				loc.Rates = sets.ratesOf(c)
+			}
+			loc.Sojourn, loc.Award = DrainRates(net, loc.Covered, loc.Rates)
+			loc.HoverEnergy = em.HoverEnergy(loc.Sojourn)
+			s.Locs = append(s.Locs, loc)
 		}
-		loc.Sojourn, loc.Award = DrainRates(net, loc.Covered, loc.Rates)
-		loc.HoverEnergy = em.HoverEnergy(loc.Sojourn)
-		s.Locs = append(s.Locs, loc)
 	}
 	return s, nil
 }
@@ -249,17 +238,6 @@ func DrainRates(net *sensornet.Network, covered []int, rates []units.BitsPerSeco
 		}
 	}
 	return sojourn, award
-}
-
-// appendCoverageKey appends the coverage key of covered to dst: every
-// sensor index as four little-endian bytes. The sets are sorted and every
-// index has the same width, so distinct sets of indices below 2³² have
-// distinct keys.
-func appendCoverageKey(dst []byte, covered []int) []byte {
-	for _, v := range covered {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
 }
 
 // centroid returns the mean position of the covered sensors (at least

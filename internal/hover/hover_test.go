@@ -266,13 +266,31 @@ func (s *Set) CoverageUnion(locs []int) []int {
 	return out
 }
 
-// TestCoverageKeyWidth checks that indices differing only above bit 24
-// get distinct keys, which three bytes per index could not give.
+// TestCoverageKeyWidth checks that sets whose indices differ only above
+// bit 24 hash apart and are kept as two sets, and that sets a weaker
+// hash confused (a start state the first id cancels, a zero id, a high
+// bit) hash apart.
 func TestCoverageKeyWidth(t *testing.T) {
-	a := string(appendCoverageKey(nil, []int{1}))
-	b := string(appendCoverageKey(nil, []int{1 + 1<<24}))
-	if a == b {
-		t.Errorf("coverage keys of {1} and {1+2^24} collide: %x", a)
+	for _, pr := range [][2][]int{
+		{{1}, {1 + 1<<24}},
+		{{2, 48}, {49}},
+		{{2, 55}, {54}},
+		{{0, 5}, {5}},
+		{{0}, {1 << 62}},
+	} {
+		if coverHash(pr[0]) == coverHash(pr[1]) {
+			t.Errorf("coverage hashes of %v and %v collide: %x", pr[0], pr[1], coverHash(pr[0]))
+		}
+	}
+	a, b := []int{1}, []int{1 + 1<<24}
+	var sets coverSets
+	sets.add(coverHash(a), 0, a, nil)
+	if sets.find(coverHash(b), b) != nil {
+		t.Fatal("{1+2^24} found as {1}")
+	}
+	sets.add(coverHash(b), 1, b, nil)
+	if c := sets.find(coverHash(b), b); c == nil || c.sq != 1 {
+		t.Fatalf("{1+2^24} not kept: %+v", c)
 	}
 }
 

@@ -14,10 +14,10 @@
 // adjustments are chosen as the minimum slack across the forest. Weights
 // are integers internally; MinWeightPerfect scales float64 costs to int64.
 //
-// Every n²-sized table is one flat row-major slice, allocated once per
-// solve: the callers' n×n cost and weight matrices (entry (i, j) at
-// i*n+j), the solver's (2n+1)² edge table of 16-byte entries with int32
-// endpoints, and its (2n+1)×(n+1) blossom-membership table.
+// The solver keeps no copy of the n×n integer weight table it is given: an
+// edge between two real vertices is read from that table, and only the
+// edges and membership rows of blossom ids in use are stored, allocated
+// the first time a blossom takes that id.
 package matching
 
 import "slices"
@@ -27,24 +27,30 @@ import "slices"
 // strictly positive and n even, the matching is perfect.
 //
 // Internally vertices are 1-based; ids n+1..2n denote blossoms.
+//
+// The edge table holds, for every pair of ids (u, v), the edge currently
+// representing the connection between (pseudo-)vertices u and v:
+// endpoints are real vertices, w>0 marks presence. Its real-vertex block
+// (u, v ≤ n) is never written, so it is read from w; an entry involving a
+// blossom lives in rows and cols (see at).
 type blossomSolver struct {
 	n  int // number of real vertices
-	m  int // ids 0..2n: the row stride of g
 	nx int // current max id in use (vertices + blossoms)
 
-	// g[u*m+v] is the edge currently representing the connection between
-	// (pseudo-)vertices u and v: endpoints are real vertices, w>0 marks
-	// presence. The real-vertex block (u, v ≤ n) is never written after
-	// construction.
-	g []edge
+	w []int64 // w[(u-1)*n+v-1]: weight of the real edge (u, v), zero diagonal
+	// rows[bl-n-1][x] is entry (bl, x) and cols[bl-n-1][x] is entry (x, bl),
+	// for every x < bl (the diagonal is in rows). An entry between two
+	// blossoms belongs to the larger id, so an id's row and column have
+	// length bl+1 from the start and never grow.
+	rows, cols [][]edge
 
 	lab   []int64 // dual variables (doubled duals for blossoms)
 	match []int   // matched partner (by representing edge head), 0 = unmatched
-	slack []int   // slack[x]: real vertex u minimising delta(g[u*m+x])
+	slack []int   // slack[x]: real vertex u minimising delta(entry (u, x))
 	st    []int   // st[x]: the top-level blossom containing x
 	pa    []int   // parent edge tail in the alternating forest
-	// flowerFrom[b*(n+1)+x]: child of b containing real vertex x.
-	flowerFrom []int32
+	// flowerFrom[bl-n-1][x]: child of blossom bl containing real vertex x.
+	flowerFrom [][]int32
 	s          []int // forest label: -1 free, 0 even (outer), 1 odd (inner)
 	vis        []int
 	visGen     int
@@ -59,47 +65,63 @@ type edge struct {
 }
 
 // newBlossomSolver builds the solver over the n×n weight matrix w
-// (row-major, symmetric, zero diagonal).
+// (row-major, symmetric, zero diagonal), which it reads in place.
 func newBlossomSolver(n int, w []int64) *blossomSolver {
 	m := 2*n + 1
-	b := &blossomSolver{
-		n:          n,
-		m:          m,
-		nx:         n,
-		g:          make([]edge, m*m),
-		lab:        make([]int64, m),
-		match:      make([]int, m),
-		slack:      make([]int, m),
-		st:         make([]int, m),
-		pa:         make([]int, m),
-		flowerFrom: make([]int32, m*(n+1)),
-		s:          make([]int, m),
-		vis:        make([]int, m),
-		flower:     make([][]int, m),
+	return &blossomSolver{
+		n:      n,
+		nx:     n,
+		w:      w,
+		lab:    make([]int64, m),
+		match:  make([]int, m),
+		slack:  make([]int, m),
+		st:     make([]int, m),
+		pa:     make([]int, m),
+		s:      make([]int, m),
+		vis:    make([]int, m),
+		flower: make([][]int, m),
 	}
-	for u := 1; u <= n; u++ {
-		for v := 1; v <= n; v++ {
-			e := edge{u: int32(u), v: int32(v)}
-			if u != v {
-				e.w = w[(u-1)*n+v-1]
-			}
-			b.g[u*m+v] = e
-		}
-	}
-	return b
 }
 
+// eDelta returns the slack of entry e, read through its endpoints. They
+// are real vertices: addBlossom writes every entry of an id, from copies
+// of real edges, when it first takes the id, and a reset keeps them.
 func (b *blossomSolver) eDelta(e edge) int64 {
-	return b.lab[e.u] + b.lab[e.v] - b.g[int(e.u)*b.m+int(e.v)].w*2
+	return b.lab[e.u] + b.lab[e.v] - b.w[int(e.u-1)*b.n+int(e.v-1)]*2
+}
+
+// at returns the stored entry (u, v), of which u or v is a blossom.
+func (b *blossomSolver) at(u, v int) *edge {
+	if u >= v {
+		return &b.rows[u-b.n-1][v]
+	}
+	return &b.cols[v-b.n-1][u]
+}
+
+// get returns the entry (u, v) of the edge table, for ids u, v ≥ 1.
+func (b *blossomSolver) get(u, v int) edge {
+	if u > b.n || v > b.n {
+		return *b.at(u, v)
+	}
+	return edge{u: int32(u), v: int32(v), w: b.w[(u-1)*b.n+v-1]}
+}
+
+// slackDelta returns eDelta(get(u, x)) for a real vertex u ≥ 1 and any
+// x ≥ 1, reading a real edge's weight once.
+func (b *blossomSolver) slackDelta(u, x int) int64 {
+	if x <= b.n {
+		return b.lab[u] + b.lab[x] - b.w[(u-1)*b.n+x-1]*2
+	}
+	return b.eDelta(b.cols[x-b.n-1][u])
 }
 
 // from returns the flowerFrom row of blossom bl, indexed by real vertex.
 func (b *blossomSolver) from(bl int) []int32 {
-	return b.flowerFrom[bl*(b.n+1) : (bl+1)*(b.n+1)]
+	return b.flowerFrom[bl-b.n-1]
 }
 
 func (b *blossomSolver) updateSlack(u, x int) {
-	if b.slack[x] == 0 || b.eDelta(b.g[u*b.m+x]) < b.eDelta(b.g[b.slack[x]*b.m+x]) {
+	if b.slack[x] == 0 || b.slackDelta(u, x) < b.slackDelta(b.slack[x], x) {
 		b.slack[x] = u
 	}
 }
@@ -107,7 +129,7 @@ func (b *blossomSolver) updateSlack(u, x int) {
 func (b *blossomSolver) setSlack(x int) {
 	b.slack[x] = 0
 	for u := 1; u <= b.n; u++ {
-		if b.g[u*b.m+x].w > 0 && b.st[u] != x && b.s[b.st[u]] == 0 {
+		if b.get(u, x).w > 0 && b.st[u] != x && b.s[b.st[u]] == 0 {
 			b.updateSlack(u, x)
 		}
 	}
@@ -155,7 +177,7 @@ func (b *blossomSolver) getPr(bl, xr int) int {
 }
 
 func (b *blossomSolver) setMatch(u, v int) {
-	e := b.g[u*b.m+v]
+	e := b.get(u, v)
 	b.match[u] = int(e.v)
 	if u <= b.n {
 		return
@@ -210,7 +232,12 @@ func (b *blossomSolver) addBlossom(u, lca, v int) {
 		bl++
 	}
 	if bl > b.nx {
+		// First use of id bl: its entries against every id up to bl.
 		b.nx++
+		rc := make([]edge, 2*(bl+1))
+		b.rows = append(b.rows, rc[:bl+1:bl+1])
+		b.cols = append(b.cols, rc[bl+1:])
+		b.flowerFrom = append(b.flowerFrom, make([]int32, b.n+1))
 	}
 	b.lab[bl] = 0
 	b.s[bl] = 0
@@ -231,25 +258,25 @@ func (b *blossomSolver) addBlossom(u, lca, v int) {
 		x = b.st[b.pa[y]]
 	}
 	b.setSt(bl, bl)
-	m := b.m
 	for x := 1; x <= b.nx; x++ {
-		b.g[bl*m+x].w = 0
-		b.g[x*m+bl].w = 0
+		b.at(bl, x).w = 0
+		b.at(x, bl).w = 0
 	}
 	ff := b.from(bl)
-	for x := 1; x <= b.n; x++ {
-		ff[x] = 0
-	}
+	clear(ff)
 	for _, xs := range b.flower[bl] {
 		for x := 1; x <= b.nx; x++ {
-			if b.g[bl*m+x].w == 0 || b.eDelta(b.g[xs*m+x]) < b.eDelta(b.g[bl*m+x]) {
-				b.g[bl*m+x] = b.g[xs*m+x]
-				b.g[x*m+bl] = b.g[x*m+xs]
+			if e := b.at(bl, x); e.w == 0 || b.eDelta(b.get(xs, x)) < b.eDelta(*e) {
+				*e = b.get(xs, x)
+				*b.at(x, bl) = b.get(x, xs)
 			}
 		}
-		fs := b.from(xs)
-		for x := 1; x <= b.n; x++ {
-			if fs[x] != 0 {
+		if xs <= b.n {
+			ff[xs] = int32(xs) // a real vertex is its own only member
+			continue
+		}
+		for x, f := range b.from(xs) {
+			if f != 0 {
 				ff[x] = int32(xs)
 			}
 		}
@@ -261,12 +288,12 @@ func (b *blossomSolver) expandBlossom(bl int) {
 	for _, f := range b.flower[bl] {
 		b.setSt(f, f)
 	}
-	xr := int(b.from(bl)[b.g[bl*b.m+b.pa[bl]].u])
+	xr := int(b.from(bl)[b.get(bl, b.pa[bl]).u])
 	pr := b.getPr(bl, xr)
 	for i := 0; i < pr; i += 2 {
 		xs := b.flower[bl][i]
 		xns := b.flower[bl][i+1]
-		b.pa[xs] = int(b.g[xns*b.m+xs].u)
+		b.pa[xs] = int(b.get(xns, xs).u)
 		b.s[xs] = 1
 		b.s[xns] = 0
 		b.slack[xs] = 0
@@ -311,7 +338,7 @@ const infWeight = int64(1) << 62
 // matchRound grows alternating forests from all free vertices and returns
 // true if an augmenting path was found and applied.
 func (b *blossomSolver) matchRound() bool {
-	m := b.m
+	n := b.n
 	for i := 1; i <= b.nx; i++ {
 		b.s[i] = -1
 		b.slack[i] = 0
@@ -334,10 +361,11 @@ func (b *blossomSolver) matchRound() bool {
 			if b.s[b.st[u]] == 1 {
 				continue
 			}
-			for v := 1; v <= b.n; v++ {
-				if e := b.g[u*m+v]; e.w > 0 && b.st[u] != b.st[v] {
-					if b.eDelta(e) == 0 {
-						if b.onFoundEdge(e) {
+			wu := b.w[(u-1)*n : u*n]
+			for v := 1; v <= n; v++ {
+				if w := wu[v-1]; w > 0 && b.st[u] != b.st[v] {
+					if b.lab[u]+b.lab[v]-w*2 == 0 {
+						if b.onFoundEdge(edge{u: int32(u), v: int32(v), w: w}) {
 							return true
 						}
 					} else {
@@ -358,11 +386,11 @@ func (b *blossomSolver) matchRound() bool {
 			if b.st[x] == x && b.slack[x] != 0 {
 				switch b.s[x] {
 				case -1:
-					if v := b.eDelta(b.g[b.slack[x]*m+x]); v < d {
+					if v := b.slackDelta(b.slack[x], x); v < d {
 						d = v
 					}
 				case 0:
-					if v := b.eDelta(b.g[b.slack[x]*m+x]) / 2; v < d {
+					if v := b.slackDelta(b.slack[x], x) / 2; v < d {
 						d = v
 					}
 				}
@@ -391,8 +419,8 @@ func (b *blossomSolver) matchRound() bool {
 		}
 		b.qReset()
 		for x := 1; x <= b.nx; x++ {
-			if b.st[x] == x && b.slack[x] != 0 && b.st[b.slack[x]] != x && b.eDelta(b.g[b.slack[x]*m+x]) == 0 {
-				if b.onFoundEdge(b.g[b.slack[x]*m+x]) {
+			if b.st[x] == x && b.slack[x] != 0 && b.st[b.slack[x]] != x && b.slackDelta(b.slack[x], x) == 0 {
+				if b.onFoundEdge(b.get(b.slack[x], x)) {
 					return true
 				}
 			}
@@ -413,17 +441,9 @@ func (b *blossomSolver) solve() []int {
 		b.match[u] = 0
 	}
 	var wMax int64
-	for u := 1; u <= b.n; u++ {
-		fu := b.from(u)
-		for v := 1; v <= b.n; v++ {
-			if u == v {
-				fu[v] = int32(u)
-			} else {
-				fu[v] = 0
-			}
-			if w := b.g[u*b.m+v].w; w > wMax {
-				wMax = w
-			}
+	for _, w := range b.w {
+		if w > wMax {
+			wMax = w
 		}
 	}
 	for u := 1; u <= b.n; u++ {

@@ -70,14 +70,15 @@ func randomCost(n int, seed int64, euclidean bool) [][]float64 {
 	return cost
 }
 
-// flat returns cost's order and its entries in row-major order, the
-// layout the solvers take.
-func flat(cost [][]float64) (int, []float64) {
-	out := make([]float64, 0, len(cost)*len(cost))
-	for _, row := range cost {
-		out = append(out, row...)
-	}
-	return len(cost), out
+// flat returns cost's order and a function reading its entries, the
+// form the solvers take.
+func flat(cost [][]float64) (int, func(i, j int) float64) {
+	return len(cost), func(i, j int) float64 { return cost[i][j] }
+}
+
+// rowMajor returns the cost function over the n×n row-major entries c.
+func rowMajor(n int, c []float64) func(i, j int) float64 {
+	return func(i, j int) float64 { return c[i*n+j] }
 }
 
 func TestMinWeightPerfectTrivial(t *testing.T) {
@@ -99,20 +100,25 @@ func TestMinWeightPerfectOddFails(t *testing.T) {
 }
 
 func TestMinWeightPerfectBadInput(t *testing.T) {
-	if _, _, err := MinWeightPerfect(2, []float64{0, -1, -1, 0}); err == nil {
+	if _, _, err := MinWeightPerfect(2, rowMajor(2, []float64{0, -1, -1, 0})); err == nil {
 		t.Error("negative cost should fail")
 	}
-	if _, _, err := MinWeightPerfect(2, []float64{0, math.NaN(), math.NaN(), 0}); err == nil {
+	if _, _, err := MinWeightPerfect(2, rowMajor(2, []float64{0, math.NaN(), math.NaN(), 0})); err == nil {
 		t.Error("NaN cost should fail")
 	}
-	if _, _, err := MinWeightPerfect(2, []float64{0, 1, 1}); err == nil {
-		t.Error("short matrix should fail")
-	}
-	if _, _, err := GreedyPerfect(2, []float64{0, 1, 1, 0, 0}); err == nil {
-		t.Error("long matrix should fail")
+	if _, _, err := MinWeightPerfect(2, rowMajor(2, []float64{0, math.Inf(1), math.Inf(1), 0})); err == nil {
+		t.Error("infinite cost should fail")
 	}
 	if _, _, err := MinWeightPerfect(-2, nil); err == nil {
 		t.Error("negative order should fail")
+	}
+	if _, _, err := GreedyPerfect(-2, nil); err == nil {
+		t.Error("negative order should fail")
+	}
+	// The diagonal is never read: a NaN there is no error.
+	diag := rowMajor(4, []float64{math.NaN(), 1, 2, 3, 1, math.NaN(), 3, 2, 2, 3, math.NaN(), 1, 3, 2, 1, math.NaN()})
+	if mate, total, err := MinWeightPerfect(4, diag); err != nil || total != 2 || mate[0] != 1 {
+		t.Errorf("NaN diagonal: %v %v %v", mate, total, err)
 	}
 }
 

@@ -16,17 +16,20 @@ import (
 const scaleBits = 20
 
 // MinWeightPerfect computes an exact minimum-weight perfect matching on the
-// complete graph on n vertices whose symmetric cost matrix is cost (n×n,
-// row-major: the cost of (i, j) is cost[i*n+j]; zero diagonal,
-// non-negative finite entries). n must be even and non-negative. It
-// returns the mate array and the total cost of the matching.
+// complete graph on n vertices whose edge (i, j) costs cost(i, j)
+// (symmetric, non-negative and finite; the diagonal is never read). n must
+// be even and non-negative. It returns the mate array and the total cost
+// of the matching.
+//
+// cost is read twice per ordered pair, row by row: once to find the
+// largest cost and once to convert each cost to its integer weight.
 //
 // Costs are converted to fixed-point integers; the reduction to
 // maximum-weight matching sets w'(u,v) = C - cost(u,v) with C above every
 // cost, which makes every edge profitable and therefore forces perfection
 // on a complete even-order graph while inverting the objective.
-func MinWeightPerfect(n int, cost []float64) ([]int, float64, error) {
-	if err := checkCost(n, cost); err != nil {
+func MinWeightPerfect(n int, cost func(i, j int) float64) ([]int, float64, error) {
+	if err := checkOrder(n); err != nil {
 		return nil, 0, err
 	}
 	if n == 0 {
@@ -36,12 +39,18 @@ func MinWeightPerfect(n int, cost []float64) ([]int, float64, error) {
 		return nil, 0, fmt.Errorf("matching: odd number of vertices %d", n)
 	}
 	var maxC float64
-	for i, c := range cost {
-		if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-			return nil, 0, fmt.Errorf("matching: invalid cost %v at (%d,%d)", c, i/n, i%n)
-		}
-		if c > maxC {
-			maxC = c
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			c := cost(i, j)
+			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
+				return nil, 0, fmt.Errorf("matching: invalid cost %v at (%d,%d)", c, i, j)
+			}
+			if c > maxC {
+				maxC = c
+			}
 		}
 	}
 	scale := float64(int64(1) << scaleBits)
@@ -60,7 +69,7 @@ func MinWeightPerfect(n int, cost []float64) ([]int, float64, error) {
 				continue
 			}
 			// ×2 keeps the solver's half-integral duals integral.
-			w[i*n+j] = 2 * (ceilC - int64(math.Round(cost[i*n+j]*scale)))
+			w[i*n+j] = 2 * (ceilC - int64(math.Round(cost(i, j)*scale)))
 		}
 	}
 	mate := maxWeight(n, w)
@@ -73,27 +82,28 @@ func MinWeightPerfect(n int, cost []float64) ([]int, float64, error) {
 			return nil, 0, fmt.Errorf("matching: inconsistent mates %d↔%d", u, v)
 		}
 		if u < v {
-			total += cost[u*n+v]
+			total += cost(u, v)
 		}
 	}
 	return mate, total, nil
 }
 
-// checkCost reports a cost slice that is not an n×n matrix.
-func checkCost(n int, cost []float64) error {
-	if n < 0 || len(cost) != n*n {
-		return fmt.Errorf("matching: cost matrix has %d entries, want %d×%d", len(cost), n, n)
+// checkOrder reports a negative order.
+func checkOrder(n int) error {
+	if n < 0 {
+		return fmt.Errorf("matching: negative order %d", n)
 	}
 	return nil
 }
 
-// GreedyPerfect computes a perfect matching on the n×n row-major cost
-// matrix cost by repeatedly taking the globally cheapest remaining edge.
+// GreedyPerfect computes a perfect matching on the complete graph on n
+// vertices whose edge (i, j) costs cost(i, j), read only with i < j, by
+// repeatedly taking the globally cheapest remaining edge.
 // It is a fast O(n² log n) fallback with no optimality guarantee (worst
 // case Θ(n) times optimum, typically within a few percent on random
 // Euclidean inputs). n must be even.
-func GreedyPerfect(n int, cost []float64) ([]int, float64, error) {
-	if err := checkCost(n, cost); err != nil {
+func GreedyPerfect(n int, cost func(i, j int) float64) ([]int, float64, error) {
+	if err := checkOrder(n); err != nil {
 		return nil, 0, err
 	}
 	if n == 0 {
@@ -109,7 +119,7 @@ func GreedyPerfect(n int, cost []float64) ([]int, float64, error) {
 	edges := make([]pair, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			edges = append(edges, pair{i, j, cost[i*n+j]})
+			edges = append(edges, pair{i, j, cost(i, j)})
 		}
 	}
 	sort.Slice(edges, func(a, b int) bool { return edges[a].c < edges[b].c })
@@ -154,10 +164,10 @@ const (
 )
 
 // PerfectAuto picks the exact solver for n ≤ ExactThreshold and the greedy
-// heuristic above, on the n×n row-major cost matrix cost, returning the
+// heuristic above, on the edge costs cost(i, j), returning the
 // matching, its cost, and whether it is provably optimal. An optional
 // obs.Recorder counts which solver ran.
-func PerfectAuto(n int, cost []float64, rec ...obs.Recorder) (mate []int, total float64, exact bool, err error) {
+func PerfectAuto(n int, cost func(i, j int) float64, rec ...obs.Recorder) (mate []int, total float64, exact bool, err error) {
 	r := obs.First(rec...)
 	tr := trace.Of(r)
 	if n <= ExactThreshold {

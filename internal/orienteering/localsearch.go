@@ -66,14 +66,18 @@ func LocalSearch(p *Problem, start Solution) Solution {
 			improved = true
 		}
 
-		// Move 2: single swap in/out.
+		// Move 2: single swap in/out, each removal priced against one
+		// reused copy of the tour without it.
 		swapDone := false
-		for _, out := range append([]int(nil), cur.Tour.Order...) {
+		order := cur.Tour.Order
+		buf := make([]int, 0, len(order))
+		for oi, out := range order {
 			if out == p.Depot {
 				continue
 			}
-			removed, dec := tsp.Remove(cur.Tour, out, p.Cost)
-			baseCost := cur.Cost - dec
+			buf = append(append(buf[:0], order[:oi]...), order[oi+1:]...)
+			removed := tsp.Tour{Order: buf}
+			baseCost := cur.Cost - tsp.RemovalDelta(cur.Tour, oi, p.Cost)
 			for v := 0; v < p.N && !swapDone; v++ {
 				if in[v] || p.Reward(v) <= p.Reward(out) {
 					continue

@@ -81,16 +81,8 @@ func Christofides(items []int, m Metric, rec ...obs.Recorder) (Tour, error) {
 	}
 	if len(odd) > 0 {
 		endMatch := tr.Begin(SpanChristofidesMatching, trace.Int("odd", len(odd)))
-		n := len(odd)
-		cost := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j {
-					cost[i*n+j] = local(odd[i], odd[j])
-				}
-			}
-		}
-		mate, _, _, err := matching.PerfectAuto(n, cost, r)
+		cost := func(i, j int) float64 { return local(odd[i], odd[j]) }
+		mate, _, _, err := matching.PerfectAuto(len(odd), cost, r)
 		if err != nil {
 			endMatch()
 			return Tour{}, fmt.Errorf("tsp: matching odd vertices: %w", err)

@@ -131,7 +131,7 @@ func denseChristofides(items []int, m Metric) (Tour, error) {
 			}
 		}
 	}
-	mate, _, _, err := matching.PerfectAuto(n, cost)
+	mate, _, _, err := matching.PerfectAuto(n, func(i, j int) float64 { return cost[i*n+j] })
 	if err != nil {
 		return Tour{}, err
 	}

@@ -53,17 +53,27 @@ func Remove(t Tour, v int, m Metric) (Tour, float64) {
 	if i < 0 {
 		return t, 0
 	}
-	n := t.Len()
-	var delta float64
-	if n >= 3 {
-		a := t.Order[(i-1+n)%n]
-		b := t.Order[(i+1)%n]
-		delta = m(a, v) + m(v, b) - m(a, b)
-	} else if n == 2 {
-		delta = 2 * m(t.Order[0], t.Order[1])
-	}
-	order := make([]int, 0, n-1)
+	delta := RemovalDelta(t, i, m)
+	order := make([]int, 0, t.Len()-1)
 	order = append(order, t.Order[:i]...)
 	order = append(order, t.Order[i+1:]...)
 	return Tour{Order: order}, delta
+}
+
+// RemovalDelta returns the cost decrease of removing the item at position
+// i of t, the delta Remove reports, without copying the tour: the two
+// edges at the item less the edge that replaces them, twice the one edge
+// of a two-item tour, and 0 for a single item.
+func RemovalDelta(t Tour, i int, m Metric) float64 {
+	n := t.Len()
+	switch {
+	case n >= 3:
+		a := t.Order[(i-1+n)%n]
+		b := t.Order[(i+1)%n]
+		v := t.Order[i]
+		return m(a, v) + m(v, b) - m(a, b)
+	case n == 2:
+		return 2 * m(t.Order[0], t.Order[1])
+	}
+	return 0
 }

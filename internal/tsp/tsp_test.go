@@ -265,6 +265,31 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// TestRemovalDelta checks the delta at every position of a tour against
+// the cost of the tour without that item, and the one- and two-item cases.
+func TestRemovalDelta(t *testing.T) {
+	pts := randPts(10, 5)
+	m := euclid(pts)
+	tour := CheapestInsertion(allItems(10), m)
+	base := tour.Cost(m)
+	for i, v := range tour.Order {
+		smaller, want := Remove(tour, v, m)
+		got := RemovalDelta(tour, i, m)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("position %d: delta %v, Remove reports %v", i, got, want)
+		}
+		if math.Abs(smaller.Cost(m)-(base-got)) > 1e-9 {
+			t.Fatalf("position %d: predicted %v, actual %v", i, base-got, smaller.Cost(m))
+		}
+	}
+	if d := RemovalDelta(Tour{Order: []int{3, 7}}, 1, m); d != 2*m(3, 7) {
+		t.Errorf("two-item delta %v, want %v", d, 2*m(3, 7))
+	}
+	if d := RemovalDelta(Tour{Order: []int{3}}, 0, m); d != 0 {
+		t.Errorf("one-item delta %v, want 0", d)
+	}
+}
+
 func TestTwoOptImproves(t *testing.T) {
 	pts := randPts(40, 8)
 	m := euclid(pts)

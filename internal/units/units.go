@@ -93,9 +93,10 @@ func Scale[T ~float64](q T, k float64) T { return T(float64(q) * k) }
 // Ratio is the dimensionless quotient of two like quantities.
 func Ratio[T ~float64](a, b T) float64 { return float64(a) / float64(b) }
 
-// Min returns the smaller of two like quantities, with math.Min's
-// NaN/signed-zero semantics.
-func Min[T ~float64](a, b T) T { return T(math.Min(float64(a), float64(b))) }
+// Min returns the smaller of two like quantities, by the builtin min:
+// −0 is below +0 and −Inf below all else, as in math.Min, and a NaN
+// operand gives a NaN (math.Min gives −Inf for min(−Inf, NaN)).
+func Min[T ~float64](a, b T) T { return min(a, b) }
 
 // Abs returns the magnitude of a quantity.
 func Abs[T ~float64](q T) T { return T(math.Abs(float64(q))) }

@@ -54,6 +54,39 @@ func TestMinMaxAbsDelegateToMath(t *testing.T) {
 	}
 }
 
+// TestBuiltinMinMaxMatchMath holds the builtin min and max, which Min and
+// geom.Rect.Clamp use, to math.Min and math.Max over every ordered pair of
+// signed zeros, infinities, NaN and ordinary values. Without a NaN operand
+// the results are identical bit for bit. With one, the builtins return a
+// NaN, but neither its payload nor the infinity rule is math's:
+// math.Min(−Inf, NaN) is −Inf and math.Max(+Inf, NaN) is +Inf. Min's
+// callers pass no NaN.
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	vals := []float64{math.Inf(-1), -3.5, -1, math.Copysign(0, -1), 0, 1e-300, 1, 2.25, math.MaxFloat64, math.Inf(1), math.NaN()}
+	same := func(name string, a, b, got, want float64) {
+		t.Helper()
+		if math.IsNaN(a) || math.IsNaN(b) {
+			if !math.IsNaN(got) {
+				t.Errorf("%s(%v, %v) = %v, want NaN", name, a, b, got)
+			}
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s(%v, %v) = %v (bits %x), want %v (bits %x)", name, a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			same("Min", a, b, Min(Meters(a), Meters(b)).F(), math.Min(a, b))
+			same("min", a, b, min(a, b), math.Min(a, b))
+			same("max", a, b, max(a, b), math.Max(a, b))
+		}
+	}
+	if math.Min(math.Inf(-1), math.NaN()) != math.Inf(-1) || math.Max(math.Inf(1), math.NaN()) != math.Inf(1) {
+		t.Error("math.Min/math.Max no longer prefer the infinity to NaN; update Min's doc")
+	}
+}
+
 // TestFRoundTrips: wrapping and unwrapping is the identity on bits,
 // including for the values float64 treats specially.
 func TestFRoundTrips(t *testing.T) {
