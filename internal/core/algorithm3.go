@@ -18,8 +18,10 @@ import (
 // acceptance, the awards and sojourns of the candidates covering a sensor
 // the accepted stop took data from are recomputed against the residual
 // volumes, because such a sensor may have been partially drained. Every
-// other candidate's awards and sojourns are unchanged and are reused; only
-// its energy check and ratio are redone against the grown route.
+// other candidate's awards and sojourns are unchanged and are reused, and
+// so is its last choice of level while its insertion cost is unchanged
+// and that level still fits the budget (fastscan.go): only the energy
+// check and the chosen level's ratio are redone against the grown route.
 //
 // Implementation note: the sojourn ladder is derived from the *residual*
 // drain time of each location rather than frozen at the initial t(s_j).
@@ -99,14 +101,16 @@ func betterPartial(c1 partialCandidate, r1 float64, c2 partialCandidate, r2 floa
 }
 
 // pickPartial is the ratio-greedy argmax step (Eq. 13) of Algorithms 2
-// and 3, LNS repair and the residual replanner: it scans every (location,
-// level) pair and returns the best feasible one, ok = false when there is
-// none. The fast scan walks only residual-active, non-excluded locations —
-// an inactive location can produce neither a positive full award nor a
+// and 3, LNS repair and the residual replanner: it returns the best
+// feasible (location, level) pair, ok = false when there is none. The
+// fast scan walks only residual-active, non-excluded locations — an
+// inactive location can produce neither a positive full award nor a
 // positive partial gain, and a fully drained in-route stop has no level
-// above its current sojourn, so skipping both is bit-equivalent; the skip
-// count reconciles its evals with the reference scan's, which visits
-// every non-excluded location each iteration.
+// above its current sojourn, so skipping both is bit-equivalent — and
+// evalLoc re-scores a location only when its ladder, its insertion delta
+// or the budget test of its last offer changed. The skip count and the
+// reused-offer count reconcile its evals with the reference scan's, which
+// scores every level of every non-excluded location each iteration.
 func (st *greedyState) pickPartial(k int) (partialCandidate, bool) {
 	cur := st.energy()
 	ids := st.scanIdx().compact()
@@ -122,47 +126,73 @@ func (st *greedyState) pickPartial(k int) (partialCandidate, bool) {
 	return best, best.loc >= 0
 }
 
-// evalLoc prices every level of one location against the route and returns
-// its best candidate under the total order.
+// evalLoc returns location c's best candidate under the total order. On
+// the fast path it first tries c's last offer: while the ladder is fresh,
+// the insertion delta is bit-identical and cur has not fallen, the
+// offer's winner stands if it still passes the budget test (see offer),
+// so only that test, over every rung for the pruned count, and the
+// winner's ratio are redone. Otherwise it scores every rung against the
+// route and records the new offer.
 func (st *greedyState) evalLoc(lad *ladderCache, k, c int, cur units.Joules) (partialCandidate, float64, bool) {
-	st.so.evalHit(c)
-	best := partialCandidate{loc: -1}
-	bestRatio := -1.0
+	var last *offer
+	if lad != nil && lad.fresh[c] && lad.offers[c].scored && cur >= lad.offers[c].cur {
+		last = &lad.offers[c]
+	}
 	rungs := st.ladder(lad, k, c)
-	if len(rungs) == 0 {
-		return best, bestRatio, false
-	}
-	upgrade := st.inTour[c]
-	var pos int
-	var travelD float64
+	cand := partialCandidate{loc: c, upgrade: st.inTour[c]}
 	var travelE units.Joules
-	if !upgrade {
-		pos, travelD = st.insertion(c)
-		travelE = st.in.Model.TravelEnergy(units.Meters(travelD))
+	if len(rungs) > 0 && !cand.upgrade {
+		cand.pos, cand.travelD = st.insertion(c)
+		travelE = st.in.Model.TravelEnergy(units.Meters(cand.travelD))
 	}
-	for _, r := range rungs {
-		if cur+r.hoverE+travelE > st.budget+1e-9 {
+	if last != nil && sameBits(last.travelD, cand.travelD) && (last.win == 0 || !st.overBudget(cur, rungs[last.win-1], travelE)) {
+		st.so.reused.Inc()
+		for _, r := range rungs {
+			if st.overBudget(cur, r, travelE) {
+				st.so.pruned.Inc()
+			}
+		}
+		if last.win == 0 {
+			return partialCandidate{loc: -1}, -1, false
+		}
+		r := rungs[last.win-1]
+		cand.sojourn, cand.gain = r.sojourn, r.gain
+		return cand, rungRatio(r, travelE), true
+	}
+	st.so.evalHit(c)
+	best, bestRatio, win := partialCandidate{loc: -1}, -1.0, 0
+	for i, r := range rungs {
+		if st.overBudget(cur, r, travelE) {
 			st.so.pruned.Inc()
 			continue
 		}
-		denom := r.hoverE + travelE
-		ratio := math.Inf(1)
-		if denom > 1e-12 {
-			ratio = r.gain.F() / denom.F()
-		}
-		cand := partialCandidate{
-			loc:     c,
-			pos:     pos,
-			upgrade: upgrade,
-			sojourn: r.sojourn,
-			gain:    r.gain,
-			travelD: travelD,
-		}
-		if betterPartial(cand, ratio, best, bestRatio) {
-			best, bestRatio = cand, ratio
+		cand.sojourn, cand.gain = r.sojourn, r.gain
+		if ratio := rungRatio(r, travelE); betterPartial(cand, ratio, best, bestRatio) {
+			best, bestRatio, win = cand, ratio, i+1
 		}
 	}
+	if lad != nil {
+		lad.offers[c] = offer{travelD: cand.travelD, cur: cur, win: int32(win), scored: true}
+	}
 	return best, bestRatio, best.loc >= 0
+}
+
+// overBudget reports that a stop taking rung r at travel energy travelE
+// would exceed the budget from route energy cur. The test is monotone in
+// cur: rounding is monotone, so a rung over budget at some cur is over it
+// at every higher one.
+func (st *greedyState) overBudget(cur units.Joules, r rung, travelE units.Joules) bool {
+	return cur+r.hoverE+travelE > st.budget+1e-9
+}
+
+// rungRatio is Eq. 13's ratio for rung r at travel energy travelE: the
+// gain per joule, +Inf when the energy is nil.
+func rungRatio(r rung, travelE units.Joules) float64 {
+	denom := r.hoverE + travelE
+	if denom > 1e-12 {
+		return r.gain.F() / denom.F()
+	}
+	return math.Inf(1)
 }
 
 // ladder returns location c's rungs: lad's cached ones while fresh,

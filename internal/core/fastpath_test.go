@@ -179,9 +179,11 @@ func TestFastPathMatchesReferenceBenchmark(t *testing.T) {
 
 // TestSkippedEvalsReconcile is the accounting oracle for the pruned scan:
 // per planner, the fast path's candidate evaluations plus its skipped
-// (provably zero-award) candidates must equal the reference path's
-// evaluations exactly. Any hole in the exactness argument shows up here as
-// a candidate that was neither evaluated nor proven skippable.
+// (provably zero-award) candidates plus its reused offers must equal the
+// reference path's evaluations exactly, and both paths must prune the
+// same number of levels over budget. Any hole in the exactness argument
+// shows up here as a candidate that was neither evaluated nor proven
+// skippable or unchanged.
 func TestSkippedEvalsReconcile(t *testing.T) {
 	run := func(name string, plan func(reference bool, reg *obs.Registry) error) {
 		t.Helper()
@@ -195,21 +197,28 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 		}
 		ref := refReg.Snapshot().Counters
 		fast := fastReg.Snapshot().Counters
-		if ref[CounterScanSkippedDrained] != 0 {
-			t.Errorf("%s: reference path recorded %d skips", name, ref[CounterScanSkippedDrained])
+		if ref[CounterScanSkippedDrained] != 0 || ref[CounterScanReusedOffers] != 0 {
+			t.Errorf("%s: reference path recorded %d skips and %d reused offers", name, ref[CounterScanSkippedDrained], ref[CounterScanReusedOffers])
 		}
 		refEvals := ref[CounterCandidateEvals]
 		fastEvals := fast[CounterCandidateEvals]
 		skipped := fast[CounterScanSkippedDrained]
+		reused := fast[CounterScanReusedOffers]
 		if refEvals == 0 {
 			t.Fatalf("%s: reference recorded no evaluations", name)
 		}
-		if fastEvals+skipped != refEvals {
-			t.Errorf("%s: fast evals %d + skipped %d != reference evals %d",
-				name, fastEvals, skipped, refEvals)
+		if fastEvals+skipped+reused != refEvals {
+			t.Errorf("%s: fast evals %d + skipped %d + reused %d != reference evals %d",
+				name, fastEvals, skipped, reused, refEvals)
+		}
+		if got, want := fast[CounterPrunedOverBudget], ref[CounterPrunedOverBudget]; got != want {
+			t.Errorf("%s: fast path pruned %d levels over budget, reference %d", name, got, want)
 		}
 		if skipped == 0 {
 			t.Errorf("%s: fast path skipped nothing — pruning is inert on this instance", name)
+		}
+		if reused == 0 {
+			t.Errorf("%s: fast path reused no offer — offers are inert on this instance", name)
 		}
 	}
 
@@ -279,6 +288,22 @@ func BenchmarkBaselinePlan(b *testing.B) {
 		}
 	}
 }
+
+// benchPaperScale is one planner's paper-scale plan: 500 sensors on
+// 1 km² at 1.5×10⁵ J (PaperTight), δ = 10 m and K = 4 (make bench-micro).
+func benchPaperScale(b *testing.B, p Planner) {
+	in := paperDensityInstance(b, 1, 500, 1.5e5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Plan(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAlg2PaperScale(b *testing.B) { benchPaperScale(b, &Algorithm2{}) }
+func BenchmarkAlg3PaperScale(b *testing.B) { benchPaperScale(b, &Algorithm3{}) }
 
 func BenchmarkAlg2Reference(b *testing.B) { benchAlg2(b, true) }
 func BenchmarkAlg2Fast(b *testing.B)      { benchAlg2(b, false) }

@@ -62,9 +62,10 @@ func fuzzInstance(seed uint64, rawN, rawK, shape uint8, capScale uint16) *Instan
 // zero-volume sensors, K in 1..4, zero to loose budgets) Algorithms 2 and
 // 3, LNS repair and the open-path replanner, with and without excluded
 // no-hover zones, must produce byte-identical plans on the fast and the
-// reference path. The fast path's candidate evaluations plus its skip
-// ledger must equal the reference path's evaluations, it may recompute
-// residual drains no more often, and every other counter must agree.
+// reference path. The fast path's candidate evaluations plus its skipped
+// candidates plus its reused offers must equal the reference path's
+// evaluations, it may recompute residual drains no more often, and every
+// other counter, pruned_over_budget among them, must agree.
 func FuzzFastMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(1), uint8(0), uint16(2000))
 	f.Add(uint64(2), uint8(15), uint8(3), uint8(fuzzCoincident|fuzzZeroVolume), uint16(800))
@@ -128,12 +129,12 @@ func FuzzFastMatchesReference(f *testing.F) {
 			if string(refPlan) != string(fastPlan) {
 				t.Fatalf("%s: plans differ\nreference %s\nfast      %s", name, refPlan, fastPlan)
 			}
-			if got, want := fast[CounterCandidateEvals]+fast[CounterScanSkippedDrained], ref[CounterCandidateEvals]; got != want {
-				t.Errorf("%s: fast evals %d + skipped %d != reference evals %d",
-					name, fast[CounterCandidateEvals], fast[CounterScanSkippedDrained], want)
+			if got, want := fast[CounterCandidateEvals]+fast[CounterScanSkippedDrained]+fast[CounterScanReusedOffers], ref[CounterCandidateEvals]; got != want {
+				t.Errorf("%s: fast evals %d + skipped %d + reused %d != reference evals %d",
+					name, fast[CounterCandidateEvals], fast[CounterScanSkippedDrained], fast[CounterScanReusedOffers], want)
 			}
-			if ref[CounterScanSkippedDrained] != 0 {
-				t.Errorf("%s: reference path skipped %d", name, ref[CounterScanSkippedDrained])
+			if ref[CounterScanSkippedDrained] != 0 || ref[CounterScanReusedOffers] != 0 {
+				t.Errorf("%s: reference path skipped %d and reused %d", name, ref[CounterScanSkippedDrained], ref[CounterScanReusedOffers])
 			}
 			if fast[CounterResidualRecomputes] > ref[CounterResidualRecomputes] {
 				t.Errorf("%s: fast path recomputed %d residual drains, reference %d",
@@ -143,7 +144,7 @@ func FuzzFastMatchesReference(f *testing.F) {
 			names = append(names, slices.Sorted(maps.Keys(fast))...)
 			for _, c := range names {
 				switch c {
-				case CounterCandidateEvals, CounterScanSkippedDrained, CounterResidualRecomputes:
+				case CounterCandidateEvals, CounterScanSkippedDrained, CounterScanReusedOffers, CounterResidualRecomputes:
 					continue
 				}
 				if fast[c] != ref[c] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"uavdc/internal/hover"
 	"uavdc/internal/tsp"
@@ -123,7 +124,7 @@ func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand) *greedy
 		stop := &p.Stops[i]
 		id := stop.LocID
 		pos, _ := tsp.BestInsertion(st.tour, id, st.dist)
-		st.tour = tsp.Insert(st.tour, id, pos)
+		st.tour.Order = slices.Insert(st.tour.Order, pos, id)
 		st.inTour[id] = true
 		st.sojourns[id] = units.Seconds(stop.Sojourn)
 		st.hoverTime += units.Seconds(stop.Sojourn)

@@ -9,8 +9,9 @@ import (
 // exactly reproducible for a fixed instance: the planners are serial.
 const (
 	// CounterCandidateEvals counts candidate (or candidate-location)
-	// evaluations across all greedy iterations; the benchmark's removal
-	// scans contribute their per-removal candidate checks here too.
+	// evaluations across all greedy iterations — on the fast path only the
+	// real scorings, not the skipped or reused ones; the benchmark's
+	// removal scans contribute their per-removal candidate checks here too.
 	CounterCandidateEvals = "core.candidate_evals"
 	// CounterPrunedOverBudget counts candidate evaluations (levels, for
 	// Algorithm 3) rejected because accepting them would exceed the
@@ -30,10 +31,18 @@ const (
 	// CounterScanSkippedDrained counts candidate evaluations the fast scan
 	// proved unnecessary and skipped: locations whose covered sensors are
 	// all fully drained, which the reference scan would evaluate and
-	// discard (award 0). Per iteration, fast evals + skipped equals the
-	// reference scan's evals — the differential suite asserts exactly
-	// that, so the counter doubles as the pruning-soundness oracle.
+	// discard (award 0). Per iteration, fast evals + skipped + reused
+	// offers (CounterScanReusedOffers) equals the reference scan's evals —
+	// the differential suite asserts exactly that, so the counter doubles
+	// as the pruning-soundness oracle.
 	CounterScanSkippedDrained = "core.scan_skipped_drained"
+	// CounterScanReusedOffers counts candidate evaluations the fast scan
+	// answered from a location's last offer without re-scoring it: its
+	// ladder and insertion delta were unchanged, the route energy had not
+	// fallen, and the offered level still fitted the budget (fastscan.go).
+	// Per planner run, fast evals + skipped + reused equals the reference
+	// scan's evals exactly.
+	CounterScanReusedOffers = "core.scan_reused_offers"
 	// CounterBenchRemovals counts nodes pruned from the benchmark's
 	// initial TSP tour to reach feasibility.
 	CounterBenchRemovals = "core.bench_removals"
@@ -86,6 +95,7 @@ type scanObs struct {
 	evals  obs.Counter
 	pruned obs.Counter
 	resid  obs.Counter
+	reused obs.Counter
 	tr     trace.Tracer
 	detail bool
 }
@@ -96,6 +106,7 @@ func newScanObs(r obs.Recorder) scanObs {
 		evals:  r.Counter(CounterCandidateEvals),
 		pruned: r.Counter(CounterPrunedOverBudget),
 		resid:  r.Counter(CounterResidualRecomputes),
+		reused: r.Counter(CounterScanReusedOffers),
 		tr:     t,
 		detail: t.Enabled() && t.Detail(),
 	}

@@ -198,13 +198,13 @@ func TestAdaptiveReplansCarryReferencePolicy(t *testing.T) {
 		return c
 	}
 	ref, fast := counters(true), counters(false)
-	refEvals, refSkipped := ref[core.CounterCandidateEvals], ref[core.CounterScanSkippedDrained]
-	if refEvals == 0 || refSkipped != 0 {
-		t.Fatalf("reference replans: evals %d, skipped %d; want evals > 0, skipped 0", refEvals, refSkipped)
+	refEvals, refSkipped, refReused := ref[core.CounterCandidateEvals], ref[core.CounterScanSkippedDrained], ref[core.CounterScanReusedOffers]
+	if refEvals == 0 || refSkipped != 0 || refReused != 0 {
+		t.Fatalf("reference replans: evals %d, skipped %d, reused %d; want evals > 0, skipped and reused 0", refEvals, refSkipped, refReused)
 	}
-	fastEvals, fastSkipped := fast[core.CounterCandidateEvals], fast[core.CounterScanSkippedDrained]
-	if fastSkipped == 0 || fastEvals+fastSkipped != refEvals {
-		t.Fatalf("fast replans: evals %d + skipped %d, reference evals %d", fastEvals, fastSkipped, refEvals)
+	fastEvals, fastSkipped, fastReused := fast[core.CounterCandidateEvals], fast[core.CounterScanSkippedDrained], fast[core.CounterScanReusedOffers]
+	if fastSkipped == 0 || fastEvals+fastSkipped+fastReused != refEvals {
+		t.Fatalf("fast replans: evals %d + skipped %d + reused %d, reference evals %d", fastEvals, fastSkipped, fastReused, refEvals)
 	}
 }
 
