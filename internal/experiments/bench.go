@@ -84,16 +84,18 @@ type BenchSpeedupRow struct {
 	// figure panels.
 	Preset string `json:"preset"`
 	// ReferenceEvals / FastEvals are the core.candidate_evals totals of
-	// the two runs; SkippedEvals is the fast run's
-	// core.scan_skipped_drained total. The fast-path accounting oracle is
-	// FastEvals + SkippedEvals == ReferenceEvals.
+	// the two runs; SkippedEvals and ReusedEvals are the fast run's
+	// core.scan_skipped_drained and core.scan_reused_offers totals. The
+	// fast-path accounting oracle is
+	// FastEvals + SkippedEvals + ReusedEvals == ReferenceEvals.
 	ReferenceEvals int64 `json:"reference_evals"`
 	FastEvals      int64 `json:"fast_evals"`
 	SkippedEvals   int64 `json:"skipped_evals"`
+	ReusedEvals    int64 `json:"reused_evals"`
 	// BitIdentical reports whether the two runs' deterministic panels
 	// matched exactly: per-series volumes, plan calls, and every counter
 	// other than the scan work ledger (candidate_evals,
-	// residual_recomputes, scan_skipped_drained).
+	// residual_recomputes, scan_skipped_drained, scan_reused_offers).
 	BitIdentical bool `json:"bit_identical"`
 }
 
@@ -103,6 +105,7 @@ var speedupWorkCounters = map[string]bool{
 	core.CounterCandidateEvals:     true,
 	core.CounterResidualRecomputes: true,
 	core.CounterScanSkippedDrained: true,
+	core.CounterScanReusedOffers:   true,
 }
 
 // Bench is the deterministic ledger BENCH_LEDGER.json holds: every
@@ -230,6 +233,7 @@ func benchSpeedup(preset string, cfg Config, figures []string) ([]BenchSpeedupRo
 			ReferenceEvals: refFig.Counters[core.CounterCandidateEvals],
 			FastEvals:      fastFig.Counters[core.CounterCandidateEvals],
 			SkippedEvals:   fastFig.Counters[core.CounterScanSkippedDrained],
+			ReusedEvals:    fastFig.Counters[core.CounterScanReusedOffers],
 			BitIdentical:   speedupPanelsEqual(refFig, fastFig),
 		})
 	}

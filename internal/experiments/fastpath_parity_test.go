@@ -9,7 +9,8 @@ import (
 // assertTablesBitEqual compares the deterministic panels of two figure
 // tables: series names and order, every point's x, volume, volume CI and
 // instance count bit-for-bit, and the counter totals except the scan work
-// ledger (candidate_evals, residual_recomputes, scan_skipped_drained),
+// ledger (candidate_evals, residual_recomputes, scan_skipped_drained,
+// scan_reused_offers),
 // which legitimately differs between the reference and fast scan paths.
 // Runtime fields are wall clock and not compared.
 func assertTablesBitEqual(t *testing.T, label string, ref, got *Table) {
@@ -105,9 +106,9 @@ func TestBenchSpeedupPanel(t *testing.T) {
 		if row.Preset != "tiny" {
 			t.Errorf("%s: preset %q, want tiny", row.Figure, row.Preset)
 		}
-		if row.FastEvals+row.SkippedEvals != row.ReferenceEvals {
-			t.Errorf("%s: fast evals %d + skipped %d != reference evals %d",
-				row.Figure, row.FastEvals, row.SkippedEvals, row.ReferenceEvals)
+		if row.FastEvals+row.SkippedEvals+row.ReusedEvals != row.ReferenceEvals {
+			t.Errorf("%s: fast evals %d + skipped %d + reused %d != reference evals %d",
+				row.Figure, row.FastEvals, row.SkippedEvals, row.ReusedEvals, row.ReferenceEvals)
 		}
 		if row.ReferenceEvals == 0 {
 			t.Errorf("%s: reference run recorded no candidate evaluations", row.Figure)

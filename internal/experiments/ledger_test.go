@@ -50,9 +50,9 @@ func TestBenchLedgerConsistent(t *testing.T) {
 		if !row.BitIdentical {
 			t.Errorf("speedup/%s: deterministic panels diverged between reference and fast", row.Figure)
 		}
-		if row.FastEvals+row.SkippedEvals != row.ReferenceEvals {
-			t.Errorf("speedup/%s: fast evals %d + skipped %d != reference evals %d",
-				row.Figure, row.FastEvals, row.SkippedEvals, row.ReferenceEvals)
+		if row.FastEvals+row.SkippedEvals+row.ReusedEvals != row.ReferenceEvals {
+			t.Errorf("speedup/%s: fast evals %d + skipped %d + reused %d != reference evals %d",
+				row.Figure, row.FastEvals, row.SkippedEvals, row.ReusedEvals, row.ReferenceEvals)
 		}
 	}
 	sv := b.Serve

@@ -63,6 +63,7 @@ var canonicalNames = map[string]NameKind{
 	"core.upgraded_stops":       KindCounter,
 	"core.bench_removals":       KindCounter,
 	"core.scan_skipped_drained": KindCounter,
+	"core.scan_reused_offers":   KindCounter,
 	"core.lns_rounds":           KindCounter,
 	"core.lns_improvements":     KindCounter,
 
