@@ -32,8 +32,9 @@ func NewTrace() *Trace { return &Trace{buf: trace.NewBuffer()} }
 
 // SetDetail toggles per-candidate detail events ("scan/eval", one per
 // candidate evaluation). Off (the default) records phase spans and mission
-// events only; on, traces grow by one event per candidate scanned and
-// remain deterministic.
+// events only; on, traces grow by one event per candidate scored (a
+// candidate answered from its unchanged last offer is not scored again)
+// and remain deterministic.
 func (t *Trace) SetDetail(on bool) { t.buf.SetDetail(on) }
 
 // Len returns the number of records captured so far.
