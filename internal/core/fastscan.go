@@ -22,18 +22,17 @@ import (
 // least one sensor with residual > 0.
 //
 // Residuals only ever transition > 0 → == 0 exactly (acceptPartial
-// subtracts amt ≤ residual and clamps at 0; in drain mode amt is the
-// residual itself), so the cover
-// counts are maintained by pure integer decrements — no float thresholds,
-// no drift.
+// subtracts amt ≤ residual and clamps at 0; a stop that reaches a
+// sensor's drain time takes the residual itself, so a full drain leaves
+// no residue behind), so the cover counts are maintained by pure integer
+// decrements — no float thresholds, no drift.
 //
 // Three caches then re-score only what the last acceptance changed, each
 // replaying the reference's own float expressions on unchanged inputs:
 //
 //   - ladderCache keeps the level ladder per location: the sojourn, gain
 //     and hover energy of every level that survives the upgrade and
-//     zero-gain filters (in Algorithm 2's drain mode, the one full-drain
-//     rung). A ladder is a pure function of the
+//     zero-gain filters. A ladder is a pure function of the
 //     residuals of the location's covered sensors and of its own sojourn
 //     and ledger, so an acceptance invalidates exactly the accepted
 //     location and the locations covering a sensor it took data from
