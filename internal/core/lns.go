@@ -45,11 +45,6 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	if rounds <= 0 {
 		rounds = 20
 	}
-	k := in.K
-	if k < 1 {
-		k = 1
-	}
-
 	best, err := base.Plan(in)
 	if err != nil {
 		return nil, err
@@ -72,13 +67,7 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	for round := 0; round < rounds; round++ {
 		cRounds.Inc()
 		cur := rebuildState(in, set, best, rng)
-		for {
-			cand, ok := cur.pickPartial(k)
-			if !ok {
-				break
-			}
-			cur.acceptPartial(cand)
-		}
+		cur.run(in.K, nil)
 		trial := cur.plan(l.Name())
 		if trial.Collected() > best.Collected()+1e-9 {
 			cImproved.Inc()
