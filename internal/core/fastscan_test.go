@@ -354,10 +354,7 @@ func TestSplitFilterMatchesUnfiltered(t *testing.T) {
 // last tour), by hand-made 2-opt reversals and Or-opt relocations, and
 // by pure rotations, on random and lattice fields over sides from 1 km
 // to 10⁴ km, every memo retour keeps live equals a fresh scan of the new
-// tour, tie flag included. tsp.Retour runs on the sides up to 10 km
-// only: its moves take any delta below an absolute −1e-12, under the
-// rounding of a delta at larger sides, and on a 100 km lattice field its
-// 2-opt sweep never stops.
+// tour, tie flag included.
 func TestMemoRepairMatchesScan(t *testing.T) {
 	var carried, voided, tied int
 	for _, side := range []float64{1e3, 1e4, 1e5, 1e7} {
@@ -365,12 +362,9 @@ func TestMemoRepairMatchesScan(t *testing.T) {
 			r := rng.New(seed).Rand()
 			n := 4 + r.Intn(24)
 			set := memoField(r, side, n, 120, seed%2 == 0)
-			retour := side <= 1e4
 			tour := tsp.Tour{Order: r.Perm(n)}
 			var rt tsp.Retour
-			if retour {
-				rt.Improve(&tour, set.Dist)
-			}
+			rt.Improve(&tour, set.Dist)
 			sc, ids, inRoute := memoScratch(set, tour.Order, true)
 			for step := 0; step < 30; step++ {
 				for _, c := range ids {
@@ -378,11 +372,7 @@ func TestMemoRepairMatchesScan(t *testing.T) {
 				}
 				before := slices.Clone(tour.Order)
 				o := tour.Order
-				move := step % 4
-				if !retour {
-					move = step % 3
-				}
-				switch move {
+				switch step % 4 {
 				case 0: // a pure rotation
 					k := 1 + r.Intn(n-1)
 					tour.Order = append(o[k:], o[:k]...)
@@ -405,9 +395,7 @@ func TestMemoRepairMatchesScan(t *testing.T) {
 						sc.memoized(int(c), set.Locs[c].Pos)
 					}
 				}
-				if retour {
-					rt.Improve(&tour, set.Dist)
-				}
+				rt.Improve(&tour, set.Dist)
 				live := 0
 				for _, c := range ids {
 					if m := sc.memo[c]; m.gen == sc.gen {

@@ -47,8 +47,9 @@ func twoOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 				if i == 0 && j == n-1 {
 					continue // same edge pair on the cycle
 				}
-				delta := x.at(a, c) + x.at(b, d) - dAB - x.at(c, d)
-				if delta < -1e-12 {
+				ac, bd, cd := x.at(a, c), x.at(b, d), x.at(c, d)
+				delta := ac + bd - dAB - cd
+				if improves(delta, ac, bd, dAB, cd) {
 					reverse(t.Order[i+1 : j+1])
 					saved -= delta
 					improved = true
@@ -64,6 +65,19 @@ func twoOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 		}
 	}
 	return saved, moved
+}
+
+// improves reports that a 2-opt move of delta ac+bd−ab−cd, over four
+// edge lengths, shortens the tour. Besides the absolute −1e-12, the delta
+// must be below −1e-14 of the four lengths' sum. Each length is within an
+// ulp or so of its exact value and the delta takes three roundings, so its
+// error is under 1e-15 of that sum: well below 1e-14, so every accepted
+// move shortens the true tour and the sweep ends at any coordinate scale.
+// An absolute bound alone sits under the rounding once coordinates reach
+// ~1e5 m, where moves that gain nothing can cycle forever. The relative
+// test runs only after the absolute one passes.
+func improves(delta, ac, bd, ab, cd float64) bool {
+	return delta < -1e-12 && delta < -1e-14*(ac+bd+ab+cd)
 }
 
 // orOpt improves t in place by relocating chains of 1–3 consecutive items

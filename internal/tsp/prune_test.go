@@ -453,20 +453,45 @@ func TestRetourTypeMatchesImprove(t *testing.T) {
 	total.require(t)
 }
 
+// TestRetourMatchesImproveLargeFields runs both searches on 17×17
+// lattice fields of side 100 km and 10⁴ km, whose collinear points and
+// mirror-image edges give moves that gain nothing: their deltas round to
+// either side of zero by more than an absolute tolerance allows, so the
+// 2-opt sweep must weigh each delta against the lengths it is made of to
+// end at all.
+func TestRetourMatchesImproveLargeFields(t *testing.T) {
+	for _, side := range []float64{1e5, 1e7} {
+		for seed := int64(0); seed < 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			pts := make([]geom.Point, 80)
+			for i := range pts {
+				pts[i] = geom.Pt(float64(r.Intn(17))*side/16, float64(r.Intn(17))*side/16)
+			}
+			for _, via := range []retourVia{viaPruner, viaRetour} {
+				retourRun{pts: pts, start: r.Perm(len(pts)), next: mixedSteps(r, 60), via: via}.check(t)
+			}
+		}
+	}
+}
+
+// FuzzRetourMatchesImprove holds the re-tours to Improve on fields of
+// side 100 m to 10⁴ km (scale), random or on a 5×5 grid of duplicates.
 func FuzzRetourMatchesImprove(f *testing.F) {
-	f.Add(int64(1), uint8(40), false, false)
-	f.Add(int64(2), uint8(9), true, false)
-	f.Add(int64(3), uint8(70), false, true)
-	f.Add(int64(4), uint8(55), true, true)
-	f.Fuzz(func(t *testing.T, seed int64, size uint8, dupes, rotate bool) {
+	f.Add(int64(1), uint8(40), false, false, uint8(0))
+	f.Add(int64(2), uint8(9), true, false, uint8(0))
+	f.Add(int64(3), uint8(70), false, true, uint8(3))
+	f.Add(int64(4), uint8(55), true, true, uint8(5))
+	f.Add(int64(6), uint8(80), true, false, uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, dupes, rotate bool, scale uint8) {
 		n := 2 + int(size)%90
+		side := 100 * math.Pow(10, float64(scale%6))
 		r := rand.New(rand.NewSource(seed))
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			if dupes {
-				pts[i] = geom.Pt(float64(r.Intn(5)), float64(r.Intn(5)))
+				pts[i] = geom.Pt(float64(r.Intn(5))*side/4, float64(r.Intn(5))*side/4)
 			} else {
-				pts[i] = geom.Pt(r.Float64()*100, r.Float64()*100)
+				pts[i] = geom.Pt(r.Float64()*side, r.Float64()*side)
 			}
 		}
 		start := r.Perm(n)

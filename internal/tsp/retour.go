@@ -171,8 +171,9 @@ func (f *fixedPoint) twoOpt(t *Tour, x *Matrix, r obs.Recorder) (float64, int) {
 				if i == 0 && j == n-1 {
 					continue
 				}
-				delta := x.at(a, c) + x.at(b, d) - dAB - x.at(c, d)
-				if delta < -1e-12 {
+				ac, bd, cd := x.at(a, c), x.at(b, d), x.at(c, d)
+				delta := ac + bd - dAB - cd
+				if improves(delta, ac, bd, dAB, cd) {
 					reverse(o[i+1 : j+1])
 					saved -= delta
 					improved = true
