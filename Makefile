@@ -109,12 +109,14 @@ trace:
 # ratio greedy's ladder and insertion caches to a fresh recomputation and
 # its re-tour to ImproveMetric after every acceptance, every reused offer
 # to a fresh scoring, the insertion memos' distance-filtered split to the
-# unfiltered one and their repair across re-tours to a fresh scan, and
-# the replayed re-tours
-# (tsp.Pruner, tsp.Retour) to Improve after every edit. The paper-scale (δ = 5 m) run
+# unfiltered one and their repair across re-tours to a fresh scan,
+# Algorithm 2 to Algorithm 3 at K = 1, every stop that stays for a
+# sensor's drain time to leave it empty, and the replayed re-tours
+# (tsp.Pruner, tsp.Retour) to Improve after every edit, on fields of up
+# to 10⁴ km. The paper-scale (δ = 5 m) run
 # of both paths is the ledger's speedup panel, which benchparity checks.
 fastpath:
-	$(GO) test -race -count=1 -run 'TestGreedyGolden|TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestLadderCacheMatchesFresh|TestLadderCachePastCapMatchesReference|TestInsertionMemoMatchesScan|TestOfferMatchesRescoring|TestSplitFilterMatchesUnfiltered|TestMemoRepairMatchesScan|TestRetourMatchesImproveMetric' ./internal/core
+	$(GO) test -race -count=1 -run 'TestGreedyGolden|TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestLadderCacheMatchesFresh|TestLadderCachePastCapMatchesReference|TestInsertionMemoMatchesScan|TestOfferMatchesRescoring|TestSplitFilterMatchesUnfiltered|TestMemoRepairMatchesScan|TestRetourMatchesImproveMetric|TestFullDrainLeavesNoResidue' ./internal/core
 	$(GO) test -race -count=1 -run 'TestRetourMatchesImprove|TestRetourTypeMatchesImprove|TestRetourSkipsCertifiedEvaluations|TestRotationDropsCertificate' ./internal/tsp
 	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures|TestBenchSpeedupPanel' ./internal/experiments
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -28,23 +29,53 @@ func referenceOf(in *Instance) *Instance {
 }
 
 // TestFastPathMatchesReferenceAlg2 runs Algorithm 2 both ways on several
-// instances and demands bit-equal plans.
+// instances, under the constant bandwidth and a radio model, and demands
+// bit-equal plans. It also pins the fold: Algorithm 2 is Algorithm 3 at
+// K = 1, so on each path the two plans must encode to the same bytes, the
+// planner's name aside.
 func TestFastPathMatchesReferenceAlg2(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 9} {
 		for _, capacity := range []units.Joules{1.2e4, 3e4} {
-			in := mediumInstance(t, seed, capacity)
-			in.Delta = 15
-			ref, err := (&Algorithm2{}).Plan(referenceOf(in))
-			if err != nil {
-				t.Fatal(err)
+			for _, in := range []*Instance{mediumInstance(t, seed, capacity), radioInstance(t, seed, capacity)} {
+				in.Delta = 15
+				in.K = 1
+				ref, err := (&Algorithm2{}).Plan(referenceOf(in))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fast, err := (&Algorithm2{}).Plan(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertPlansIdentical(t, "algorithm2-fast", ref, fast)
+				for _, alg2 := range []*Plan{ref, fast} {
+					on := in
+					if alg2 == ref {
+						on = referenceOf(in)
+					}
+					alg3, err := (&Algorithm3{}).Plan(on)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, b := planBytes(t, alg2), planBytes(t, alg3); a != b {
+						t.Fatalf("seed %d capacity %v reference=%v: Algorithm 2\n%s\nAlgorithm 3 at K = 1\n%s", seed, capacity, on.Reference, a, b)
+					}
+				}
 			}
-			fast, err := (&Algorithm2{}).Plan(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertPlansIdentical(t, "algorithm2-fast", ref, fast)
 		}
 	}
+}
+
+// planBytes is p's JSON encoding with the planner's name left out.
+func planBytes(t *testing.T, p *Plan) string {
+	t.Helper()
+	q := *p
+	q.Algorithm = ""
+	b, err := json.Marshal(&q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestFastPathMatchesReferenceAlg3 does the same for Algorithm 3 across K
