@@ -111,13 +111,14 @@ trace:
 # to a fresh scoring, the insertion memos' distance-filtered split to the
 # unfiltered one and their repair across re-tours to a fresh scan,
 # Algorithm 2 to Algorithm 3 at K = 1, every stop that stays for a
-# sensor's drain time to leave it empty, and the replayed re-tours
-# (tsp.Pruner, tsp.Retour) to Improve after every edit, on fields of up
-# to 10⁴ km. The paper-scale (δ = 5 m) run
+# sensor's drain time to leave it empty, and the one tour polish
+# (tsp.ImproveMetric, tsp.Pruner, tsp.Retour) to the plain sweeps'
+# Improve, a test oracle, on a fresh search and after every edit, on
+# fields of up to 10⁴ km. The paper-scale (δ = 5 m) run
 # of both paths is the ledger's speedup panel, which benchparity checks.
 fastpath:
 	$(GO) test -race -count=1 -run 'TestGreedyGolden|TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestLadderCacheMatchesFresh|TestLadderCachePastCapMatchesReference|TestInsertionMemoMatchesScan|TestOfferMatchesRescoring|TestSplitFilterMatchesUnfiltered|TestMemoRepairMatchesScan|TestRetourMatchesImproveMetric|TestFullDrainLeavesNoResidue' ./internal/core
-	$(GO) test -race -count=1 -run 'TestRetourMatchesImprove|TestRetourTypeMatchesImprove|TestRetourSkipsCertifiedEvaluations|TestRotationDropsCertificate' ./internal/tsp
+	$(GO) test -race -count=1 -run 'TestFreshSearchMatchesImprove|TestRetourMatchesImprove|TestRetourTypeMatchesImprove|TestRetourSkipsCertifiedEvaluations|TestRotationDropsCertificate' ./internal/tsp
 	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures|TestBenchSpeedupPanel' ./internal/experiments
 
 # Serving gate: race-enabled daemon and canonical-encoding tests — the
@@ -160,8 +161,10 @@ bench:
 
 # Micro-benchmarks: candidate generation fast vs reference (behind the
 # speedup panel) and one PaperTight-size Algorithm 2, Algorithm 3 and
-# baseline plan (internal/core), one 500-item Improve on a matrix and one
-# 501-point Christofides construction (internal/tsp), one paper-scale
+# baseline plan (internal/core), the baseline's first polish of the
+# unpolished 501-point Christofides tour on a matrix, next to the plain
+# sweeps' polish of the same tour (the test oracle), and one 501-point
+# Christofides construction (internal/tsp), one paper-scale
 # candidate build (internal/hover), one 100-vertex exact matching
 # (internal/matching), and paper-scale /plan cache hits through the
 # daemon's handler, byte-identical and varied bodies (internal/serve).

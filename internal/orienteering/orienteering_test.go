@@ -248,9 +248,9 @@ func TestSolveAutoLarge(t *testing.T) {
 }
 
 // TestDenseSolvesIdentically: a problem carrying its cost matrix, whose
-// polish replays tsp.Improve from the last fixed point, solves to the same
+// polish replays the search from the last fixed point, solves to the same
 // tour, reward and cost bits as one with the closure alone, whose polish
-// is a full search each time, with every solver that polishes tours. The
+// is a fresh search each time, with every solver that polishes tours. The
 // sizes run from 40 nodes up past a hundred, above ExactMax, so Solve
 // polishes by local search.
 func TestDenseSolvesIdentically(t *testing.T) {

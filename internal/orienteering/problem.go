@@ -69,8 +69,8 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// polish re-orders t as tsp.Improve does, on Dense when the problem has
-// it. There, a Pruner replays the search from the fixed point the last
+// polish re-orders t as tsp.ImproveMetric does, on Dense when the problem
+// has it. There, a Pruner replays the search from the fixed point the last
 // polish reached: the solvers polish tours that differ from the previous
 // one by a few edits, and a Pruner allows any edit between calls, so
 // polish only re-evaluates the moves those edits could have made

@@ -83,7 +83,7 @@ func TourSplit(p *Problem) (Solution, error) {
 			if r := reward(i, j); r > best.Reward+1e-12 {
 				order := append([]int{p.Depot}, seq[i:j+1]...)
 				cand := tsp.Tour{Order: order}
-				// Polish within budget; Improve never increases cost.
+				// Polish within budget; the polish never increases cost.
 				p.polish(&cand)
 				best = p.solutionFor(cand)
 			}

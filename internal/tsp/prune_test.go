@@ -271,6 +271,91 @@ func (r retourRun) check(t testing.TB) retourStats {
 	return st
 }
 
+// checkFresh holds the fresh searches, ImproveMetric and a new Pruner's
+// first Improve, to the plain sweeps' Improve from start on the field pts:
+// the same order, the same saving bit for bit, and the same counters and
+// stripped span stream. It reports whether the search moved.
+func checkFresh(t testing.TB, pts []geom.Point, start []int) bool {
+	t.Helper()
+	m := euclid(pts)
+	x := NewMatrix(len(pts), m)
+	want := newObserved()
+	ref := Tour{Order: slices.Clone(start)}
+	wantSaved := Improve(&ref, x, want.rec)
+	for _, fresh := range []struct {
+		name    string
+		improve func(tour *Tour, rec obs.Recorder) float64
+	}{
+		{"ImproveMetric", func(tour *Tour, rec obs.Recorder) float64 { return ImproveMetric(tour, m, rec) }},
+		{"Pruner", func(tour *Tour, rec obs.Recorder) float64 {
+			pr := NewPruner(*tour, x, m)
+			saved := pr.Improve(rec)
+			*tour = pr.Tour
+			return saved
+		}},
+	} {
+		name := fresh.name
+		got := newObserved()
+		tour := Tour{Order: slices.Clone(start)}
+		gotSaved := fresh.improve(&tour, got.rec)
+		if !slices.Equal(tour.Order, ref.Order) {
+			t.Fatalf("%s: order %v, Improve gives %v", name, tour.Order, ref.Order)
+		}
+		if math.Float64bits(gotSaved) != math.Float64bits(wantSaved) {
+			t.Fatalf("%s: saved %v, Improve saves %v", name, gotSaved, wantSaved)
+		}
+		if g, w := got.reg.Snapshot().Counters, want.reg.Snapshot().Counters; !maps.Equal(g, w) {
+			t.Fatalf("%s: counters %v, Improve records %v", name, g, w)
+		}
+		if g, w := got.stripped(t), want.stripped(t); g != w {
+			t.Fatalf("%s: span stream differs:\n%s\nImprove emits:\n%s", name, g, w)
+		}
+	}
+	return wantSaved > 0
+}
+
+// TestFreshSearchMatchesImprove holds the fresh searches to the plain
+// sweeps on random fields, from random orders and Christofides tours over
+// all or part of the field, on fields where many items share a position,
+// and on 17×17 lattices of side 100 km and 10⁴ km.
+func TestFreshSearchMatchesImprove(t *testing.T) {
+	moved := 0
+	check := func(pts []geom.Point, start []int) {
+		t.Helper()
+		if checkFresh(t, pts, start) {
+			moved++
+		}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pts := randPts(2+r.Intn(150), 1500+seed)
+		check(pts, r.Perm(len(pts)))
+		check(pts, r.Perm(len(pts))[:1+r.Intn(len(pts))])
+		check(pts, polishedOrder(t, pts))
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pts := make([]geom.Point, 40)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(r.Intn(4)), float64(r.Intn(4)))
+		}
+		check(pts, r.Perm(len(pts)))
+	}
+	for _, side := range []float64{1e5, 1e7} {
+		for seed := int64(0); seed < 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			pts := make([]geom.Point, 80)
+			for i := range pts {
+				pts[i] = geom.Pt(float64(r.Intn(17))*side/16, float64(r.Intn(17))*side/16)
+			}
+			check(pts, r.Perm(len(pts)))
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no fresh search made a move")
+	}
+}
+
 // polishedOrder returns a Christofides tour over pts, the start the
 // planners prune from.
 func polishedOrder(t testing.TB, pts []geom.Point) []int {
@@ -394,7 +479,7 @@ func TestRetourMatchesImproveAfterIterationCap(t *testing.T) {
 		x := NewMatrix(len(pts), euclid(pts))
 		start := r.Perm(len(pts))
 		capped := Tour{Order: slices.Clone(start)}
-		if _, fixed := improve(&capped, x, obs.Discard, nil); fixed {
+		if _, fixed := improve(&capped, x, obs.Discard); fixed {
 			continue
 		}
 		retourRun{pts: pts, start: start, next: mixedSteps(r, 60)}.check(t)
@@ -474,8 +559,9 @@ func TestRetourMatchesImproveLargeFields(t *testing.T) {
 	}
 }
 
-// FuzzRetourMatchesImprove holds the re-tours to Improve on fields of
-// side 100 m to 10⁴ km (scale), random or on a 5×5 grid of duplicates.
+// FuzzRetourMatchesImprove holds the re-tours, and the fresh searches
+// from their start, to Improve on fields of side 100 m to 10⁴ km (scale),
+// random or on a 5×5 grid of duplicates.
 func FuzzRetourMatchesImprove(f *testing.F) {
 	f.Add(int64(1), uint8(40), false, false, uint8(0))
 	f.Add(int64(2), uint8(9), true, false, uint8(0))
@@ -511,20 +597,31 @@ func FuzzRetourMatchesImprove(f *testing.F) {
 		if seed%8 >= 4 {
 			run.via = viaRetour
 		}
+		checkFresh(t, pts, run.start)
 		run.check(t)
 	})
 }
 
-// BenchmarkImprove polishes a 500-item Christofides tour on a matrix.
+// BenchmarkImprove times the polish on a matrix over 501 uniform points.
+// fresh is the baseline's first polish, a new Pruner's full search from
+// the unpolished Christofides tour; oracle is the plain sweeps' polish of
+// the same tour, which makes the same moves.
 func BenchmarkImprove(b *testing.B) {
-	pts := randPts(500, 11)
+	pts := randPts(501, 1)
 	x := NewMatrix(len(pts), euclid(pts))
 	start := polishedOrder(b, pts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tour := Tour{Order: slices.Clone(start)}
-		Improve(&tour, x)
-	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewPruner(Tour{Order: slices.Clone(start)}, x, nil).Improve()
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Improve(&Tour{Order: slices.Clone(start)}, x)
+		}
+	})
 }
 
 // TestRotationDropsCertificate rotates polished tours to every item. A

@@ -2,9 +2,11 @@
 // Christofides' 3/2-approximation (the algorithm the paper uses for tour
 // construction in Algorithm 2/3 and in the evaluation benchmark),
 // cheapest-insertion pricing (the incremental form the greedy planners use
-// to price candidate hovering locations), 2-opt / Or-opt local search,
-// an exact replay of that search from a tour's last fixed point after
-// an edit (Pruner, for the baselines' prune loops, and Retour, for the
+// to price candidate hovering locations), one 2-opt / Or-opt polish that
+// replays its search from a tour's last fixed point after an edit, or
+// searches the whole tour when nothing is certified (ImproveMetric, for a
+// one-shot polish; Pruner, for a tour over the items of a matrix the
+// caller holds, as in the baselines' prune loops; and Retour, for the
 // greedy planners' re-tour after each acceptance), and an exact
 // Held–Karp solver used as a test oracle.
 //
@@ -12,7 +14,7 @@
 // pricing take costs as a Metric function, so callers can plug in
 // Euclidean distance, energy-weighted distance, or the paper's
 // auxiliary-graph weights. The local search runs on a Matrix, a dense
-// table of a Metric's exact values; ImproveMetric builds one over a
+// table of a Metric's exact values; ImproveMetric fills one over a
 // tour's items per call, and Retour keeps one that grows with the tour.
 package tsp
 
