@@ -10,10 +10,10 @@ import (
 	"uavdc/internal/tsp"
 )
 
-// costMemoMax bounds the node count for which planners materialise dense
-// cost matrices (8·n² bytes); larger instances keep closure metrics, and
-// their tour polish builds a submatrix over the tour's items per call
-// (tsp.ImproveMetric).
+// costMemoMax bounds the node count for which Algorithm 1 materialises its
+// dense cost matrix (8·n² bytes); larger instances keep closure metrics,
+// and their tour polish fills a matrix over the tour's items per call
+// (tsp.ImproveMetric). The baselines build theirs at any size.
 const costMemoMax = 2048
 
 // Algorithm1 solves the data-collection maximisation problem without

@@ -242,7 +242,7 @@ func (st *greedyState) order() []int {
 }
 
 // improveTour re-optimises the route after an acceptance: the path with
-// its fixed-endpoint 2-opt, the tour with Improve — on the fast path by
+// its fixed-endpoint 2-opt, the tour with tsp's polish — on the fast path by
 // st.retour, which grows its matrix by one row and column per inserted
 // location and replays the search from the tour's last fixed point, on
 // the reference path by tsp.ImproveMetric. When the order changed, the

@@ -116,16 +116,17 @@ func pos(in *Instance, i int) geom.Point {
 // sensor (item 0 is the depot, item v+1 is sensor v), polishes it, and
 // returns it in the remove-and-re-tour helper both baselines prune
 // through, with the metric it is priced by. The fast path memoises the
-// distance matrix, so the helper can replay each re-tour from the last
-// fixed point, evaluating only the moves at the edges a removal or its
-// own moves changed; the reference path, and instances over costMemoMax,
-// re-run the full Improve over the closure after every removal. All of
-// it yields the same float64s, tours and counters.
+// distance matrix at any size, so the helper can replay each re-tour from
+// the last fixed point, evaluating only the moves at the edges a removal
+// or its own moves changed: the one 8·(n+1)² byte matrix is what every
+// re-tour without it would rebuild over the kept items. The reference
+// path re-runs a fresh search over the closure after every removal. All
+// of it yields the same float64s, tours and counters.
 func baselineTour(in *Instance, rec obs.Recorder) (*tsp.Pruner, tsp.Metric, error) {
 	n := len(in.Net.Sensors)
 	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })
 	var x *tsp.Matrix
-	if !in.Reference && n+1 <= costMemoMax {
+	if !in.Reference {
 		x = tsp.NewMatrix(n+1, dist)
 		dist = x.Metric()
 	}

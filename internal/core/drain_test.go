@@ -71,10 +71,14 @@ func drainCheck(t *testing.T, name string, st *greedyState, reached *int) func()
 // replanner, no sensor keeps a positive residual once a stop covering it
 // stayed for its drain time. rate·(d/rate) can fall an ulp short of d, so
 // a take priced by volume alone would leave residues that keep their
-// locations in the scan. From full sensors, Algorithm 3 may end no plan
-// with a residue below 1e-9 MB either; the LNS and replanner states start
-// from residuals that subtract a plan's amounts, whose sums over several
-// stops round, so only their acceptances are checked.
+// locations in the scan. No residue below 1e-9 MB may remain either:
+// not at the end of Algorithm 3 from full sensors, not in the state
+// rebuildState seeds from a plan with some stops evicted, whose amounts
+// sum over several stops with rounding, nor at the end of its repair;
+// and an LNS plan may not collect below 1e-9 MB at a stop. The
+// replanner's state starts from
+// residuals this test subtracts from a plan, so only its acceptances are
+// checked.
 func TestFullDrainLeavesNoResidue(t *testing.T) {
 	reached := 0
 	run := func(name string, st *greedyState, k int) {
@@ -93,11 +97,7 @@ func TestFullDrainLeavesNoResidue(t *testing.T) {
 			name := fmt.Sprintf("seed %d K %d", seed, k)
 			st := newGreedyState(in, set)
 			run("algorithm3 "+name, st, k)
-			for v, r := range st.residual {
-				if r > 0 && r < 1e-9 {
-					t.Errorf("algorithm3 %s: sensor %d ends with a residue of %v MB", name, v, r)
-				}
-			}
+			noResidue(t, "algorithm3 "+name, st.residual)
 			if k > 4 {
 				continue
 			}
@@ -107,8 +107,18 @@ func TestFullDrainLeavesNoResidue(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(seed)))
 			for round := 0; round < 3; round++ {
-				run(fmt.Sprintf("lns %s round %d", name, round), rebuildState(in, set, base, rng), k)
+				lns := fmt.Sprintf("lns %s round %d", name, round)
+				st := rebuildState(in, set, base, rng)
+				noResidue(t, lns+" rebuilt", st.residual)
+				run(lns, st, k)
+				noResidue(t, lns, st.residual)
 			}
+			lns := &LNSPlanner{Rounds: 3, Seed: int64(seed)}
+			plan, err := lns.Plan(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noTinyCollection(t, "lns plan "+name, plan)
 			done := len(base.Stops) / 2
 			run("replan "+name, newPathState(in, set, ResidualState{
 				Pos:      base.Stops[done].Pos,
@@ -122,4 +132,28 @@ func TestFullDrainLeavesNoResidue(t *testing.T) {
 		t.Fatal("inert test: no stop reached a sensor's drain time")
 	}
 	t.Logf("%d sensors drained at their drain time", reached)
+}
+
+// noResidue fails for every sensor left with a residue below 1e-9 MB:
+// less than any take a stop can price, so a leftover of rounding.
+func noResidue(t *testing.T, name string, residual []units.Bits) {
+	t.Helper()
+	for v, r := range residual {
+		if r > 0 && r < 1e-9 {
+			t.Errorf("%s: sensor %d has a residue of %v MB", name, v, r)
+		}
+	}
+}
+
+// noTinyCollection fails for every collection below 1e-9 MB in p: the
+// take of a residue.
+func noTinyCollection(t *testing.T, name string, p *Plan) {
+	t.Helper()
+	for i := range p.Stops {
+		for _, c := range p.Stops[i].Collected {
+			if c.Amount < 1e-9 {
+				t.Errorf("%s: stop %d collects %v MB from sensor %d", name, i, c.Amount, c.Sensor)
+			}
+		}
+	}
 }

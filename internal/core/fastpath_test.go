@@ -166,18 +166,23 @@ func paperDensityInstance(t testing.TB, seed uint64, sensors int, capacity units
 
 // TestFastPathMatchesReferenceBenchmark holds both baselines' prune loops
 // (matrix and the re-tour replay) to the reference path (closure metric,
-// a full Improve after every removal): bit-equal plans and equal
-// counters, on fields tight enough
-// that hundreds of sensors are pruned.
+// a fresh search after every removal): bit-equal plans and equal
+// counters, on fields tight enough that hundreds of sensors are pruned,
+// and on a field of more than costMemoMax nodes, where the fast path
+// still memoises its matrix, with a budget that prunes a few.
 func TestFastPathMatchesReferenceBenchmark(t *testing.T) {
 	cases := []struct {
 		seed    uint64
 		sensors int
 		budget  units.Joules
+		// minRemovals is the fewest removals the benchmark planner must
+		// make, so the case exercises the prune loop.
+		minRemovals int64
 	}{
-		{1, 120, 4e4},
-		{2, 300, 6e4},
-		{3, 320, 9e4},
+		{1, 120, 4e4, 0},
+		{2, 300, 6e4, 100},
+		{3, 320, 9e4, 100},
+		{4, costMemoMax, 1.798e6, 3},
 	}
 	for _, c := range cases {
 		for _, p := range []Planner{&BenchmarkPlanner{}, &BenchmarkCoverage{}} {
@@ -199,8 +204,8 @@ func TestFastPathMatchesReferenceBenchmark(t *testing.T) {
 				t.Errorf("%s seed %d: counters diverge:\n%s", p.Name(), c.seed, refSnap.Diff(fastSnap))
 			}
 			t.Logf("%s seed %d, %d sensors: %d removals", p.Name(), c.seed, c.sensors, fastSnap.Counters[CounterBenchRemovals])
-			if _, ok := p.(*BenchmarkPlanner); ok && c.sensors >= 300 {
-				if removed := fastSnap.Counters[CounterBenchRemovals]; removed < 100 {
+			if _, ok := p.(*BenchmarkPlanner); ok {
+				if removed := fastSnap.Counters[CounterBenchRemovals]; removed < c.minRemovals {
 					t.Errorf("seed %d: only %d removals; the budget is not tight enough", c.seed, removed)
 				}
 			}

@@ -29,6 +29,13 @@ type LNSPlanner struct {
 // lnsDestroyFraction is the share of stops evicted per LNS round.
 const lnsDestroyFraction = 0.3
 
+// lnsRoundoff bounds, relative to a sensor's data, the residue that
+// subtracting the amounts of a sensor a plan drained leaves: each
+// subtraction rounds by at most an ulp of the data, about 1.1e-16 of it,
+// so a sensor collected at a few stops is left far below 1e-12 of its
+// data, and any take a stop prices lies far above.
+const lnsRoundoff = 1e-12
+
 // Name implements Planner.
 func (l *LNSPlanner) Name() string { return "lns" }
 
@@ -92,9 +99,9 @@ func stopsAreCandidates(p *Plan, set *hover.Set) bool {
 }
 
 // rebuildState reconstructs greedy state from a plan with a random
-// lnsDestroyFraction of its stops (at least one) evicted. The residual drains below happen before
-// the fast scan index exists (it is built lazily on the first pickPartial),
-// so the index always observes the fully seeded residuals.
+// lnsDestroyFraction of its stops (at least one) evicted. The residuals
+// are seeded below before the fast scan index exists (it is built lazily
+// on the first pickPartial), so the index always observes them in full.
 func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand) *greedyState {
 	st := newGreedyState(in, set)
 	n := len(p.Stops)
@@ -106,11 +113,26 @@ func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand) *greedy
 	for _, i := range rng.Perm(n)[:evict] {
 		evicted[i] = true
 	}
+	// A sensor's residual is what the plan left of it plus what the
+	// evicted stops took. What the plan left is its data less every
+	// amount; of a sensor the plan drained it leaves nothing, not the
+	// few-ulp residue that subtraction rounds to, which a later stop
+	// could collect. Summing the evicted amounts instead of subtracting
+	// the kept ones gives them back exactly, so re-inserting a stop at
+	// its old sojourn drains what it took before.
+	left := slices.Clone(st.residual)
+	clear(st.residual)
 	for i := range p.Stops {
+		stop := &p.Stops[i]
+		for _, c := range stop.Collected {
+			left[c.Sensor] -= units.Bits(c.Amount)
+			if evicted[i] {
+				st.residual[c.Sensor] += units.Bits(c.Amount)
+			}
+		}
 		if evicted[i] {
 			continue
 		}
-		stop := &p.Stops[i]
 		id := stop.LocID
 		pos, _ := tsp.BestInsertion(st.tour, id, st.dist)
 		st.tour.Order = slices.Insert(st.tour.Order, pos, id)
@@ -120,12 +142,13 @@ func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand) *greedy
 		ledger := map[int]units.Bits{}
 		for _, c := range stop.Collected {
 			ledger[c.Sensor] += units.Bits(c.Amount)
-			st.residual[c.Sensor] -= units.Bits(c.Amount)
-			if st.residual[c.Sensor] < 0 {
-				st.residual[c.Sensor] = 0
-			}
 		}
 		st.collected[id] = ledger
+	}
+	for v, r := range left {
+		if r > lnsRoundoff*units.Bits(in.Net.Sensors[v].Data) {
+			st.residual[v] += r
+		}
 	}
 	st.improveTour()
 	return st
