@@ -77,12 +77,13 @@ fuzz:
 	$(GO) test -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 
 # Adaptive-executor gate: the reachable-depot property test over its fixed
-# seed matrix, the bit-for-bit parity check against the reference simulator, and the replanner's
-# golden plans (K = 1, K = 4, a no-hover zone, zero budget), all under
+# seed matrix, the bit-for-bit parity check against the reference simulator, the replanner's
+# golden plans (K = 1, K = 4, a no-hover zone, zero budget) and its
+# treatment of a drained sensor's rounding residue as drained, all under
 # the race detector. (Also covered by `race`; kept separate so the
 # invariant is a named CI step.)
 adaptive:
-	$(GO) test -race -count=1 -run 'TestReplanGolden' ./internal/core
+	$(GO) test -race -count=1 -run 'TestReplanGolden|TestReplanSkipsDrainedResidue' ./internal/core
 	$(GO) test -race -count=1 -run 'TestAdaptiveNeverDiesUnderFaults|TestAdaptiveMatchesRunFaultFree' ./internal/simulate
 	$(GO) test -race -count=1 -run 'TestAdaptiveRunMatchesRunOnFigureDrivers' ./internal/experiments
 
@@ -112,13 +113,14 @@ trace:
 # unfiltered one and their repair across re-tours to a fresh scan,
 # Algorithm 2 to Algorithm 3 at K = 1, every stop that stays for a
 # sensor's drain time to leave it empty, and the one tour polish
-# (tsp.ImproveMetric, tsp.Pruner, tsp.Retour) to the plain sweeps'
-# Improve, a test oracle, on a fresh search and after every edit, on
-# fields of up to 10⁴ km. The paper-scale (δ = 5 m) run
+# (tsp.ImproveMetric, tsp.Retour over the caller's matrix or over growing
+# slots) to the plain sweeps' Improve, a test oracle, on a fresh search
+# and after every edit, on fields of up to 10⁴ km, making the same moves
+# at every coordinate scale. The paper-scale (δ = 5 m) run
 # of both paths is the ledger's speedup panel, which benchparity checks.
 fastpath:
 	$(GO) test -race -count=1 -run 'TestGreedyGolden|TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestLadderCacheMatchesFresh|TestLadderCachePastCapMatchesReference|TestInsertionMemoMatchesScan|TestOfferMatchesRescoring|TestSplitFilterMatchesUnfiltered|TestMemoRepairMatchesScan|TestRetourMatchesImproveMetric|TestFullDrainLeavesNoResidue' ./internal/core
-	$(GO) test -race -count=1 -run 'TestFreshSearchMatchesImprove|TestRetourMatchesImprove|TestRetourTypeMatchesImprove|TestRetourSkipsCertifiedEvaluations|TestRotationDropsCertificate' ./internal/tsp
+	$(GO) test -race -count=1 -run 'TestFreshSearchMatchesImprove|TestRetourMatchesImprove|TestRetourTypeMatchesImprove|TestRetourSkipsCertifiedEvaluations|TestRotationDropsCertificate|TestOrOptMovesIgnoreScale' ./internal/tsp
 	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures|TestBenchSpeedupPanel' ./internal/experiments
 
 # Serving gate: race-enabled daemon and canonical-encoding tests — the

@@ -32,11 +32,11 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 	so := newScanObs(rec)
 	removals := rec.Counter(CounterBenchRemovals)
 	r0 := in.EffectiveCoverRadius()
-	pr, dist, err := baselineTour(in, rec)
+	pt, err := baselineTour(in, rec)
 	if err != nil {
 		return nil, fmt.Errorf("core: benchmark-coverage tsp: %w", err)
 	}
-	pr.Tour.RotateTo(0)
+	pt.RotateTo(0)
 
 	// Iteratively: realise the coverage-aware plan along the tour, and
 	// while it exceeds the budget prune the stop with the least collected
@@ -44,7 +44,7 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 	// drained at the first stop covering it), so recompute after each
 	// removal.
 	for {
-		tour := pr.Tour
+		tour := pt.Tour
 		plan := b.realize(in, tour, r0)
 		if plan.Energy(in.Model) <= in.Budget().F()+1e-9 {
 			return plan, nil
@@ -54,7 +54,7 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 		for si := range plan.Stops {
 			so.evals.Inc()
 			stop := &plan.Stops[si]
-			travelD := tsp.RemovalDelta(tour, si+1, dist)
+			travelD := tsp.RemovalDelta(tour, si+1, pt.dist)
 			saved := in.Model.TravelEnergy(units.Meters(travelD)) + in.Model.HoverEnergy(units.Seconds(stop.Sojourn))
 			if saved <= 1e-12 {
 				bestIdx = si
@@ -69,8 +69,8 @@ func (b *BenchmarkCoverage) Plan(in *Instance) (*Plan, error) {
 			return plan, nil // only the depot remains; plan is empty
 		}
 		removals.Inc()
-		pr.RemoveAt(bestIdx+1, rec)
-		pr.Tour.RotateTo(0)
+		pt.removeAt(bestIdx+1, rec)
+		pt.RotateTo(0)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/obs"
@@ -36,7 +37,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 	n := len(net.Sensors)
 	endPlan := tr.Begin(SpanPlanBench, trace.Int("nodes", n+1))
 	endCon := tr.Begin(SpanPlanBenchConstruct)
-	pr, dist, err := baselineTour(in, rec)
+	pt, err := baselineTour(in, rec)
 	endCon()
 	if err != nil {
 		endPlan()
@@ -50,9 +51,9 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 
 	removed := 0
 	endPrune := tr.Begin(SpanPlanBenchPrune)
-	for in.Model.TourEnergy(units.Meters(pr.Tour.Cost(dist)), hoverTime) > in.Budget()+1e-9 {
+	for in.Model.TourEnergy(units.Meters(pt.Cost(pt.dist)), hoverTime) > in.Budget()+1e-9 {
 		// Find the cheapest-loss removal.
-		tour := pr.Tour
+		tour := pt.Tour
 		bestItem, bestPos := -1, -1
 		bestScore := 0.0
 		for ti, it := range tour.Order {
@@ -61,7 +62,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 			}
 			so.evals.Inc()
 			v := it - 1
-			travelD := tsp.RemovalDelta(tour, ti, dist)
+			travelD := tsp.RemovalDelta(tour, ti, pt.dist)
 			saved := in.Model.TravelEnergy(units.Meters(travelD)) + in.Model.HoverEnergy(units.Seconds(net.UploadTime(v)))
 			if saved <= 1e-12 {
 				// Removing frees no energy (duplicate position); always take it.
@@ -80,14 +81,14 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 		removals.Inc()
 		tr.Event(EventBenchRemove, trace.Int("item", bestItem))
 		removed++
-		pr.RemoveAt(bestPos, rec)
+		pt.removeAt(bestPos, rec)
 	}
 	endPrune(trace.Int("removed", removed))
-	pr.Improve(rec)
+	pt.improve(rec)
 
-	pr.Tour.RotateTo(0)
+	pt.RotateTo(0)
 	plan := &Plan{Algorithm: b.Name(), Depot: net.Depot}
-	for _, it := range pr.Tour.Order {
+	for _, it := range pt.Order {
 		if it == 0 {
 			continue
 		}
@@ -112,33 +113,54 @@ func pos(in *Instance, i int) geom.Point {
 	return in.Net.Sensors[i-1].Pos
 }
 
-// baselineTour builds the Christofides tour over the depot and every
-// sensor (item 0 is the depot, item v+1 is sensor v), polishes it, and
-// returns it in the remove-and-re-tour helper both baselines prune
-// through, with the metric it is priced by. The fast path memoises the
-// distance matrix at any size, so the helper can replay each re-tour from
+// prunedTour is the tour both baselines prune, item 0 the depot and item
+// v+1 sensor v, with the metric it is priced by. On the fast path rt, a
+// tsp.Retour over the memoised distance matrix, replays each re-tour from
 // the last fixed point, evaluating only the moves at the edges a removal
-// or its own moves changed: the one 8·(n+1)² byte matrix is what every
+// or its own moves changed; the one 8·(n+1)² byte matrix is what every
 // re-tour without it would rebuild over the kept items. The reference
-// path re-runs a fresh search over the closure after every removal. All
-// of it yields the same float64s, tours and counters.
-func baselineTour(in *Instance, rec obs.Recorder) (*tsp.Pruner, tsp.Metric, error) {
+// path (rt nil) re-runs a fresh search over the closure after every
+// removal. Both yield the same float64s, tours and counters.
+type prunedTour struct {
+	tsp.Tour
+	dist tsp.Metric
+	rt   *tsp.Retour
+}
+
+// baselineTour builds the Christofides tour over the depot and every
+// sensor and polishes it.
+func baselineTour(in *Instance, rec obs.Recorder) (*prunedTour, error) {
 	n := len(in.Net.Sensors)
-	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })
-	var x *tsp.Matrix
+	pt := &prunedTour{dist: func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) }}
 	if !in.Reference {
-		x = tsp.NewMatrix(n+1, dist)
-		dist = x.Metric()
+		x := tsp.NewMatrix(n+1, pt.dist)
+		pt.dist, pt.rt = x.Metric(), tsp.NewRetour(x)
 	}
 	items := make([]int, n+1)
 	for i := range items {
 		items[i] = i
 	}
-	tour, err := tsp.Christofides(items, dist, rec)
+	tour, err := tsp.Christofides(items, pt.dist, rec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pr := tsp.NewPruner(tour, x, dist)
-	pr.Improve(rec)
-	return pr, dist, nil
+	pt.Tour = tour
+	pt.improve(rec)
+	return pt, nil
+}
+
+// improve polishes the tour.
+func (pt *prunedTour) improve(rec obs.Recorder) {
+	if pt.rt == nil {
+		tsp.ImproveMetric(&pt.Tour, pt.dist, rec)
+		return
+	}
+	pt.rt.Improve(&pt.Tour, pt.dist, rec)
+}
+
+// removeAt deletes the item at position i, then polishes the shortened
+// tour.
+func (pt *prunedTour) removeAt(i int, rec obs.Recorder) {
+	pt.Order = slices.Delete(pt.Order, i, i+1)
+	pt.improve(rec)
 }

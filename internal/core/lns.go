@@ -29,12 +29,13 @@ type LNSPlanner struct {
 // lnsDestroyFraction is the share of stops evicted per LNS round.
 const lnsDestroyFraction = 0.3
 
-// lnsRoundoff bounds, relative to a sensor's data, the residue that
-// subtracting the amounts of a sensor a plan drained leaves: each
-// subtraction rounds by at most an ulp of the data, about 1.1e-16 of it,
-// so a sensor collected at a few stops is left far below 1e-12 of its
-// data, and any take a stop prices lies far above.
-const lnsRoundoff = 1e-12
+// residueRoundoff bounds, relative to a sensor's data, the residue that
+// subtracting the amounts of a sensor a plan or a mission drained leaves:
+// each subtraction rounds by at most an ulp of the data, about 1.1e-16 of
+// it, so a sensor collected at a few stops is left far below 1e-12 of
+// its data, and any take a stop prices lies far above. LNS and the
+// replanner seed a residual at or below it as 0, a drained sensor.
+const residueRoundoff = 1e-12
 
 // Name implements Planner.
 func (l *LNSPlanner) Name() string { return "lns" }
@@ -146,7 +147,7 @@ func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand) *greedy
 		st.collected[id] = ledger
 	}
 	for v, r := range left {
-		if r > lnsRoundoff*units.Bits(in.Net.Sensors[v].Data) {
+		if r > residueRoundoff*units.Bits(in.Net.Sensors[v].Data) {
 			st.residual[v] += r
 		}
 	}

@@ -24,7 +24,8 @@ type ResidualState struct {
 	// (descent, safety margin) before passing the budget.
 	Budget units.Joules
 	// Residual is the remaining volume per sensor in MB, indexed like the
-	// network's sensor slice. Sensors at 0 are skipped.
+	// network's sensor slice. Sensors at 0, or at a rounding residue of at
+	// most 1e-12 of their data, are drained and skipped.
 	Residual []units.Bits
 	// K is the sojourn partition granularity (Algorithm 3's virtual
 	// levels). K ≤ 1 plans one level per stop, the residual drain time,
@@ -82,12 +83,18 @@ func ReplanResidual(in *Instance, state ResidualState) (*Plan, error) {
 }
 
 // newPathState is the replanner's greedy state: an empty open path from
-// state.Pos to the depot, state's budget and residuals, and its excluded
+// state.Pos to the depot, state's budget and residuals, each at most
+// residueRoundoff of its sensor's data seeded as 0, and its excluded
 // candidates.
 func newPathState(in *Instance, set *hover.Set, state ResidualState) *greedyState {
 	st := newGreedyState(in, set)
 	st.budget = state.Budget
-	copy(st.residual, state.Residual)
+	for v, r := range state.Residual {
+		if r <= residueRoundoff*units.Bits(in.Net.Sensors[v].Data) {
+			r = 0 // drained, up to the rounding of the executor's subtractions
+		}
+		st.residual[v] = r
+	}
 	st.path = &openPath{start: state.Pos, end: in.Net.Depot, length: state.Pos.Dist(in.Net.Depot)}
 	if state.Exclude != nil {
 		st.excluded = make([]bool, set.Len())

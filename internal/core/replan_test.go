@@ -113,6 +113,34 @@ func TestReplanResidualExcludePredicate(t *testing.T) {
 	}
 }
 
+// TestReplanSkipsDrainedResidue hands the replanner what an executor
+// that subtracts its collections leaves of a drained sensor: a residue of
+// at most 1e-12 of the sensor's data, here on every odd sensor, the even
+// ones keeping their data. Such a sensor is drained, so the replanner
+// plans no collection from it.
+func TestReplanSkipsDrainedResidue(t *testing.T) {
+	in := mediumInstance(t, 3, 2e4)
+	n := len(in.Net.Sensors)
+	residual := make([]units.Bits, n)
+	for v := range residual {
+		residual[v] = units.Bits(in.Net.Sensors[v].Data)
+		if v%2 == 1 {
+			residual[v] *= 1e-13
+		}
+	}
+	for _, k := range []int{1, 4} {
+		rp, err := ReplanResidual(in, ResidualState{Pos: in.Net.Depot, Budget: in.Budget(), Residual: residual, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, amt := range rp.CollectedBySensor(n) {
+			if v%2 == 1 && amt > 0 {
+				t.Errorf("K %d: collects %g MB from drained sensor %d", k, amt, v)
+			}
+		}
+	}
+}
+
 func TestReplanResidualValidatesInput(t *testing.T) {
 	in := mediumInstance(t, 1, 1e4)
 	if _, err := ReplanResidual(in, ResidualState{Pos: in.Net.Depot, Budget: 1, Residual: []units.Bits{1}}); err == nil {

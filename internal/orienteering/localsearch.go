@@ -1,10 +1,6 @@
 package orienteering
 
-import (
-	"math"
-
-	"uavdc/internal/tsp"
-)
+import "uavdc/internal/tsp"
 
 // localSearchRounds caps LocalSearch's improvement rounds.
 const localSearchRounds = 64
@@ -38,31 +34,8 @@ func LocalSearch(p *Problem, start Solution) Solution {
 		}
 
 		// Move 1: add.
-		for {
-			bestV, bestPos, bestDelta, bestRatio := -1, 0, 0.0, -1.0
-			for v := 0; v < p.N; v++ {
-				if in[v] || p.Reward(v) <= 0 {
-					continue
-				}
-				pos, delta := tsp.BestInsertion(cur.Tour, v, p.Cost)
-				if cur.Cost+delta > p.Budget+1e-12 {
-					continue
-				}
-				ratio := math.Inf(1)
-				if delta > 1e-12 {
-					ratio = p.Reward(v) / delta
-				}
-				if ratio > bestRatio {
-					bestV, bestPos, bestDelta, bestRatio = v, pos, delta, ratio
-				}
-			}
-			if bestV < 0 {
-				break
-			}
-			cur.Tour = tsp.Insert(cur.Tour, bestV, bestPos)
-			cur.Cost += bestDelta
-			cur.Reward += p.Reward(bestV)
-			in[bestV] = true
+		for a := p.bestAddition(cur, in, -1); a.v >= 0; a = p.bestAddition(cur, in, -1) {
+			p.add(&cur, in, a)
 			improved = true
 		}
 
@@ -126,48 +99,20 @@ func LocalSearch(p *Problem, start Solution) Solution {
 	return cur
 }
 
-// greedyFill packs nodes into sol by best reward-per-delta ratio while the
-// budget allows, excluding the given node (so drop+refill cannot trivially
-// undo its own eviction before trying alternatives).
-func greedyFill(p *Problem, sol Solution, exclude int) Solution {
+// greedyFill packs nodes into sol by best reward-per-delta ratio
+// (bestAddition) while the budget allows. The evicted node out ranks
+// last, so drop+refill cannot trivially undo its own eviction before
+// trying alternatives: it is taken back only when nothing else fits after
+// repacking, and the fill ends there.
+func greedyFill(p *Problem, sol Solution, out int) Solution {
 	in := make([]bool, p.N)
 	for _, v := range sol.Tour.Order {
 		in[v] = true
 	}
-	for {
-		bestV, bestPos, bestDelta, bestRatio := -1, 0, 0.0, -1.0
-		for v := 0; v < p.N; v++ {
-			if in[v] || v == exclude || p.Reward(v) <= 0 {
-				continue
-			}
-			pos, delta := tsp.BestInsertion(sol.Tour, v, p.Cost)
-			if sol.Cost+delta > p.Budget+1e-12 {
-				continue
-			}
-			ratio := math.Inf(1)
-			if delta > 1e-12 {
-				ratio = p.Reward(v) / delta
-			}
-			if ratio > bestRatio {
-				bestV, bestPos, bestDelta, bestRatio = v, pos, delta, ratio
-			}
-		}
-		if bestV < 0 {
+	for a := p.bestAddition(sol, in, out); a.v >= 0; a = p.bestAddition(sol, in, out) {
+		p.add(&sol, in, a)
+		if a.v == out {
 			break
-		}
-		sol.Tour = tsp.Insert(sol.Tour, bestV, bestPos)
-		sol.Cost += bestDelta
-		sol.Reward += p.Reward(bestV)
-		in[bestV] = true
-	}
-	// Last chance: if the excluded node still fits after repacking, take
-	// it back too.
-	if !in[exclude] && p.Reward(exclude) > 0 {
-		pos, delta := tsp.BestInsertion(sol.Tour, exclude, p.Cost)
-		if sol.Cost+delta <= p.Budget+1e-12 {
-			sol.Tour = tsp.Insert(sol.Tour, exclude, pos)
-			sol.Cost += delta
-			sol.Reward += p.Reward(exclude)
 		}
 	}
 	return sol

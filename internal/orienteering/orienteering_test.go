@@ -432,6 +432,40 @@ func TestGreedyRatioRespectsTightBudget(t *testing.T) {
 	_ = nearest
 }
 
+// TestAdditionTieFavoursReward holds every addition scan to GreedyRatio's
+// tie rule. On a line through the depot, node 1 (x = 1, reward 2) and
+// node 2 (x = −2, reward 4) cost 2 and 4 to add to the depot-only tour:
+// the same ratio, 1. Taking node 2 leaves room in the budget of 6 for
+// node 4 (x = −3, reward 3), reward 7. Taking node 1 first leads
+// greedyFill (which excludes node 3) to nodes 1 and 2, reward 6, and
+// LocalSearch to nodes 1 and 3 (x = 3, reward 4.5), reward 6.5, which
+// none of its moves leaves.
+func TestAdditionTieFavoursReward(t *testing.T) {
+	xs := []float64{0, 1, -2, 3, -3}
+	rewards := []float64{0, 2, 4, 4.5, 3}
+	p := &Problem{
+		N:      len(xs),
+		Cost:   func(i, j int) float64 { return math.Abs(xs[i] - xs[j]) },
+		Reward: func(i int) float64 { return rewards[i] },
+		Budget: 6,
+	}
+	want := []int{0, 2, 4}
+	for _, c := range []struct {
+		name  string
+		solve func() Solution
+	}{
+		{"GreedyRatio", func() Solution { s, _ := GreedyRatio(p); return s }},
+		{"greedyFill", func() Solution { return greedyFill(p, p.depotOnly(), 3) }},
+		{"LocalSearch", func() Solution { return LocalSearch(p, p.depotOnly()) }},
+	} {
+		sol := c.solve()
+		got := slices.Sorted(slices.Values(sol.Tour.Order))
+		if !slices.Equal(got, want) || sol.Reward != 7 {
+			t.Errorf("%s: nodes %v, reward %v; want %v, reward 7", c.name, got, sol.Reward, want)
+		}
+	}
+}
+
 func BenchmarkSolveAuto60(b *testing.B) {
 	p, _ := randomProblem(60, 300, 9)
 	b.ResetTimer()

@@ -46,10 +46,10 @@ type Problem struct {
 	// Depot is the node every tour must contain.
 	Depot int
 
-	// pr replays polish on prDense from the last fixed point it reached;
-	// it is rebuilt when Dense is no longer prDense.
-	pr      *tsp.Pruner
-	prDense *tsp.Matrix
+	// rt replays polish on rtDense from the last fixed point it reached;
+	// it is rebuilt when Dense is no longer rtDense.
+	rt      *tsp.Retour
+	rtDense *tsp.Matrix
 }
 
 // Validate reports whether the instance is well formed.
@@ -70,22 +70,19 @@ func (p *Problem) Validate() error {
 }
 
 // polish re-orders t as tsp.ImproveMetric does, on Dense when the problem
-// has it. There, a Pruner replays the search from the fixed point the last
-// polish reached: the solvers polish tours that differ from the previous
-// one by a few edits, and a Pruner allows any edit between calls, so
-// polish only re-evaluates the moves those edits could have made
-// improving (see tsp.Pruner).
+// has it. There, a tsp.Retour over Dense replays the search from the fixed
+// point the last polish reached: the solvers polish tours that differ from
+// the previous one by a few edits, and a Retour allows any edit between
+// calls, so polish only re-evaluates the moves those edits could have
+// made improving.
 func (p *Problem) polish(t *tsp.Tour) float64 {
 	if p.Dense == nil {
 		return tsp.ImproveMetric(t, p.Cost)
 	}
-	if p.pr == nil || p.prDense != p.Dense {
-		p.pr, p.prDense = tsp.NewPruner(tsp.Tour{}, p.Dense, p.Cost), p.Dense
+	if p.rt == nil || p.rtDense != p.Dense {
+		p.rt, p.rtDense = tsp.NewRetour(p.Dense), p.Dense
 	}
-	p.pr.Tour = *t
-	saved := p.pr.Improve()
-	*t = p.pr.Tour
-	return saved
+	return p.rt.Improve(t, p.Cost)
 }
 
 // Solution is a feasible closed tour and its collected reward.

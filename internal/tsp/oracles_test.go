@@ -109,7 +109,7 @@ func (t Tour) Validate(items []int) error {
 }
 
 // Improve is the plain polish, the oracle for the production search
-// (fixedPoint, behind ImproveMetric, Pruner and Retour): 2-opt to a fixed
+// (fixedPoint, behind ImproveMetric and Retour): 2-opt to a fixed
 // point, then up to two Or-opt rounds, until neither helps (bounded
 // iterations), with sweeps that evaluate every pair. It returns the total
 // reduction; an optional obs.Recorder counts both passes' sweeps and
@@ -218,7 +218,8 @@ func orOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 				if prev == segEnd || next == segStart {
 					continue // segment is the whole cycle
 				}
-				removeGain := x.at(prev, segStart) + x.at(segEnd, next) - x.at(prev, next)
+				ps, en, pn := x.at(prev, segStart), x.at(segEnd, next), x.at(prev, next)
+				removeGain := ps + en - pn
 				if removeGain <= 1e-12 {
 					continue
 				}
@@ -233,8 +234,9 @@ func orOpt(t *Tour, x *Matrix, maxRounds int, r obs.Recorder) (float64, int) {
 					if i == 0 && j == n-1 {
 						continue
 					}
-					insCost := x.at(a, segStart) + x.at(segEnd, b) - x.at(a, b)
-					if insCost < removeGain-1e-12 {
+					as, eb, ab := x.at(a, segStart), x.at(segEnd, b), x.at(a, b)
+					insCost := as + eb - ab
+					if insCost < removeGain-1e-12 && removeGain-insCost > 1e-14*(ps+en+pn+as+eb+ab) {
 						relocate(t.Order, i, segLen, j)
 						saved += removeGain - insCost
 						improved = true

@@ -3,22 +3,35 @@ package tsp
 import "uavdc/internal/obs"
 
 // Retour polishes a tour under a Metric and polishes it again after every
-// edit: the greedy planners' re-tour after each acceptance and, through
-// ImproveMetric, a one-shot polish. It keeps a matrix over slots, one per
-// item in order of first appearance, that grows by one row and column per
-// new item, and the tour's last fixed point over it, so the re-tour after
-// an edit replays the search from there (see fixedPoint). The search reads
-// only matrix values and positions, never labels, so any consistent
-// labelling makes the same moves: every call returns, and leaves behind,
-// exactly the reduction, tour, counters and trace span of a fresh search
-// on a matrix over all items. A zero Retour is ready to use; it serves one
-// tour under one metric.
+// edit: the baselines' re-tour after each removal, orienteering's polish,
+// the greedy planners' re-tour after each acceptance and, through
+// ImproveMetric, a one-shot polish. It keeps a matrix over slots and the
+// tour's last fixed point over it, so the re-tour after an edit replays
+// the search from there (see fixedPoint). A zero Retour gives each item a
+// slot in order of first appearance, growing its matrix by one row and
+// column per new item; one from NewRetour reads the caller's matrix, whose
+// items are its slots. The search reads only matrix values and positions,
+// never labels, so any consistent labelling makes the same moves: every
+// call returns, and leaves behind, exactly the reduction, tour, counters
+// and trace span of a fresh search on a matrix over all items. A Retour
+// serves one tour under one metric.
 type Retour struct {
 	x     Matrix // x.n is the capacity in slots
 	label []int  // slot → item
 	slot  []int32
 	local Tour
 	fp    fixedPoint
+}
+
+// NewRetour returns a Retour over the items of x, the slot of item v
+// being v: it fills no entry and copies no matrix. An item past x's
+// range gets a slot of its own, as in a zero Retour.
+func NewRetour(x *Matrix) *Retour {
+	rt := &Retour{x: *x, label: make([]int, x.n), slot: make([]int32, x.n)}
+	for v := range rt.label {
+		rt.label[v], rt.slot[v] = v, int32(v)
+	}
+	return rt
 }
 
 // ImproveMetric polishes t once under m: 2-opt to a fixed point, then up

@@ -5,17 +5,19 @@
 // to price candidate hovering locations), one 2-opt / Or-opt polish that
 // replays its search from a tour's last fixed point after an edit, or
 // searches the whole tour when nothing is certified (ImproveMetric, for a
-// one-shot polish; Pruner, for a tour over the items of a matrix the
-// caller holds, as in the baselines' prune loops; and Retour, for the
-// greedy planners' re-tour after each acceptance), and an exact
-// Held–Karp solver used as a test oracle.
+// one-shot polish, and Retour, for a tour polished after every edit:
+// NewRetour's over the items of a matrix the caller holds, as in the
+// baselines' prune loops and orienteering, and a zero Retour's, whose
+// matrix grows with the tour, for the greedy planners' re-tour after each
+// acceptance), and an exact Held–Karp solver used as a test oracle.
 //
 // All algorithms work on index sets 0..n-1. Construction and insertion
 // pricing take costs as a Metric function, so callers can plug in
 // Euclidean distance, energy-weighted distance, or the paper's
 // auxiliary-graph weights. The local search runs on a Matrix, a dense
 // table of a Metric's exact values; ImproveMetric fills one over a
-// tour's items per call, and Retour keeps one that grows with the tour.
+// tour's items per call, and a zero Retour keeps one that grows with the
+// tour.
 package tsp
 
 import (
