@@ -106,7 +106,8 @@ trace:
 # spatial-index scan, cached insertion pricing, memoized matrices and the
 # baselines' re-tour certificate to bit-identical plans and counters
 # against the retained reference path — at the planner level, against the
-# greedy planners' golden plans, and across all figure drivers — the
+# greedy planners' and Algorithm 1's golden plans, and across all figure
+# drivers — the
 # ratio greedy's ladder and insertion caches to a fresh recomputation and
 # its re-tour to ImproveMetric after every acceptance, every reused offer
 # to a fresh scoring, the insertion memos' distance-filtered split to the
@@ -119,7 +120,7 @@ trace:
 # at every coordinate scale. The paper-scale (δ = 5 m) run
 # of both paths is the ledger's speedup panel, which benchparity checks.
 fastpath:
-	$(GO) test -race -count=1 -run 'TestGreedyGolden|TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestLadderCacheMatchesFresh|TestLadderCachePastCapMatchesReference|TestInsertionMemoMatchesScan|TestOfferMatchesRescoring|TestSplitFilterMatchesUnfiltered|TestMemoRepairMatchesScan|TestRetourMatchesImproveMetric|TestFullDrainLeavesNoResidue' ./internal/core
+	$(GO) test -race -count=1 -run 'TestGreedyGolden|TestAlgorithm1Golden|TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestLadderCacheMatchesFresh|TestLadderCachePastCapMatchesReference|TestInsertionMemoMatchesScan|TestOfferMatchesRescoring|TestSplitFilterMatchesUnfiltered|TestMemoRepairMatchesScan|TestRetourMatchesImproveMetric|TestFullDrainLeavesNoResidue' ./internal/core
 	$(GO) test -race -count=1 -run 'TestFreshSearchMatchesImprove|TestRetourMatchesImprove|TestRetourTypeMatchesImprove|TestRetourSkipsCertifiedEvaluations|TestRotationDropsCertificate|TestOrOptMovesIgnoreScale' ./internal/tsp
 	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures|TestBenchSpeedupPanel' ./internal/experiments
 
@@ -162,17 +163,17 @@ bench:
 	bash _perfbench/run.sh --workload miss-churn --seed 1 --seconds 30 --trace 0
 
 # Micro-benchmarks: candidate generation fast vs reference (behind the
-# speedup panel) and one PaperTight-size Algorithm 2, Algorithm 3 and
-# baseline plan (internal/core), the baseline's first polish of the
-# unpolished 501-point Christofides tour on a matrix, next to the plain
-# sweeps' polish of the same tour (the test oracle), and one 501-point
-# Christofides construction (internal/tsp), one paper-scale
+# speedup panel) and one PaperTight-size Algorithm 1, Algorithm 2,
+# Algorithm 3 and baseline plan (internal/core), the baseline's first
+# polish of the unpolished 501-point Christofides tour on a matrix, next
+# to the plain sweeps' polish of the same tour (the test oracle), and one
+# 501-point Christofides construction (internal/tsp), one paper-scale
 # candidate build (internal/hover), one 100-vertex exact matching
 # (internal/matching), and paper-scale /plan cache hits through the
 # daemon's handler, byte-identical and varied bodies (internal/serve).
 # Every line reports B/op and allocs/op.
 bench-micro:
-	$(GO) test -run XXX -bench 'BenchmarkAlg2|BenchmarkAlg3PaperScale|BenchmarkBaselinePlan' -benchmem -benchtime 3x ./internal/core
+	$(GO) test -run XXX -bench 'BenchmarkAlg1PaperScale|BenchmarkAlg2|BenchmarkAlg3PaperScale|BenchmarkBaselinePlan' -benchmem -benchtime 3x ./internal/core
 	$(GO) test -run XXX -bench 'BenchmarkImprove|BenchmarkChristofidesPaperScale' -benchmem -benchtime 3x ./internal/tsp
 	$(GO) test -run XXX -bench 'BenchmarkBuildPaperScale' -benchmem -benchtime 3x ./internal/hover
 	$(GO) test -run XXX -bench 'BenchmarkMinWeightPerfect100' -benchmem -benchtime 3x ./internal/matching
