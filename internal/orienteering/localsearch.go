@@ -19,6 +19,7 @@ const localSearchRounds = 64
 // The depot is never removed. The result's reward is ≥ the input's. It
 // stops after localSearchRounds rounds if no fixed point comes first.
 func LocalSearch(p *Problem, start Solution) Solution {
+	m := p.metric()
 	cur := start
 	for iter := 0; iter < localSearchRounds; iter++ {
 		improved := false
@@ -28,7 +29,7 @@ func LocalSearch(p *Problem, start Solution) Solution {
 			cur = p.solutionFor(t)
 		}
 
-		in := make([]bool, p.N)
+		in := make([]bool, len(p.Reward))
 		for _, v := range cur.Tour.Order {
 			in[v] = true
 		}
@@ -50,16 +51,16 @@ func LocalSearch(p *Problem, start Solution) Solution {
 			}
 			buf = append(append(buf[:0], order[:oi]...), order[oi+1:]...)
 			removed := tsp.Tour{Order: buf}
-			baseCost := cur.Cost - tsp.RemovalDelta(cur.Tour, oi, p.Cost)
-			for v := 0; v < p.N && !swapDone; v++ {
-				if in[v] || p.Reward(v) <= p.Reward(out) {
+			baseCost := cur.Cost - tsp.RemovalDelta(cur.Tour, oi, m)
+			for v := 0; v < len(p.Reward) && !swapDone; v++ {
+				if in[v] || p.Reward[v] <= p.Reward[out] {
 					continue
 				}
-				pos, inc := tsp.BestInsertion(removed, v, p.Cost)
+				pos, inc := tsp.BestInsertion(removed, v, m)
 				if baseCost+inc <= p.Budget+1e-12 {
 					cur.Tour = tsp.Insert(removed, v, pos)
 					cur.Cost = baseCost + inc
-					cur.Reward += p.Reward(v) - p.Reward(out)
+					cur.Reward += p.Reward[v] - p.Reward[out]
 					in[v], in[out] = true, false
 					improved, swapDone = true, true
 				}
@@ -76,7 +77,7 @@ func LocalSearch(p *Problem, start Solution) Solution {
 				if out == p.Depot {
 					continue
 				}
-				trial, _ := tsp.Remove(cur.Tour, out, p.Cost)
+				trial, _ := tsp.Remove(cur.Tour, out, m)
 				p.polish(&trial)
 				cand := p.solutionFor(trial)
 				cand = greedyFill(p, cand, out)
@@ -105,7 +106,7 @@ func LocalSearch(p *Problem, start Solution) Solution {
 // trying alternatives: it is taken back only when nothing else fits after
 // repacking, and the fill ends there.
 func greedyFill(p *Problem, sol Solution, out int) Solution {
-	in := make([]bool, p.N)
+	in := make([]bool, len(p.Reward))
 	for _, v := range sol.Tour.Order {
 		in[v] = true
 	}

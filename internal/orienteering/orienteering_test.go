@@ -1,7 +1,6 @@
 package orienteering
 
 import (
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -22,14 +21,13 @@ func randomProblem(n int, budget float64, seed int64) (*Problem, []geom.Point) {
 	for i := 1; i < n; i++ {
 		rewards[i] = 1 + rng.Float64()*9
 	}
-	p := &Problem{
-		N:      n,
-		Cost:   func(i, j int) float64 { return pts[i].Dist(pts[j]) },
-		Reward: func(i int) float64 { return rewards[i] },
-		Budget: budget,
-		Depot:  0,
-	}
-	return p, pts
+	return problemOf(func(i, j int) float64 { return pts[i].Dist(pts[j]) }, rewards, budget), pts
+}
+
+// problemOf builds a Problem rooted at node 0 whose cost matrix holds m
+// over the nodes of rewards.
+func problemOf(m tsp.Metric, rewards []float64, budget float64) *Problem {
+	return &Problem{Cost: tsp.NewMatrix(len(rewards), m), Reward: rewards, Budget: budget}
 }
 
 func TestValidate(t *testing.T) {
@@ -38,9 +36,9 @@ func TestValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := *p
-	bad.N = 0
+	bad.Reward = nil
 	if bad.Validate() == nil {
-		t.Error("N=0 accepted")
+		t.Error("zero nodes accepted")
 	}
 	bad = *p
 	bad.Depot = 5
@@ -56,6 +54,11 @@ func TestValidate(t *testing.T) {
 	bad.Cost = nil
 	if bad.Validate() == nil {
 		t.Error("nil cost accepted")
+	}
+	bad = *p
+	bad.Cost = tsp.NewMatrix(4, p.metric())
+	if bad.Validate() == nil {
+		t.Error("cost matrix over too few nodes accepted")
 	}
 }
 
@@ -113,8 +116,8 @@ func TestExactDPHugeBudgetTakesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want float64
-	for v := 0; v < p.N; v++ {
-		want += p.Reward(v)
+	for _, r := range p.Reward {
+		want += r
 	}
 	if math.Abs(sol.Reward-want) > 1e-9 {
 		t.Errorf("huge budget reward %v, want all %v", sol.Reward, want)
@@ -127,12 +130,12 @@ func TestExactDPHugeBudgetTakesAll(t *testing.T) {
 // bruteForce enumerates all subsets and permutations (n ≤ 8) for a true
 // optimum independent of the DP.
 func bruteForce(p *Problem) float64 {
-	n := p.N
+	n := len(p.Reward)
 	best := 0.0
 	var rec func(order []int, used []bool)
 	rec = func(order []int, used []bool) {
 		t := tsp.Tour{Order: order}
-		if t.Cost(p.Cost) <= p.Budget+1e-9 {
+		if t.Cost(p.metric()) <= p.Budget+1e-9 {
 			if r := p.TotalReward(t); r > best {
 				best = r
 			}
@@ -247,82 +250,26 @@ func TestSolveAutoLarge(t *testing.T) {
 	}
 }
 
-// TestDenseSolvesIdentically: a problem carrying its cost matrix, whose
-// polish replays the search from the last fixed point, solves to the same
-// tour, reward and cost bits as one with the closure alone, whose polish
-// is a fresh search each time, with every solver that polishes tours. The
-// sizes run from 40 nodes up past a hundred, above ExactMax, so Solve
-// polishes by local search.
-func TestDenseSolvesIdentically(t *testing.T) {
-	methods := map[string]func(*Problem) (Solution, error){
-		"greedy":    heuristics[0].solve,
-		"toursplit": heuristics[1].solve,
-		"auto":      func(p *Problem) (Solution, error) { return Solve(p) },
-		"localsearch": func(p *Problem) (Solution, error) {
-			start, err := TourSplit(p)
-			if err != nil {
-				return Solution{}, err
-			}
-			return LocalSearch(p, start), nil
-		},
-	}
-	type instance struct {
-		n      int
-		budget float64
-		seed   int64
-	}
-	var instances []instance
-	for seed := int64(0); seed < 4; seed++ {
-		instances = append(instances, instance{40, 150, 30 + seed})
-	}
-	for seed := int64(0); seed < 12; seed++ {
-		instances = append(instances, instance{ExactMax + 1 + int(seed*13)%100, []float64{100, 300, 600}[seed%3], 500 + seed})
-	}
-	bits := func(s Solution) []uint64 {
-		return []uint64{math.Float64bits(s.Reward), math.Float64bits(s.Cost)}
-	}
-	for _, in := range instances {
-		for _, method := range slices.Sorted(maps.Keys(methods)) {
-			p, _ := randomProblem(in.n, in.budget, in.seed)
-			want, err := methods[method](p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Dense = tsp.NewMatrix(p.N, p.Cost)
-			got, err := methods[method](p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got.Tour.Order, want.Tour.Order) || !slices.Equal(bits(got), bits(want)) {
-				t.Fatalf("%+v method %s: dense %+v, closure %+v", in, method, got, want)
-			}
-		}
-	}
-}
-
-// TestDenseReplacedRepolishes: a Problem whose Dense (and Cost) is
-// replaced after a solve polishes on the new matrix, not on the one its
-// earlier polish replayed from.
-func TestDenseReplacedRepolishes(t *testing.T) {
+// TestCostReplacedRepolishes: a Problem whose Cost is replaced after a
+// solve polishes on the new matrix, not on the one its earlier polish
+// replayed from.
+func TestCostReplacedRepolishes(t *testing.T) {
 	p, _ := randomProblem(60, 300, 71)
-	p.Dense = tsp.NewMatrix(p.N, p.Cost)
 	if _, err := Solve(p); err != nil {
 		t.Fatal(err)
 	}
-	q, pts := randomProblem(60, 300, 72)
+	q, _ := randomProblem(60, 300, 72)
 	want, err := Solve(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Cost = func(i, j int) float64 { return pts[i].Dist(pts[j]) }
-	p.Reward = q.Reward
-	p.Dense = tsp.NewMatrix(p.N, p.Cost)
+	p.Cost, p.Reward = tsp.NewMatrix(len(q.Reward), q.metric()), q.Reward
 	got, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(got.Tour.Order, want.Tour.Order) || got.Reward != want.Reward || got.Cost != want.Cost {
-		t.Fatalf("after replacing Dense: %+v, fresh problem %+v", got, want)
+		t.Fatalf("after replacing Cost: %+v, fresh problem %+v", got, want)
 	}
 }
 
@@ -332,15 +279,15 @@ func TestTourSplitFullBudgetTakesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Tour.Len() != p.N {
-		t.Errorf("with unlimited budget tour should include all %d nodes, got %d", p.N, sol.Tour.Len())
+	if sol.Tour.Len() != len(p.Reward) {
+		t.Errorf("with unlimited budget tour should include all %d nodes, got %d", len(p.Reward), sol.Tour.Len())
 	}
 }
 
 func TestTourSplitZeroRewards(t *testing.T) {
 	p, _ := randomProblem(10, 100, 5)
 	zero := *p
-	zero.Reward = func(int) float64 { return 0 }
+	zero.Reward = make([]float64, len(p.Reward))
 	sol, err := TourSplit(&zero)
 	if err != nil {
 		t.Fatal(err)
@@ -382,13 +329,9 @@ func TestLocalSearchDropRefill(t *testing.T) {
 		geom.Pt(-32, 0),
 	}
 	rewards := []float64{0, 1, 10, 10, 10}
-	p := &Problem{
-		N:      5,
-		Cost:   func(i, j int) float64 { return pts[i].Dist(pts[j]) },
-		Reward: func(i int) float64 { return rewards[i] },
-		Budget: 100, // fits depot→1→depot (100) or depot→cluster→depot (~64), not both
-		Depot:  0,
-	}
+	// The budget fits depot→1→depot (100) or depot→cluster→depot (~64),
+	// not both.
+	p := problemOf(func(i, j int) float64 { return pts[i].Dist(pts[j]) }, rewards, 100)
 	start := p.solutionFor(tsp.Tour{Order: []int{0, 1}})
 	if err := p.Feasible(start.Tour); err != nil {
 		t.Fatal(err)
@@ -413,7 +356,7 @@ func TestGreedyRatioRespectsTightBudget(t *testing.T) {
 	}
 	// Budget exactly one round trip to the nearest node.
 	nearest, d := -1, math.Inf(1)
-	for i := 1; i < p.N; i++ {
+	for i := 1; i < len(p.Reward); i++ {
 		if dd := pts[0].Dist(pts[i]); dd < d {
 			nearest, d = i, dd
 		}
@@ -443,12 +386,7 @@ func TestGreedyRatioRespectsTightBudget(t *testing.T) {
 func TestAdditionTieFavoursReward(t *testing.T) {
 	xs := []float64{0, 1, -2, 3, -3}
 	rewards := []float64{0, 2, 4, 4.5, 3}
-	p := &Problem{
-		N:      len(xs),
-		Cost:   func(i, j int) float64 { return math.Abs(xs[i] - xs[j]) },
-		Reward: func(i int) float64 { return rewards[i] },
-		Budget: 6,
-	}
+	p := problemOf(func(i, j int) float64 { return math.Abs(xs[i] - xs[j]) }, rewards, 6)
 	want := []int{0, 2, 4}
 	for _, c := range []struct {
 		name  string
@@ -504,14 +442,14 @@ func TestUpperBoundDominatesAllSolvers(t *testing.T) {
 func TestUpperBoundTightWhenBudgetHuge(t *testing.T) {
 	p, _ := randomProblem(12, 1e9, 5)
 	var all float64
-	for v := 0; v < p.N; v++ {
-		all += p.Reward(v)
+	for _, r := range p.Reward {
+		all += r
 	}
 	if ub := UpperBound(p); ub != all {
 		t.Errorf("huge budget bound %v, want %v", ub, all)
 	}
 	bad := *p
-	bad.N = 0
+	bad.Reward = nil
 	if UpperBound(&bad) != 0 {
 		t.Error("invalid instance should bound to 0")
 	}
@@ -529,13 +467,14 @@ func UpperBound(p *Problem) float64 {
 	if p.Validate() != nil {
 		return 0
 	}
+	m := p.metric()
 	var sum float64
-	for v := 0; v < p.N; v++ {
+	for v, r := range p.Reward {
 		if v == p.Depot {
 			continue
 		}
-		if 2*p.Cost(p.Depot, v) <= p.Budget+1e-9 {
-			if r := p.Reward(v); r > 0 {
+		if 2*m(p.Depot, v) <= p.Budget+1e-9 {
+			if r > 0 {
 				sum += r
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 func pathFromProblem(p *Problem, end int) *PathProblem {
-	return &PathProblem{N: p.N, Cost: p.Cost, Reward: p.Reward, Budget: p.Budget, Start: p.Depot, End: end}
+	return &PathProblem{N: len(p.Reward), Cost: p.metric(), Reward: func(i int) float64 { return p.Reward[i] }, Budget: p.Budget, Start: p.Depot, End: end}
 }
 
 func TestPathValidate(t *testing.T) {
@@ -269,7 +269,11 @@ func ExactPathDP(p *PathProblem) (PathSolution, error) {
 	}
 	if p.Start == p.End {
 		// Delegate: a closed tour is the same object.
-		sol, err := ExactDP(&Problem{N: p.N, Cost: p.Cost, Reward: p.Reward, Budget: p.Budget, Depot: p.Start})
+		rewards := make([]float64, p.N)
+		for v := range rewards {
+			rewards[v] = p.Reward(v)
+		}
+		sol, err := ExactDP(&Problem{Cost: tsp.NewMatrix(p.N, p.Cost), Reward: rewards, Budget: p.Budget, Depot: p.Start})
 		if err != nil {
 			return PathSolution{}, err
 		}
@@ -439,8 +443,8 @@ func GreedyPath(p *PathProblem) (PathSolution, error) {
 // path form: node N is the dummy depot d′, a copy of the depot with zero
 // reward whose distances mirror the depot's.
 func DummyDepot(p *Problem) *PathProblem {
-	d := p.Depot
-	n := p.N
+	d, m := p.Depot, p.metric()
+	n := len(p.Reward)
 	wrap := func(i int) int {
 		if i == n {
 			return d
@@ -454,13 +458,13 @@ func DummyDepot(p *Problem) *PathProblem {
 			if wi == wj && i != j {
 				return 0 // d and d′ coincide
 			}
-			return p.Cost(wi, wj)
+			return m(wi, wj)
 		},
 		Reward: func(i int) float64 {
 			if i == n {
 				return 0
 			}
-			return p.Reward(i)
+			return p.Reward[i]
 		},
 		Budget: p.Budget,
 		Start:  d,

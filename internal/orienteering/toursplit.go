@@ -22,22 +22,23 @@ func TourSplit(p *Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
+	m := p.metric()
 	items := []int{p.Depot}
-	for v := 0; v < p.N; v++ {
-		if v != p.Depot && p.Reward(v) > 0 {
+	for v, r := range p.Reward {
+		if v != p.Depot && r > 0 {
 			items = append(items, v)
 		}
 	}
 	if len(items) == 1 {
 		return p.depotOnly(), nil
 	}
-	full, err := tsp.Christofides(items, p.Cost)
+	full, err := tsp.Christofides(items, m)
 	if err != nil {
 		return Solution{}, err
 	}
 	p.polish(&full)
 	full.RotateTo(p.Depot)
-	if full.Cost(p.Cost) <= p.Budget+1e-9 {
+	if full.Cost(m) <= p.Budget+1e-9 {
 		return p.solutionFor(full), nil
 	}
 
@@ -50,9 +51,9 @@ func TourSplit(p *Problem) (Solution, error) {
 	pathLen := make([]float64, k) // pathLen[i]: length of seq[1]..seq[i+1] chain
 	rew := make([]float64, k)
 	for i := 0; i < k; i++ {
-		rew[i] = p.Reward(seq[i+1])
+		rew[i] = p.Reward[seq[i+1]]
 		if i > 0 {
-			pathLen[i] = pathLen[i-1] + p.Cost(seq[i], seq[i+1])
+			pathLen[i] = pathLen[i-1] + m(seq[i], seq[i+1])
 			rew[i] += rew[i-1]
 		}
 	}
@@ -73,7 +74,7 @@ func TourSplit(p *Problem) (Solution, error) {
 	// the greedy planners keep modest, and the scan is cheap per window.
 	for i := 1; i <= k; i++ {
 		for j := i; j <= k; j++ {
-			c := p.Cost(p.Depot, seq[i]) + chain(i, j) + p.Cost(seq[j], p.Depot)
+			c := m(p.Depot, seq[i]) + chain(i, j) + m(seq[j], p.Depot)
 			if c > p.Budget+1e-9 {
 				// Window end further right only adds cost along the chain,
 				// but the closing edge may shrink; cannot break early in

@@ -7,7 +7,7 @@ package tsp
 // that the sweeps read one array element per distance instead of calling
 // a closure. The full n×n table is filled — no symmetry assumption — so
 // the matrix is exact even for metrics that are only symmetric up to
-// rounding. Memory is 8·n² bytes; callers guard n.
+// rounding. Memory is 8·n² bytes.
 type Matrix struct {
 	n int
 	d []float64
@@ -27,6 +27,9 @@ func NewMatrix(n int, m Metric) *Matrix {
 	}
 	return &Matrix{n: n, d: d}
 }
+
+// Len returns the number of items the matrix covers.
+func (x *Matrix) Len() int { return x.n }
 
 func (x *Matrix) at(i, j int) float64 { return x.d[i*x.n+j] }
 

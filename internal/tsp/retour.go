@@ -37,8 +37,7 @@ func NewRetour(x *Matrix) *Retour {
 // ImproveMetric polishes t once under m: 2-opt to a fixed point, then up
 // to two Or-opt rounds, until neither helps (bounded iterations),
 // returning the total reduction. It serves callers that hold only a
-// Metric: orienteering without a dense table, refinement, the literal
-// Eq. 13 pricing, and the reference path. It is a zero Retour's Improve
+// Metric: refinement, the literal Eq. 13 pricing, and the reference path. It is a zero Retour's Improve
 // whose matrix is sized to t up front, so the polish fills one 8·t² byte
 // matrix and copies none; a tour polished after every edit keeps a Retour
 // instead. An optional obs.Recorder counts both passes' sweeps and moves
