@@ -105,3 +105,27 @@ type Knobs struct {
 type Pair struct {
 	A, B int // clean: positions in an unkeyed literal
 }
+
+// Config is the default rule's fixture: an assignment inside an if that
+// compares the same field with a constant gives the field its default
+// and is no setter.
+type Config struct {
+	Window int // positive: only given its default
+	Size   int // clean: given its default, and set by sized
+	Peak   int // clean: raised to a running maximum, not defaulted
+}
+
+// sized sets Size, then gives both it and Window their defaults.
+func sized(n int) *Config {
+	c := &Config{Size: n}
+	if c.Window <= 0 {
+		c.Window = 600
+	}
+	if c.Size <= 0 {
+		c.Size = 64
+	}
+	if n > c.Peak {
+		c.Peak = n
+	}
+	return c
+}

@@ -57,9 +57,6 @@ type Config struct {
 	// feeding the /debug/window ring; 0 disables it (Sample may still be
 	// called manually, which is what deterministic tests do).
 	SampleInterval time.Duration
-	// WindowSize bounds the sample ring in samples (default 600 — ten
-	// minutes at a one-second interval).
-	WindowSize int
 
 	// planFn overrides the planner in tests: it receives the cache key,
 	// the request, and an optional flight recorder, and returns the
@@ -155,9 +152,6 @@ func New(cfg Config) *Server {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 600
-	}
 	if cfg.planFn == nil {
 		cfg.planFn = defaultPlan
 	}
@@ -171,7 +165,7 @@ func New(cfg Config) *Server {
 		queue:    make(chan *flight, cfg.QueueSize),
 		stop:     make(chan struct{}),
 		opRing:   newOplogRing(oplogRingSize),
-		window:   newWindowRing(cfg.WindowSize, cfg.SampleInterval),
+		window:   newWindowRing(windowRingSize, cfg.SampleInterval),
 
 		cRequests:      cfg.Obs.Counter(CounterRequests),
 		cHits:          cfg.Obs.Counter(CounterHits),
