@@ -127,15 +127,16 @@ fastpath:
 # Serving gate: race-enabled daemon and canonical-encoding tests — the
 # GOMAXPROCS 1/4/8 cold/warm/coalesced parity check, the failure-mode
 # table (backpressure, deadline, shutdown), the golden wire formats, the
-# body memo's parity, bounds and bad-body tests (named on their own line
-# so a renamed one fails makefile_test.go), and the deterministic serve
-# bench panel — then a 1k-request loopback load smoke over real HTTP at
-# the reduced preset: positive cache hit rate, zero non-backpressure
-# errors, every body bit-identical to a direct plan.
+# body memo's parity, bounds and bad-body tests and its pooled read
+# buffers' isolation, residency bound and flat per-hit allocation (named
+# on their own line so a renamed one fails makefile_test.go), and the
+# deterministic serve bench panel — then a 1k-request loopback load smoke
+# over real HTTP at the reduced preset: positive cache hit rate, zero
+# non-backpressure errors, every body bit-identical to a direct plan.
 serve:
 	$(GO) test -race -count=1 ./internal/canon ./cmd/uavserve
 	$(GO) test -race -count=1 -skip 'TestBodyMemo|FuzzServeRequest' ./internal/serve
-	$(GO) test -race -count=1 -run 'TestBodyMemoHTTPParity|TestBodyMemoBadBodiesNeverMemoized|TestBodyMemoEvictedPlanReplans|TestBodyMemoDisabled|TestBodyMemoBounded|TestBodyMemoConcurrentRepeats|TestBodyMemoOversizeErrorText|FuzzServeRequest' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestBodyMemoHTTPParity|TestBodyMemoBadBodiesNeverMemoized|TestBodyMemoEvictedPlanReplans|TestBodyMemoDisabled|TestBodyMemoBounded|TestBodyMemoConcurrentRepeats|TestBodyMemoOversizeErrorText|TestBodyMemoPooledBuffersConcurrent|TestBodyMemoGrownBufferNotPooled|TestBodyMemoHitAllocsFlat|FuzzServeRequest' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestBenchServePanel|TestServeRequestsDeterministic' ./internal/experiments
 	$(GO) run ./cmd/uavserve -smoke 1000 -preset reduced -distinct 8 -clients 16
 
@@ -166,7 +167,8 @@ bench:
 # speedup panel) and one PaperTight-size Algorithm 1, Algorithm 2,
 # Algorithm 3 and baseline plan (internal/core), the baseline's first
 # polish of the unpolished 501-point Christofides tour on a matrix, next
-# to the plain sweeps' polish of the same tour (the test oracle), and one
+# to the plain sweeps' polish of the same tour (the test oracle), and its
+# re-tours replayed after each removal down to 200 items, and one
 # 501-point Christofides construction (internal/tsp), one paper-scale
 # candidate build (internal/hover), one 100-vertex exact matching
 # (internal/matching), and paper-scale /plan cache hits through the

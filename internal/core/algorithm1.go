@@ -58,7 +58,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 		reward[k] = set.Locs[id].Award.F()
 	}
 	prob := &orienteering.Problem{
-		Cost:   tsp.NewMatrix(len(ids), func(i, j int) float64 { return set.AuxiliaryWeight(ids[i], ids[j]).F() }),
+		Cost:   auxiliaryMatrix(set, ids),
 		Reward: reward,
 		Budget: in.Budget().F(),
 		Depot:  0,
@@ -91,6 +91,12 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 	}
 	endPlan(trace.Int("stops", len(plan.Stops)))
 	return plan, nil
+}
+
+// auxiliaryMatrix is G_s over the hover-set indices ids: entry (k, l) is
+// w2 of Eq. 9 between ids[k] and ids[l].
+func auxiliaryMatrix(set *hover.Set, ids []int) *tsp.Matrix {
+	return tsp.NewMatrix(len(ids), func(i, j int) float64 { return set.AuxiliaryWeight(ids[i], ids[j]).F() })
 }
 
 // disjointCandidates greedily selects candidate locations with pairwise-

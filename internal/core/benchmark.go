@@ -113,6 +113,11 @@ func pos(in *Instance, i int) geom.Point {
 	return in.Net.Sensors[i-1].Pos
 }
 
+// baselineDist is the flight distance between benchmark items.
+func baselineDist(in *Instance) tsp.Metric {
+	return func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) }
+}
+
 // prunedTour is the tour both baselines prune, item 0 the depot and item
 // v+1 sensor v, with the metric it is priced by. On the fast path rt, a
 // tsp.Retour over the memoised distance matrix, replays each re-tour from
@@ -131,7 +136,7 @@ type prunedTour struct {
 // sensor and polishes it.
 func baselineTour(in *Instance, rec obs.Recorder) (*prunedTour, error) {
 	n := len(in.Net.Sensors)
-	pt := &prunedTour{dist: func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) }}
+	pt := &prunedTour{dist: baselineDist(in)}
 	if !in.Reference {
 		x := tsp.NewMatrix(n+1, pt.dist)
 		pt.dist, pt.rt = x.Metric(), tsp.NewRetour(x)

@@ -104,20 +104,7 @@ func RefinePlan(in *Instance, plan *Plan) *Plan {
 
 		// Re-order: item 0 is the depot, items 1..n are stops.
 		if n >= 3 {
-			metric := func(i, j int) float64 {
-				var a, b geom.Point
-				if i == 0 {
-					a = out.Depot
-				} else {
-					a = out.Stops[i-1].Pos
-				}
-				if j == 0 {
-					b = out.Depot
-				} else {
-					b = out.Stops[j-1].Pos
-				}
-				return a.Dist(b)
-			}
+			metric := stopMetric(out)
 			order := make([]int, n+1)
 			for i := range order {
 				order[i] = i
@@ -144,4 +131,16 @@ func RefinePlan(in *Instance, plan *Plan) *Plan {
 		return plan
 	}
 	return out
+}
+
+// stopMetric is the flight distance between p's depot (item 0) and its
+// stops (item i ≥ 1 is p.Stops[i-1]), read from p at each call.
+func stopMetric(p *Plan) tsp.Metric {
+	pos := func(i int) geom.Point {
+		if i == 0 {
+			return p.Depot
+		}
+		return p.Stops[i-1].Pos
+	}
+	return func(i, j int) float64 { return pos(i).Dist(pos(j)) }
 }

@@ -60,6 +60,12 @@ func TestValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("cost matrix over too few nodes accepted")
 	}
+	bad = *p
+	m := p.metric()
+	bad.Cost = tsp.NewMatrix(5, func(i, j int) float64 { return m(i, j) + float64(i) })
+	if bad.Validate() == nil {
+		t.Error("asymmetric cost matrix accepted")
+	}
 }
 
 func TestFeasible(t *testing.T) {

@@ -29,9 +29,11 @@ import (
 // The solvers keep polish state in the Problem, so a Problem belongs to one
 // solve at a time: concurrent solves need a Problem each.
 type Problem struct {
-	// Cost is the symmetric, non-negative travel cost between every two
-	// nodes. For the paper's reduction this is w2 of Eq. 9 and must
-	// satisfy the triangle inequality (Lemma 1 guarantees it does).
+	// Cost is the non-negative travel cost between every two nodes,
+	// symmetric bit for bit: the tour polish assumes it (see tsp.Matrix),
+	// and Validate checks it. For the paper's reduction this is w2 of
+	// Eq. 9 and must satisfy the triangle inequality (Lemma 1 guarantees
+	// it does).
 	Cost *tsp.Matrix
 	// Reward[i] is the award collected when node i is visited (p of
 	// Eq. 6). The depot conventionally has reward zero.
@@ -57,6 +59,9 @@ func (p *Problem) Validate() error {
 	}
 	if p.Cost == nil || p.Cost.Len() != n {
 		return fmt.Errorf("orienteering: Cost must be a matrix over the %d nodes", n)
+	}
+	if !p.Cost.Symmetric() {
+		return fmt.Errorf("orienteering: Cost is not symmetric")
 	}
 	if math.IsNaN(p.Budget) || p.Budget < 0 {
 		return fmt.Errorf("orienteering: invalid budget %v", p.Budget)

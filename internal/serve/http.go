@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"uavdc/internal/oplog"
@@ -22,8 +23,15 @@ const maxRequestBytes = 32 << 20
 
 // bodyPresize caps how much of a /plan body's Content-Length is allocated
 // before any of it arrives; a larger body grows the buffer as it is read,
-// so a hostile header cannot force a large allocation.
+// so a hostile header cannot force a large allocation. It also bounds
+// what bodyBufs keeps: a buffer that grew past bodyPresize + bytes.MinRead
+// is left to the GC, so neither a hostile body nor a huge field stays
+// resident after its request.
 const bodyPresize = 256 << 10
+
+// bodyBufs recycles the /plan read buffers (each a *[]byte) that
+// readBody fills and releaseBody gives back.
+var bodyBufs sync.Pool
 
 // Handler returns the daemon's HTTP surface:
 //
@@ -38,12 +46,15 @@ const bodyPresize = 256 << 10
 // request-scoped envelope rides in headers: Uavdc-Cache (hit, miss,
 // coalesced), Uavdc-Key, and Uavdc-Elapsed-Us.
 //
-// /plan reads the whole body and looks its SHA-256 digest up in the body
-// memo before decoding it (with the memo disabled, CacheSize < 0, it
-// decodes the body as it streams in). Decoding and Request.Key are pure functions of
-// the body bytes, so a byte-identical repeat whose plan is still cached is
-// served as the hit Server.Do would return, without either; anything else
-// is decoded and goes through Do, and a body that keys is memoized.
+// /plan reads the whole body into a reused buffer and looks its SHA-256
+// digest up in the body memo before decoding it (with the memo disabled,
+// CacheSize < 0, it decodes the body as it streams in). Decoding and
+// Request.Key are pure functions of the body bytes, so a byte-identical
+// repeat whose plan is still cached is served as the hit Server.Do would
+// return, without either; anything else is decoded and goes through Do,
+// and a body that keys is memoized. The buffer goes back for the next
+// request once the hit is written or the body is decoded, never later
+// than the start of a plan.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plan", s.handlePlan)
@@ -63,26 +74,30 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	var body io.Reader = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var digest string
+	var buf *[]byte
 	if s.memo.cap > 0 {
-		raw, readErr := readBody(body, r.ContentLength)
+		var readErr error
+		buf, readErr = readBody(body, r.ContentLength)
 		if readErr == nil {
-			sum := sha256.Sum256(raw)
+			sum := sha256.Sum256(*buf)
 			digest = string(sum[:])
 			if key, ok := s.memo.Get(digest); ok {
 				if out, ok := s.doCached(key); ok {
 					writeOutcome(w, out)
+					releaseBody(buf)
 					return
 				}
 			}
 		}
 		// A failed read is replayed to the decoder after the bytes that
 		// arrived, so it reports exactly what decoding the stream would.
-		body = bytes.NewReader(raw)
+		body = bytes.NewReader(*buf)
 		if readErr != nil {
 			body = io.MultiReader(body, errReader{readErr})
 		}
 	}
 	req, err := decodeRequest(body)
+	releaseBody(buf)
 	if err != nil {
 		writeBody(w, http.StatusBadRequest, encodeError(ErrBadRequest, fmt.Sprintf("decode request: %v", err)))
 		return
@@ -114,12 +129,37 @@ func writeOutcome(w http.ResponseWriter, out Outcome) {
 }
 
 // readBody reads the whole /plan body from body, whose declared length is
-// n (-1 when unknown). On error it returns the bytes read before the
-// error.
-func readBody(body io.Reader, n int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(n, 0), bodyPresize)+bytes.MinRead))
+// n (-1 when unknown), into a buffer from bodyBufs. The buffer holds at
+// least min(n, bodyPresize) + bytes.MinRead bytes before the read starts;
+// a smaller pooled one is dropped for a new one. On error it holds the
+// bytes read before the error.
+//
+// The caller hands the buffer to releaseBody as soon as nothing reads its
+// bytes, and the next request overwrites them, so nothing may keep a
+// reference into them: the memo digest is a copy (a string of the
+// SHA-256 sum), json.Decoder copies the bytes into its own buffer and
+// Request has no []byte or json.RawMessage field, so every decoded value
+// and decode error text is a copy too, and a read error is replayed
+// through errReader only after the decoder has read every byte before it.
+func readBody(body io.Reader, n int64) (*[]byte, error) {
+	want := int(min(max(n, 0), bodyPresize)) + bytes.MinRead
+	p, _ := bodyBufs.Get().(*[]byte)
+	if p == nil || cap(*p) < want {
+		b := make([]byte, 0, want)
+		p = &b
+	}
+	buf := bytes.NewBuffer((*p)[:0])
 	_, err := buf.ReadFrom(body)
-	return buf.Bytes(), err
+	*p = buf.Bytes()
+	return p, err
+}
+
+// releaseBody returns a readBody buffer (nil is a no-op) to bodyBufs,
+// unless it grew past bodyPresize + bytes.MinRead.
+func releaseBody(p *[]byte) {
+	if p != nil && cap(*p) <= bodyPresize+bytes.MinRead {
+		bodyBufs.Put(p)
+	}
 }
 
 // errReader is a reader that fails with err.

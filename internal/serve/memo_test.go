@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"uavdc"
 )
 
 // stubServer is a server whose planner answers with the key, so memo
@@ -340,4 +345,203 @@ func (r repeatByte) Read(p []byte) (int, error) {
 		p[i] = byte(r)
 	}
 	return len(p), nil
+}
+
+// TestBodyMemoPooledBuffersConcurrent: with the memo on, every /plan body
+// is read into a buffer the next request reuses. Handlers racing over
+// valid, undecodable, trailing-data, truncated, failed-read and
+// past-bodyPresize bodies each get the status, key and body the
+// memo-disabled server (which streams the body into the decoder) gives
+// that body, so no reply is built from another request's bytes. The
+// undecodable bodies and the read errors differ in the text their 400
+// quotes. Run it under -race.
+func TestBodyMemoPooledBuffersConcurrent(t *testing.T) {
+	valid := marshal(t, testRequest(1))
+	big := marshal(t, Request{
+		Schema:   Schema,
+		Scenario: SpecOf(uavdc.RandomScenario(5000, 2000, 9)),
+		UAV:      UAVSpecOf(uavdc.DefaultUAV()),
+	})
+	if len(big) <= bodyPresize+bytes.MinRead {
+		t.Fatalf("big body is %d bytes, want more than bodyPresize + bytes.MinRead", len(big))
+	}
+	unkeyable := testRequest(2)
+	unkeyable.Schema = "nope/9"
+	type body struct {
+		b       []byte
+		readErr error // after b, when set
+	}
+	bodies := []body{
+		{b: valid},
+		{b: marshal(t, testRequest(3))},
+		{b: big},
+		{b: marshal(t, unkeyable)},
+		{b: append(bytes.Clone(valid), ` {"x":1}`...)},
+		{b: append(bytes.Clone(big), ` trailing`...)},
+		{b: valid[:len(valid)/2]},
+		{b: big[:len(big)/2]},
+		{b: valid[:len(valid)/3], readErr: errors.New("link dropped after a third")},
+		{b: big[:len(big)/3], readErr: errors.New("link dropped in a big body")},
+	}
+	for k := 0; k < 4; k++ {
+		bodies = append(bodies, body{b: []byte(fmt.Sprintf(`{"schema":%c}`, 'A'+k))})
+	}
+	reader := func(b body) io.Reader {
+		if b.readErr == nil {
+			return bytes.NewReader(b.b)
+		}
+		return io.MultiReader(bytes.NewReader(b.b), errReader{b.readErr})
+	}
+	type reply struct {
+		code      int
+		key, body string
+	}
+	replyOf := func(w *httptest.ResponseRecorder) reply {
+		return reply{w.Code, w.Header().Get("Uavdc-Key"), w.Body.String()}
+	}
+	ref := stubServer(-1)
+	want := make([]reply, len(bodies))
+	for i, b := range bodies {
+		want[i] = replyOf(send(ref.Handler(), reader(b)))
+	}
+	ref.Close(context.Background())
+	for i := len(bodies) - 4; i < len(bodies); i++ {
+		for j := len(bodies) - 4; j < i; j++ {
+			if want[i] == want[j] {
+				t.Fatalf("bodies %d and %d get the same 400 %q; each must quote its own byte", j, i, want[i].body)
+			}
+		}
+	}
+
+	s := stubServer(0)
+	defer s.Close(context.Background())
+	const clients, rounds = 8, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds*len(bodies); i++ {
+				j := (c + i) % len(bodies)
+				if got := replyOf(send(s.Handler(), reader(bodies[j]))); got != want[j] {
+					errs <- fmt.Errorf("body %d: got status %d key %q body %.200q; the memo-disabled server gives %d %q %.200q",
+						j, got.code, got.key, got.body, want[j].code, want[j].key, want[j].body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if counter(s, CounterBodyMemoHits) == 0 {
+		t.Fatal("no repeat was a body-memo hit")
+	}
+}
+
+// drainBodyBufs empties bodyBufs, as far as this goroutine can reach it,
+// and returns the capacities of the buffers it held.
+func drainBodyBufs() []int {
+	var caps []int
+	for {
+		p, _ := bodyBufs.Get().(*[]byte)
+		if p == nil {
+			return caps
+		}
+		caps = append(caps, cap(*p))
+	}
+}
+
+// TestBodyMemoGrownBufferNotPooled: a buffer of bodyPresize +
+// bytes.MinRead bytes goes back to bodyBufs, and one that a body grew
+// past that, with or without a Content-Length, never does.
+func TestBodyMemoGrownBufferNotPooled(t *testing.T) {
+	const limit = bodyPresize + bytes.MinRead
+	// The race detector drops a Put at random, so a kept buffer may take
+	// a few tries to show.
+	kept := false
+	for try := 0; try < 64 && !kept; try++ {
+		drainBodyBufs()
+		b := make([]byte, 0, limit)
+		releaseBody(&b)
+		kept = slices.Contains(drainBodyBufs(), limit)
+	}
+	if !kept {
+		t.Fatal("a buffer of bodyPresize + bytes.MinRead bytes never went back to the pool")
+	}
+
+	big := bytes.Repeat([]byte(" "), 2*limit)
+	drainBodyBufs()
+	p, err := readBody(bytes.NewReader(big), int64(len(big)))
+	if err != nil || len(*p) != len(big) || cap(*p) <= limit {
+		t.Fatalf("readBody of %d bytes: len %d cap %d, %v; want the whole body in a grown buffer", len(big), len(*p), cap(*p), err)
+	}
+	releaseBody(p)
+	s := stubServer(0)
+	defer s.Close(context.Background())
+	send(s.Handler(), bytes.NewReader(big))
+	send(s.Handler(), io.MultiReader(bytes.NewReader(big))) // no Content-Length
+	for _, c := range drainBodyBufs() {
+		if c > limit {
+			t.Fatalf("the pool holds a %d-byte buffer, over bodyPresize + bytes.MinRead = %d", c, limit)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that drops what it is sent.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardWriter) WriteHeader(int)             {}
+
+// TestBodyMemoHitAllocsFlat: a body-memo hit served through Handler()
+// allocates no more for a ~150 KB body than for a ~37 KB one, since the
+// body is read into a pooled buffer. It compares the median over many
+// hits, as the race detector drops a pooled buffer at random.
+func TestBodyMemoHitAllocsFlat(t *testing.T) {
+	s := stubServer(0)
+	defer s.Close(context.Background())
+	h := s.Handler()
+	perHit := func(sensors int, side float64) (size int, bytesPerHit uint64) {
+		body := marshal(t, Request{
+			Schema:   Schema,
+			Scenario: SpecOf(uavdc.RandomScenario(sensors, side, 1)),
+			UAV:      UAVSpecOf(uavdc.DefaultUAV()),
+		})
+		if w := send(h, bytes.NewReader(body)); w.Code != http.StatusOK {
+			t.Fatalf("%d sensors: status %d: %s", sensors, w.Code, w.Body)
+		}
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest(http.MethodPost, "/plan", rd)
+		w := discardWriter{http.Header{}}
+		hits := counter(s, CounterBodyMemoHits)
+		const n = 101
+		samples := make([]uint64, n)
+		var before, after runtime.MemStats
+		for i := range samples {
+			rd.Reset(body)
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(w, req)
+			runtime.ReadMemStats(&after)
+			samples[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		if got := counter(s, CounterBodyMemoHits) - hits; got != n {
+			t.Fatalf("%d sensors: %d body-memo hits over %d requests", sensors, got, n)
+		}
+		slices.Sort(samples)
+		return len(body), samples[n/2]
+	}
+	smallSize, small := perHit(500, 1000)
+	largeSize, large := perHit(2000, 2000)
+	t.Logf("%d-byte body: %d B per hit; %d-byte body: %d B per hit", smallSize, small, largeSize, large)
+	if smallSize < 30<<10 || largeSize < 4*smallSize-(8<<10) {
+		t.Fatalf("bodies of %d and %d bytes, want ~37 KB and ~150 KB", smallSize, largeSize)
+	}
+	if large > small+1024 {
+		t.Fatalf("a memo hit allocates %d B for a %d-byte body and %d B for a %d-byte one; want no growth with the body", small, smallSize, large, largeSize)
+	}
 }

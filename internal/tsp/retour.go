@@ -25,7 +25,8 @@ type Retour struct {
 
 // NewRetour returns a Retour over the items of x, the slot of item v
 // being v: it fills no entry and copies no matrix. An item past x's
-// range gets a slot of its own, as in a zero Retour.
+// range gets a slot of its own, as in a zero Retour. x, and the Metric
+// passed to Improve, must be symmetric bit for bit (see Matrix).
 func NewRetour(x *Matrix) *Retour {
 	rt := &Retour{x: *x, label: make([]int, x.n), slot: make([]int32, x.n)}
 	for v := range rt.label {
@@ -36,11 +37,12 @@ func NewRetour(x *Matrix) *Retour {
 
 // ImproveMetric polishes t once under m: 2-opt to a fixed point, then up
 // to two Or-opt rounds, until neither helps (bounded iterations),
-// returning the total reduction. It serves callers that hold only a
-// Metric: refinement, the literal Eq. 13 pricing, and the reference path. It is a zero Retour's Improve
-// whose matrix is sized to t up front, so the polish fills one 8·t² byte
-// matrix and copies none; a tour polished after every edit keeps a Retour
-// instead. An optional obs.Recorder counts both passes' sweeps and moves
+// returning the total reduction. m must be symmetric bit for bit (see
+// Matrix). It serves callers that hold only a Metric: refinement, the
+// literal Eq. 13 pricing, and the reference path. It is a zero Retour's
+// Improve whose matrix is sized to t up front, so the polish fills one
+// 8·t² byte matrix and copies none; a tour polished after every edit
+// keeps a Retour instead. An optional obs.Recorder counts both passes' sweeps and moves
 // and receives the tsp/improve span.
 func ImproveMetric(t *Tour, m Metric, rec ...obs.Recorder) float64 {
 	n := len(t.Order)

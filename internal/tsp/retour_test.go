@@ -53,7 +53,9 @@ type step struct {
 
 // retourRun configures one differential run of a re-tour against Improve.
 type retourRun struct {
-	pts   []geom.Point
+	pts []geom.Point
+	// hover, if set, weights the field's nodes (see fieldMetric).
+	hover []float64
 	start []int
 	// next chooses the next step from the current order and the items of
 	// pts not in it; false ends the run.
@@ -155,7 +157,7 @@ func replays(fp *fixedPoint, o []int) bool {
 // same counters and stripped span stream for that step.
 func (r retourRun) check(t testing.TB) retourStats {
 	t.Helper()
-	m := euclid(r.pts)
+	m := fieldMetric(r.pts, r.hover)
 	x := NewMatrix(len(r.pts), m)
 	tour := &Tour{Order: slices.Clone(r.start)}
 	var rt *Retour // nil for ImproveMetric
@@ -259,14 +261,38 @@ func (r retourRun) check(t testing.TB) retourStats {
 	return st
 }
 
+// fieldMetric is the distance between the points of pts or, with node
+// weights hover, Algorithm 1's G_s cost over them (Eq. 9): (hover[i] +
+// hover[j])/2 + d(i, j), 0 from a node to itself.
+func fieldMetric(pts []geom.Point, hover []float64) Metric {
+	if hover == nil {
+		return euclid(pts)
+	}
+	return func(i, j int) float64 {
+		if i == j {
+			return 0
+		}
+		return (hover[i]+hover[j])/2 + pts[i].Dist(pts[j])
+	}
+}
+
+// randHover returns n node weights in [0, top).
+func randHover(r *rand.Rand, n int, top float64) []float64 {
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = r.Float64() * top
+	}
+	return h
+}
+
 // checkFresh holds the fresh searches, ImproveMetric and a new Retour's
 // first Improve over the caller's matrix, to the plain sweeps' Improve
-// from start on the field pts: the same order, the same saving bit for
-// bit, and the same counters and stripped span stream. It reports whether
-// the search moved.
-func checkFresh(t testing.TB, pts []geom.Point, start []int) bool {
+// from start on the field pts, its nodes weighted by hover if set: the
+// same order, the same saving bit for bit, and the same counters and
+// stripped span stream. It reports whether the search moved.
+func checkFresh(t testing.TB, pts []geom.Point, hover []float64, start []int) bool {
 	t.Helper()
-	m := euclid(pts)
+	m := fieldMetric(pts, hover)
 	x := NewMatrix(len(pts), m)
 	want := newObserved()
 	ref := Tour{Order: slices.Clone(start)}
@@ -299,14 +325,15 @@ func checkFresh(t testing.TB, pts []geom.Point, start []int) bool {
 }
 
 // TestFreshSearchMatchesImprove holds the fresh searches to the plain
-// sweeps on random fields, from random orders and Christofides tours over
-// all or part of the field, on fields where many items share a position,
-// and on 17×17 lattices of side 100 km and 10⁴ km.
+// sweeps on random fields, plain and with weighted nodes as Algorithm 1's
+// G_s costs, from random orders and Christofides tours over all or part
+// of the field, on fields where many items share a position, and on
+// 17×17 lattices of side 100 km and 10⁴ km.
 func TestFreshSearchMatchesImprove(t *testing.T) {
 	moved := 0
 	check := func(pts []geom.Point, start []int) {
 		t.Helper()
-		if checkFresh(t, pts, start) {
+		if checkFresh(t, pts, nil, start) {
 			moved++
 		}
 	}
@@ -316,6 +343,22 @@ func TestFreshSearchMatchesImprove(t *testing.T) {
 		check(pts, r.Perm(len(pts)))
 		check(pts, r.Perm(len(pts))[:1+r.Intn(len(pts))])
 		check(pts, polishedOrder(t, pts))
+	}
+	weightedMoved := 0
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pts := randPts(2+r.Intn(150), 1600+seed)
+		// Node weights up to about the field's width, as hover energies
+		// are of the order of a crossing's travel energy.
+		h := randHover(r, len(pts), 1000)
+		for _, start := range [][]int{r.Perm(len(pts)), r.Perm(len(pts))[:1+r.Intn(len(pts))], polishedOrder(t, pts)} {
+			if checkFresh(t, pts, h, start) {
+				weightedMoved++
+			}
+		}
+	}
+	if weightedMoved == 0 {
+		t.Fatal("no fresh search on a weighted field made a move")
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -576,14 +619,16 @@ func TestOrOptMovesIgnoreScale(t *testing.T) {
 
 // FuzzRetourMatchesImprove holds the re-tours, and the fresh searches
 // from their start, to Improve on fields of side 100 m to 10⁴ km (scale),
-// random or on a 5×5 grid of duplicates.
+// random or on a 5×5 grid of duplicates, their nodes weighted as
+// Algorithm 1's G_s costs if weighted.
 func FuzzRetourMatchesImprove(f *testing.F) {
-	f.Add(int64(1), uint8(40), false, false, uint8(0))
-	f.Add(int64(2), uint8(9), true, false, uint8(0))
-	f.Add(int64(3), uint8(70), false, true, uint8(3))
-	f.Add(int64(4), uint8(55), true, true, uint8(5))
-	f.Add(int64(6), uint8(80), true, false, uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, size uint8, dupes, rotate bool, scale uint8) {
+	f.Add(int64(1), uint8(40), false, false, uint8(0), false)
+	f.Add(int64(2), uint8(9), true, false, uint8(0), false)
+	f.Add(int64(3), uint8(70), false, true, uint8(3), false)
+	f.Add(int64(4), uint8(55), true, true, uint8(5), false)
+	f.Add(int64(6), uint8(80), true, false, uint8(4), false)
+	f.Add(int64(7), uint8(60), false, true, uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, dupes, rotate bool, scale uint8, weighted bool) {
 		n := 2 + int(size)%90
 		side := 100 * math.Pow(10, float64(scale%6))
 		r := rand.New(rand.NewSource(seed))
@@ -602,6 +647,9 @@ func FuzzRetourMatchesImprove(f *testing.F) {
 		// Seeds ≡ 2 or 3 (mod 4) mix every edit from a start over part
 		// of the field; the rest remove down to one item.
 		run := retourRun{pts: pts, start: start, next: removals(r.Intn)}
+		if weighted {
+			run.hover = randHover(r, n, side)
+		}
 		if seed%4 >= 2 {
 			run.start = start[:1+r.Intn(n)]
 			run.next = mixedSteps(r, 3*n)
@@ -612,7 +660,7 @@ func FuzzRetourMatchesImprove(f *testing.F) {
 		if seed%8 >= 4 {
 			run.via = viaRetour
 		}
-		checkFresh(t, pts, run.start)
+		checkFresh(t, pts, run.hover, run.start)
 		run.check(t)
 	})
 }
@@ -620,7 +668,10 @@ func FuzzRetourMatchesImprove(f *testing.F) {
 // BenchmarkImprove times the polish on a matrix over 501 uniform points.
 // fresh is the baseline's first polish, a new Retour's full search over
 // the matrix from the unpolished Christofides tour; oracle is the plain
-// sweeps' polish of the same tour, which makes the same moves.
+// sweeps' polish of the same tour, which makes the same moves. retour is
+// the baseline's prune loop after that first polish, which is not timed:
+// remove the item at a random position and re-tour, down to 200 items,
+// each re-tour a replay from the last fixed point.
 func BenchmarkImprove(b *testing.B) {
 	pts := randPts(501, 1)
 	x := NewMatrix(len(pts), euclid(pts))
@@ -635,6 +686,22 @@ func BenchmarkImprove(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Improve(&Tour{Order: slices.Clone(start)}, x)
+		}
+	})
+	b.Run("retour", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			r := rand.New(rand.NewSource(1))
+			tour := Tour{Order: slices.Clone(start)}
+			rt := NewRetour(x)
+			rt.Improve(&tour, nil)
+			b.StartTimer()
+			for len(tour.Order) > 200 {
+				k := r.Intn(len(tour.Order))
+				tour.Order = slices.Delete(tour.Order, k, k+1)
+				rt.Improve(&tour, nil)
+			}
 		}
 	})
 }

@@ -32,6 +32,31 @@ func allItems(n int) []int {
 	return items
 }
 
+// TestMatrixSymmetric: Symmetric accepts a Euclidean matrix and Eq. 9's
+// weighted one, and rejects one that differs from its transpose by a
+// metric that depends on direction or by one ulp in one entry.
+func TestMatrixSymmetric(t *testing.T) {
+	pts := randPts(71, 541)
+	r := rand.New(rand.NewSource(3))
+	if !NewMatrix(len(pts), euclid(pts)).Symmetric() {
+		t.Error("euclid: not symmetric")
+	}
+	if !NewMatrix(len(pts), fieldMetric(pts, randHover(r, len(pts), 1000))).Symmetric() {
+		t.Error("weighted: not symmetric")
+	}
+	directed := func(i, j int) float64 {
+		return pts[i].Dist(pts[j])*(1+0.3*math.Abs(math.Sin(float64(3*i+7*j)))) + float64(5*(i%3)+2*(j%5))
+	}
+	if NewMatrix(len(pts), directed).Symmetric() {
+		t.Error("a direction-dependent metric passed as symmetric")
+	}
+	x := NewMatrix(len(pts), euclid(pts))
+	x.d[40*x.n+7] = math.Nextafter(x.d[40*x.n+7], math.Inf(1))
+	if x.Symmetric() {
+		t.Error("a matrix one ulp off in one entry passed as symmetric")
+	}
+}
+
 func TestTourCost(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(3, 4)}
 	m := euclid(pts)
